@@ -12,7 +12,7 @@ use policies::{policy_alphabet, PolicyKind};
 
 use crate::layers::{campaign_metrics, traced_campaign, Ledger};
 use crate::{
-    child, closed_loop, gen, ground_truth, latency_metrics, learn_setup, median, peak_rss_mb, Args,
+    child, closed_loop, gen, ground_truth, learn_setup, median, peak_rss_mb, pool_latencies, Args,
     Campaign, Report, Samples, SWEEP,
 };
 
@@ -111,6 +111,13 @@ pub fn run(args: &Args) -> Result<Report, String> {
     }
     report.set("learn_s", passes[0]);
     samples.add("warm_learn_s", median(&passes[1..]));
+    // A probe's set-up figure is the median of set-ups a millisecond long,
+    // each seeing the host in one of its speed states; the mean over the
+    // probes follows the share of the run spent in each state, where their
+    // median would flip between the two.
+    if let Some(setup) = samples.take_mean("setup_s") {
+        report.set("setup_s", setup);
+    }
     samples.add("peak_rss_mb", peak_rss_mb());
     samples.report_into(&mut report);
     Ok(report)
@@ -136,7 +143,7 @@ fn probe(args: &Args, mut report: Report) -> Result<Report, String> {
             report.check(ok, || format!("membership query {i} disagrees with New2/4"));
         },
     );
-    latency_metrics(&mut report, vec![client]);
+    pool_latencies(&mut report, vec![client]);
     Ok(report)
 }
 

@@ -18,36 +18,50 @@ pub fn draw(seed: u64, stream: u64, index: u64) -> u64 {
     mix(mix(mix(seed) ^ stream) ^ index)
 }
 
-/// Renders `len` base-`radix` digits of `value` as MBL block names, with the
-/// last access profiled: one concrete query per expression.
-fn expression(mut value: u64, len: usize, radix: u64) -> String {
-    let mut names = Vec::with_capacity(len);
-    for _ in 0..len {
-        names.push(mbl::block_name(mbl::BlockId((value % radix) as u32)));
-        value /= radix;
-    }
-    let mut text = names.join(" ");
-    text.push('?');
-    text
+/// The `i`-th expression of the hot pool: the pool `loadgen`'s default query
+/// mode draws from (`crates/bench/src/bin/loadgen.rs`, whose baseline is in
+/// `BENCH_server.json`), a three-block fill over six blocks followed by a
+/// profiled re-access of the first block.
+fn hot_expression(i: u64) -> String {
+    let name = |n: u64| mbl::block_name(mbl::BlockId((n % 6) as u32));
+    let (a, b, c) = (i % 6, (i / 6) % 6, (i / 36) % 6);
+    format!("{} {} {} {}?", name(a), name(b), name(c), name(a))
 }
 
-/// Blocks the hot pool draws from (one L1 set's worth of lines plus spares).
-const HOT_BLOCKS: u64 = 10;
-/// Accesses per hot expression.
-const HOT_LEN: usize = 5;
-/// Blocks novel expressions draw from.
+/// Distinct expressions in the hot pool: `loadgen`'s `--distinct` default.
+pub const HOT: usize = 128;
+/// Novel requests per thousand.  No recorded `cqd` traffic exists to take a
+/// share from: a few percent keeps most requests store hits, as for clients
+/// that mostly repeat queries, and being above one percent it makes
+/// `p99_us` a miss-path latency (and `p50_us` a hit-path one) by design.
+pub const NOVEL_PERMILLE: u64 = 50;
+/// Fill length of a novel expression: one Skylake L1 set (eight ways), so a
+/// novel query runs as long as a set-filling probe.
+const NOVEL_FILL: usize = 8;
+/// Blocks a novel fill draws from.
 const NOVEL_BLOCKS: u64 = 12;
-/// Accesses per novel expression: longer than any hot expression, so a novel
-/// query is never a prefix of (and never answered by) a hot one.
-const NOVEL_LEN: usize = 9;
 
-/// The `serve_mix` request stream: a small hot pool every client shares and
-/// a per-client stream of novel expressions, mixed at a fixed share.
+/// A novel expression: the hot pool's shape — a fill, then a profiled
+/// re-access of its first block — with the fill spelt by the `NOVEL_FILL`
+/// base-`NOVEL_BLOCKS` digits of `code`.  Distinct codes below 12^8 give
+/// distinct expressions, and being longer than any hot expression a novel
+/// one is never a prefix of (nor answered by) a hot one.
+fn novel_expression(mut code: u64) -> String {
+    let mut names = Vec::with_capacity(NOVEL_FILL + 1);
+    for _ in 0..NOVEL_FILL {
+        names.push(mbl::block_name(mbl::BlockId((code % NOVEL_BLOCKS) as u32)));
+        code /= NOVEL_BLOCKS;
+    }
+    names.push(format!("{}?", names[0]));
+    names.join(" ")
+}
+
+/// The `serve_mix` request stream: the hot pool every client shares and a
+/// per-client stream of novel expressions, mixed at a fixed share.
 #[derive(Debug, Clone)]
 pub struct ServeStream {
     seed: u64,
     hot: Vec<String>,
-    novel_permille: u64,
 }
 
 /// One request of the stream.
@@ -60,22 +74,10 @@ pub enum ServeRequest {
 }
 
 impl ServeStream {
-    /// A stream with `hot` distinct pool expressions and `novel_permille`
-    /// novel requests per thousand.
-    pub fn new(seed: u64, hot: usize, novel_permille: u64) -> Self {
-        let mut pool: Vec<String> = Vec::with_capacity(hot);
-        let mut index = 0;
-        while pool.len() < hot {
-            let candidate = expression(draw(seed, 0, index), HOT_LEN, HOT_BLOCKS);
-            index += 1;
-            if !pool.contains(&candidate) {
-                pool.push(candidate);
-            }
-        }
+    pub fn new(seed: u64) -> Self {
         ServeStream {
             seed,
-            hot: pool,
-            novel_permille,
+            hot: (0..HOT as u64).map(hot_expression).collect(),
         }
     }
 
@@ -87,13 +89,12 @@ impl ServeStream {
     /// The `index`-th request of client `client`.
     pub fn request(&self, client: u64, index: u64) -> ServeRequest {
         let roll = draw(self.seed, 1 + 2 * client, index);
-        if roll % 1000 < self.novel_permille {
-            // Injective in (client, index) below 12^9 / 2 requests per client,
-            // so novel expressions never repeat within a run.
-            let code = index * 2 + client;
-            ServeRequest::Novel(expression(code, NOVEL_LEN, NOVEL_BLOCKS))
+        if roll % 1000 < NOVEL_PERMILLE {
+            // Injective in (client, index) below 12^8 / 2 requests per
+            // client, so novel expressions never repeat within a run.
+            ServeRequest::Novel(novel_expression(index * 2 + client))
         } else {
-            ServeRequest::Hot((roll / 1000 % self.hot.len() as u64) as usize)
+            ServeRequest::Hot((roll / 1000 % HOT as u64) as usize)
         }
     }
 
@@ -128,33 +129,37 @@ mod tests {
 
     #[test]
     fn streams_are_pure_functions_of_the_seed() {
-        let a = ServeStream::new(7, 64, 50);
-        let b = ServeStream::new(7, 64, 50);
+        let a = ServeStream::new(7);
+        let b = ServeStream::new(7);
         assert_eq!(a.hot(), b.hot());
-        for client in 0..2 {
-            for i in 0..2000 {
-                assert_eq!(a.request(client, i), b.request(client, i));
-            }
-        }
-        let other = ServeStream::new(8, 64, 50);
-        assert_ne!(a.hot(), other.hot());
+        let requests = |s: &ServeStream| -> Vec<ServeRequest> {
+            (0..2)
+                .flat_map(|client| (0..2000).map(move |i| (client, i)))
+                .map(|(client, i)| s.request(client, i))
+                .collect()
+        };
+        assert_eq!(requests(&a), requests(&b));
+        assert_ne!(requests(&a), requests(&ServeStream::new(8)));
     }
 
     #[test]
-    fn the_hot_pool_is_distinct_and_single_query() {
-        let stream = ServeStream::new(3, 64, 50);
+    fn the_hot_pool_is_loadgens() {
+        let stream = ServeStream::new(3);
+        assert_eq!(&stream.hot()[..3], ["A A A A?", "B A A B?", "C A A C?"]);
         let mut pool = stream.hot().to_vec();
         pool.sort();
         pool.dedup();
-        assert_eq!(pool.len(), 64);
+        assert_eq!(pool.len(), HOT);
         for text in stream.hot() {
-            assert_eq!(mbl::expand_query(text, 8).unwrap().len(), 1);
+            let queries = mbl::expand_query(text, 8).unwrap();
+            assert_eq!(queries.len(), 1);
+            assert_eq!(queries[0].len(), 4);
         }
     }
 
     #[test]
     fn novel_requests_never_repeat_and_keep_their_share() {
-        let stream = ServeStream::new(11, 64, 50);
+        let stream = ServeStream::new(11);
         let mut novel = Vec::new();
         let draws = 20_000;
         for client in 0..2 {
@@ -171,7 +176,9 @@ mod tests {
         novel.dedup();
         assert_eq!(novel.len(), count, "a novel expression repeated");
         for text in novel.iter().take(50) {
-            assert_eq!(mbl::expand_query(text, 8).unwrap().len(), 1);
+            let queries = mbl::expand_query(text, 8).unwrap();
+            assert_eq!(queries.len(), 1);
+            assert_eq!(queries[0].len(), NOVEL_FILL + 1);
             assert!(!stream.hot().contains(text));
         }
     }

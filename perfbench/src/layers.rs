@@ -5,6 +5,8 @@
 //!
 //! Self time of a layer is its inclusive time minus the inclusive time of
 //! the next layer down, so the self times telescope to the learner's root.
+//! Each boundary is timed on its own, so a boundary timed wrong shows as a
+//! negative self time; `campaign_metrics` counts that as a failure.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -283,8 +285,14 @@ where
     })
 }
 
-/// Learner, Polca, engine and backend metrics of a set of traced campaigns
-/// that shared `ledger`.
+/// Smallest share of the campaign wall time the learner (and so the sum of
+/// the layer self times) may take: the rest is minimization and set-up,
+/// outside every decorated boundary.
+const SELF_SUM_FLOOR: f64 = 0.95;
+
+/// Learner, Polca and engine metrics of a set of traced campaigns that
+/// shared `ledger`, with the checks that the layer self times are never
+/// negative and cover at least `SELF_SUM_FLOOR` of the campaign time.
 pub fn campaign_metrics(report: &mut Report, ledger: &Ledger, campaigns: &[TracedCampaign]) {
     let sum = |f: &dyn Fn(&TracedCampaign) -> u64| campaigns.iter().map(f).sum::<u64>();
     let mq_s = Ledger::secs(&ledger.mq_ns);
@@ -294,14 +302,27 @@ pub fn campaign_metrics(report: &mut Report, ledger: &Ledger, campaigns: &[Trace
     let root_s: f64 = campaigns.iter().map(|c| c.root_s).sum();
     let probes = sum(&|c| c.probes);
     let block_accesses = sum(&|c| c.block_accesses);
-    let executions = Ledger::get(&ledger.executions);
-    let batches = Ledger::get(&ledger.batches);
+    let eq_s = Ledger::secs(&ledger.eq_ns);
+    let layers = [
+        ("learning.self_s", learner_s - mq_s),
+        ("polca.self_s", mq_s - probe_s),
+        ("engine.self_s", probe_s - backend_s),
+        ("learner time outside equivalence queries", learner_s - eq_s),
+    ];
+    for (name, seconds) in layers {
+        report.check(seconds >= 0.0, || {
+            format!("{name} = {seconds} s: a boundary is timed wrong")
+        });
+    }
+    report.check(learner_s >= SELF_SUM_FLOOR * root_s, || {
+        format!("layer self times cover {learner_s} s of a {root_s} s campaign")
+    });
 
     report.set("learning.mq", sum(&|c| c.stats.membership_queries) as f64);
     report.set("learning.mq_oracle", Ledger::get(&ledger.mq_calls) as f64);
     report.set("learning.eq", sum(&|c| c.stats.equivalence_queries) as f64);
     report.set("learning.tests", sum(&|c| c.stats.conformance_tests) as f64);
-    report.set("learning.eq_s", Ledger::secs(&ledger.eq_ns));
+    report.set("learning.eq_s", eq_s);
     report.set("learning.self_s", learner_s - mq_s);
     report.set("polca.accesses", Ledger::get(&ledger.accesses) as f64);
     report.set(
@@ -321,6 +342,17 @@ pub fn campaign_metrics(report: &mut Report, ledger: &Ledger, campaigns: &[Trace
         Ledger::get(&ledger.config_calls) as f64,
     );
     report.set("engine.self_s", probe_s - backend_s);
+    report.set("trace.root_s", root_s);
+    // The layer self times telescope to the learner's time; the remainder
+    // is campaign time outside every decorated boundary.
+    report.set("trace.self_sum_share", learner_s / root_s);
+}
+
+/// Backend metrics of a traced campaign whose `QueryBackend` is the cache
+/// itself (not a wire client).
+pub fn backend_metrics(report: &mut Report, ledger: &Ledger) {
+    let executions = Ledger::get(&ledger.executions);
+    let batches = Ledger::get(&ledger.batches);
     report.set("backend.executions", executions as f64);
     report.set("backend.batches", batches as f64);
     report.set(
@@ -331,9 +363,5 @@ pub fn campaign_metrics(report: &mut Report, ledger: &Ledger, campaigns: &[Trace
         "backend.block_accesses",
         Ledger::get(&ledger.block_accesses) as f64,
     );
-    report.set("backend.s", backend_s);
-    report.set("trace.root_s", root_s);
-    // The layer self times telescope to the learner's time; the remainder
-    // is campaign time outside every decorated boundary.
-    report.set("trace.self_sum_share", learner_s / root_s);
+    report.set("backend.s", Ledger::secs(&ledger.backend_ns));
 }

@@ -28,19 +28,20 @@ use policies::{PolicyKind, PolicyMealy};
 use server::Json;
 
 /// End-to-end metrics with their units, in output order.
-const E2E: [(&str, &str); 7] = [
+const E2E: [(&str, &str); 8] = [
     ("setup_s", "s"),
     ("learn_s", "s"),
     ("warm_learn_s", "s"),
     ("qps", "1/s"),
     ("p50_us", "us"),
     ("p99_us", "us"),
+    ("latency_samples", "count"),
     ("peak_rss_mb", "MiB"),
 ];
 
 /// Per-layer metrics with their units, in output order.  A layer a
 /// workload does not reach reports zero.
-const LAYERS: [(&str, &str); 51] = [
+const LAYERS: [(&str, &str); 53] = [
     ("learning.mq", "count"),
     ("learning.mq_oracle", "count"),
     ("learning.eq", "count"),
@@ -80,6 +81,7 @@ const LAYERS: [(&str, &str); 51] = [
     ("server.handle_p50_us", "us"),
     ("server.handle_p99_us", "us"),
     ("server.codec_us", "us"),
+    ("server.miss_share", "ratio"),
     ("server.store_hits", "count"),
     ("server.backend_queries", "count"),
     ("server.votes", "count"),
@@ -87,6 +89,7 @@ const LAYERS: [(&str, &str); 51] = [
     ("client.round_trips", "count"),
     ("client.wire_queries", "count"),
     ("client.store_hit_share", "ratio"),
+    ("client.s", "s"),
     ("mbl.expand_us", "us"),
     ("trace.root_s", "s"),
     ("trace.self_sum_share", "ratio"),
@@ -94,8 +97,9 @@ const LAYERS: [(&str, &str); 51] = [
     ("trace.counts_match", "bool"),
 ];
 
-/// Command-line arguments.  `--phase` and `--dir` are internal: a workload
-/// that runs its phases in child processes passes them to each child.
+/// Command-line arguments.  `--phase`, `--dir` and `--samples` are
+/// internal: a workload that runs its phases in child processes passes them
+/// to each child.
 pub struct Args {
     pub workload: String,
     pub seed: u64,
@@ -103,6 +107,9 @@ pub struct Args {
     pub trace: bool,
     pub phase: Option<String>,
     pub dir: Option<PathBuf>,
+    /// Where child phases leave their latency samples for the top-level
+    /// process.
+    pub samples: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -134,15 +141,20 @@ fn parse_args() -> Result<Args, String> {
         trace: number("trace")? != 0,
         phase: values.get("phase").cloned(),
         dir: values.get("dir").map(PathBuf::from),
+        samples: values.get("samples").map(PathBuf::from),
     })
 }
 
-/// What a workload run reports: its operations and its metrics.
+/// What a workload run reports: its operations, its metrics, and the
+/// latency samples (nanoseconds) of the query phases it ran itself, with
+/// the time those phases took.
 #[derive(Default)]
 pub struct Report {
     attempted: u64,
     failed: u64,
     metrics: BTreeMap<String, f64>,
+    latencies: Vec<u64>,
+    latency_busy: Duration,
 }
 
 impl Report {
@@ -203,6 +215,12 @@ impl Samples {
         }
     }
 
+    /// Removes the samples of `name` and returns their mean.
+    pub fn take_mean(&mut self, name: &str) -> Option<f64> {
+        let values = self.0.remove(name)?;
+        Some(values.iter().sum::<f64>() / values.len() as f64)
+    }
+
     pub fn report_into(self, report: &mut Report) {
         for (name, values) in self.0 {
             let value = if name == "peak_rss_mb" {
@@ -217,7 +235,8 @@ impl Samples {
 
 /// Runs phase `phase` of the current workload in a child process (a fresh
 /// heap, and a peak resident set of its own), over `dir` if given, and
-/// returns what it reported.
+/// returns what it reported.  The child leaves its latency samples in the
+/// run's samples directory.
 pub fn child(args: &Args, phase: &str, dir: Option<&Path>) -> Result<Report, String> {
     let exe = std::env::current_exe().map_err(|e| e.to_string())?;
     let mut command = std::process::Command::new(exe);
@@ -228,6 +247,9 @@ pub fn child(args: &Args, phase: &str, dir: Option<&Path>) -> Result<Report, Str
         .args(["--trace", "0", "--phase", phase]);
     if let Some(dir) = dir {
         command.arg("--dir").arg(dir);
+    }
+    if let Some(samples) = &args.samples {
+        command.arg("--samples").arg(samples);
     }
     let output = command
         .stderr(std::process::Stdio::inherit())
@@ -243,7 +265,7 @@ pub fn child(args: &Args, phase: &str, dir: Option<&Path>) -> Result<Report, Str
     let mut report = Report {
         attempted: count("attempted"),
         failed: count("failed"),
-        metrics: BTreeMap::new(),
+        ..Report::default()
     };
     if let Some(Json::Obj(metrics)) = json.get("metrics") {
         for (name, metric) in metrics {
@@ -274,17 +296,56 @@ pub fn percentile(sorted: &[u64], p: f64) -> Option<u64> {
     (rank >= 1 && n - rank >= 10).then(|| sorted[rank - 1])
 }
 
-/// Records qps/p50/p99 of a closed-loop phase into `report`: throughput is
-/// the sum over clients of requests per second spent waiting, percentiles
-/// are taken over every client's samples together.
-pub fn latency_metrics(report: &mut Report, clients: Vec<Latencies>) {
-    let qps: f64 = clients
-        .iter()
-        .map(|c| c.samples.len() as f64 / c.busy.as_secs_f64())
-        .sum();
-    let mut samples: Vec<u64> = clients.into_iter().flat_map(|c| c.samples).collect();
+/// Pools a closed-loop phase into `report`: every client's latency samples,
+/// and the phase's length as the time each client spent waiting on the
+/// system, averaged over the clients.
+pub fn pool_latencies(report: &mut Report, clients: Vec<Latencies>) {
+    let count = clients.len().max(1) as u32;
+    for client in clients {
+        report.latency_busy += client.busy / count;
+        report.latencies.extend(client.samples);
+    }
+}
+
+/// Saves this child phase's pooled latencies into the run's samples
+/// directory, one file per process: the phase length in nanoseconds, then
+/// the samples.
+fn save_samples(args: &Args, report: &Report) -> Result<(), String> {
+    let dir = args.samples.as_ref().ok_or("a phase needs --samples")?;
+    let busy = report.latency_busy.as_nanos() as u64;
+    let bytes: Vec<u8> = std::iter::once(busy)
+        .chain(report.latencies.iter().copied())
+        .flat_map(u64::to_le_bytes)
+        .collect();
+    let path = dir.join(format!("{}.bin", std::process::id()));
+    std::fs::write(path, bytes).map_err(|e| e.to_string())
+}
+
+/// Pools every child phase's latencies saved in `dir` into `report`.
+fn load_samples(report: &mut Report, dir: &Path) -> Result<(), String> {
+    for entry in std::fs::read_dir(dir).map_err(|e| e.to_string())? {
+        let path = entry.map_err(|e| e.to_string())?.path();
+        let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
+        let mut words = bytes
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("eight bytes")));
+        report.latency_busy += Duration::from_nanos(words.next().unwrap_or(0));
+        report.latencies.extend(words);
+    }
+    Ok(())
+}
+
+/// Records the run's pooled query phases: `qps` (requests completed per
+/// second of the phases), `p50_us` and `p99_us` by nearest rank over every
+/// latency sample, and their count as `latency_samples`.
+fn latency_metrics(report: &mut Report) {
+    let mut samples = std::mem::take(&mut report.latencies);
     samples.sort_unstable();
-    report.set("qps", qps);
+    report.set(
+        "qps",
+        samples.len() as f64 / report.latency_busy.as_secs_f64(),
+    );
+    report.set("latency_samples", samples.len() as f64);
     for (name, p) in [("p50_us", 50.0), ("p99_us", 99.0)] {
         match percentile(&samples, p) {
             Some(ns) => report.set(name, ns as f64 / 1000.0),
@@ -294,12 +355,6 @@ pub fn latency_metrics(report: &mut Report, clients: Vec<Latencies>) {
             )),
         }
     }
-    eprintln!(
-        "query phase: {} samples, {qps:.0} requests/s, p50 {} us, p99 {} us",
-        samples.len(),
-        report.get("p50_us"),
-        report.get("p99_us")
-    );
 }
 
 /// Latencies of one closed-loop client: one sample (nanoseconds) per
@@ -314,12 +369,6 @@ impl Latencies {
     pub fn record(&mut self, took: Duration) {
         self.busy += took;
         self.samples.push(took.as_nanos() as u64);
-    }
-
-    /// Pools a later stretch of the same client's requests into this one.
-    pub fn extend(&mut self, later: Latencies) {
-        self.busy += later.busy;
-        self.samples.extend(later.samples);
     }
 }
 
@@ -449,7 +498,7 @@ pub fn learn_setup() -> LearnSetup {
 }
 
 fn main() {
-    let args = match parse_args() {
+    let mut args = match parse_args() {
         Ok(args) => args,
         Err(message) => {
             eprintln!("perfbench: {message}");
@@ -467,16 +516,43 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let mut report = match run(&args) {
+    // The top-level process collects every child phase's latency samples
+    // in a scratch directory of its own.
+    let samples_dir = match args.phase {
+        Some(_) => None,
+        None => match TempDir::new("samples") {
+            Ok(dir) => Some(dir),
+            Err(e) => {
+                eprintln!("perfbench: creating the samples directory: {e}");
+                std::process::exit(1);
+            }
+        },
+    };
+    args.samples = samples_dir
+        .as_ref()
+        .map(|dir| dir.path().to_path_buf())
+        .or(args.samples);
+    let outcome = run(&args).and_then(|mut report| {
+        // The peak resident set is taken before the pooled samples are
+        // loaded, so it stays the workload's own.
+        if !args.trace && !report.metrics.contains_key("peak_rss_mb") {
+            report.set("peak_rss_mb", peak_rss_mb());
+        }
+        match &samples_dir {
+            None if !report.latencies.is_empty() => save_samples(&args, &report)?,
+            None => {}
+            Some(dir) => load_samples(&mut report, dir.path())?,
+        }
+        Ok(report)
+    });
+    drop(samples_dir);
+    let mut report = match outcome {
         Ok(report) => report,
         Err(message) => {
             eprintln!("perfbench: {} aborted: {message}", args.workload);
             std::process::exit(1);
         }
     };
-    if !args.trace && !report.metrics.contains_key("peak_rss_mb") {
-        report.set("peak_rss_mb", peak_rss_mb());
-    }
     if args.phase.is_some() {
         // A child phase hands every metric it measured to its parent.
         let metrics = report
@@ -486,6 +562,9 @@ fn main() {
             .collect();
         println!("{}", report.to_json(metrics).render());
         return;
+    }
+    if !report.latencies.is_empty() {
+        latency_metrics(&mut report);
     }
     let names: &[(&str, &str)] = if args.trace { &LAYERS } else { &E2E };
     for (name, _) in names {
