@@ -5,14 +5,19 @@
 //! previously-undocumented Intel policies (`New1/4`, `New2/4`), the
 //! worst-case Table 2 row at the default associativity cap (`SRRIP-FP/4`),
 //! and the whole `table2 --max-assoc 4` sweep.  For every learned unit the
-//! gate records the state count, the membership-query count, and the wall
-//! time, writes the report under the `learn` key of `BENCH_learn.json`, and
-//! compares against the committed baseline:
+//! gate records the state count, the membership-query count, Polca's cache
+//! probes and block accesses, and the wall time, writes the report under the
+//! `learn` key of `BENCH_learn.json`, and compares against the committed
+//! baseline:
 //!
 //! * a **membership-query or state count drifting by even one** fails the
 //!   gate unconditionally — those numbers are byte-pinned reproduction
 //!   artifacts, and "faster but different" means the optimization changed
 //!   the algorithm;
+//! * a unit whose **block accesses differ from its probes** fails the gate
+//!   unconditionally — simulated caches step their probe sessions, one
+//!   block access per probe, so any gap is a campaign replaying probes from
+//!   the initial state (the paper's hardware cost model) instead;
 //! * a workload **slower than baseline by more than `--time-tolerance`**
 //!   (default 40%) fails the gate as a performance regression.  Timing
 //!   compares workload totals, not per-unit times, so sub-millisecond units
@@ -31,9 +36,11 @@
 //! `--store-dir DIR` routes every campaign through a durable [`QueryStore`]
 //! rooted at `DIR` instead of the memory-only simulated oracle.  The counts
 //! are gated against the same baseline — persistence must be invisible to
-//! the learner, byte for byte — but the *time* gate is skipped: the engine
-//! path trades the packed-simulator fast path for memoization and disk, so
-//! the baseline times do not apply to it.
+//! the learner, byte for byte — and the engine path steps its probe
+//! sessions through the store like the direct path steps its simulator, so
+//! the probes-equal-block-accesses gate holds there too.  The *time* gate is
+//! skipped: every probe also pays a store lookup, and every miss a recording
+//! and a log append, which the memory-only baseline times do not include.
 //!
 //! `--workloads LIST` (comma-separated names) restricts the run to a subset
 //! of the pinned workloads — CI uses it to keep the store-mode count pin
@@ -101,6 +108,11 @@ struct Unit {
     assoc: usize,
     states: u64,
     queries: u64,
+    /// Polca's cache probes (session steps and speculations).
+    probes: u64,
+    /// Block accesses those probes cost: equal to `probes` when sessions
+    /// step, larger when they replay.
+    block_accesses: u64,
     time_ms: f64,
 }
 
@@ -142,6 +154,8 @@ fn measure(workload: &Workload, store: Option<&Arc<QueryStore>>) -> Measured {
             assoc,
             states: outcome.machine.num_states() as u64,
             queries: outcome.stats.membership_queries,
+            probes: outcome.cache_probes,
+            block_accesses: outcome.block_accesses,
             time_ms: unit_start.elapsed().as_secs_f64() * 1000.0,
         });
     }
@@ -173,6 +187,8 @@ fn report_json(measured: &[Measured]) -> Json {
                                             ("assoc", Json::num(u.assoc as u64)),
                                             ("states", Json::num(u.states)),
                                             ("queries", Json::num(u.queries)),
+                                            ("probes", Json::num(u.probes)),
+                                            ("block_accesses", Json::num(u.block_accesses)),
                                             ("time_ms", Json::Num(u.time_ms)),
                                         ])
                                     })
@@ -274,7 +290,14 @@ fn main() {
     }
 
     let mut table = TextTable::new(&[
-        "Workload", "Policy", "Assoc.", "# States", "Queries", "Time",
+        "Workload",
+        "Policy",
+        "Assoc.",
+        "# States",
+        "Queries",
+        "Probes",
+        "Block acc.",
+        "Time",
     ]);
     for w in &measured {
         for u in &w.units {
@@ -284,12 +307,16 @@ fn main() {
                 u.assoc.to_string(),
                 u.states.to_string(),
                 u.queries.to_string(),
+                u.probes.to_string(),
+                u.block_accesses.to_string(),
                 format!("{:.1} ms", u.time_ms),
             ]);
         }
         table.add_row(&[
             w.name.to_string(),
             "(total)".to_string(),
+            String::new(),
+            String::new(),
             String::new(),
             String::new(),
             String::new(),
@@ -332,9 +359,16 @@ fn main() {
             violations.push(format!("workload {} has no baseline entry", w.name));
             continue;
         };
-        // Exactness first: every learned unit must match the baseline counts
-        // bit for bit.
+        // Exactness first: every learned unit must step its probe sessions
+        // and match the baseline counts bit for bit.
         for u in &w.units {
+            if u.block_accesses != u.probes {
+                violations.push(format!(
+                    "{}: {}@{} made {} block accesses for {} probes (probe sessions \
+                     replayed instead of stepping)",
+                    w.name, u.policy, u.assoc, u.block_accesses, u.probes
+                ));
+            }
             let Some((_, _, base_states, base_queries)) = base
                 .units
                 .iter()

@@ -26,11 +26,20 @@
 //! [`Arc`]: the `cqd` daemon gives its sessions, worker pool *and* learning
 //! jobs one store, so a multi-second learning campaign fills the same trie
 //! that interactive sessions are served from.
+//!
+//! Probe sessions — Polca's `prefix · b?` queries over one growing prefix —
+//! run in one of two ways.  Every backend can replay: each probe is a whole
+//! query through [`QueryEngine::run`], the paper's cost model, since real
+//! silicon cannot snapshot its replacement state.  A simulator can also
+//! *step* ([`QueryBackend::stepper`]): a [`StepSession`] resumes the store
+//! lookup at the prefix's trie position and answers a miss with one backend
+//! step, while issuing exactly the store traffic replay would.
 
 use std::sync::Arc;
 
 use cache::HitMiss;
-use mbl::{expand_query, render_query, Query};
+use learning::TrieCursor;
+use mbl::{expand_query, render_query, BlockId, MemOp, Query};
 use obs::{FieldValue, Recorder};
 
 use crate::backend::{BackendError, Target};
@@ -74,6 +83,11 @@ impl std::fmt::Display for QueryConfig {
 /// [`QueryBackend::config`]; the engine uses it (rendered) as the store
 /// namespace, so reconfiguring a backend automatically re-namespaces its
 /// answers — no cache invalidation protocol is needed.
+///
+/// Every backend replays: each query runs whole from the initial state.
+/// Simulators can also step ([`QueryBackend::stepper`]), which lets a probe
+/// session answer a store miss with one step instead of a replay; every
+/// other backend keeps the replay cost model.
 pub trait QueryBackend: Send {
     /// Executes one concrete query and returns the classified outcome of
     /// every profiled access plus whether all repetitions agreed.  This is
@@ -130,6 +144,33 @@ pub trait QueryBackend: Send {
     fn handles_repetitions(&self) -> bool {
         false
     }
+
+    /// Opens an incremental execution from the backend's initial state, for
+    /// probe sessions (see [`QueryEngine::step_session`]).
+    ///
+    /// The default is `None`: the backend replays, and the engine runs every
+    /// probe as a whole query — the paper's cost model, which real hardware
+    /// must keep (it cannot snapshot its replacement state), and which every
+    /// backend with noise, voting, a remote engine or a cache hierarchy
+    /// behind it keeps too.  Only exact, deterministic simulators step: a
+    /// stepper's answers must equal [`QueryBackend::execute`] on the same
+    /// queries, consistently and at one execution.
+    fn stepper(&self) -> Option<Box<dyn QueryStepper>> {
+        None
+    }
+}
+
+/// An exact backend stepped one memory operation at a time from its initial
+/// state — what [`QueryBackend::stepper`] hands a [`StepSession`].
+pub trait QueryStepper: Send {
+    /// Executes `op` on top of every operation stepped so far; returns its
+    /// classification when `op` is profiled.
+    fn step(&mut self, op: &MemOp) -> Option<HitMiss>;
+
+    /// Classifies an access to `block` from the current state without
+    /// executing it: the outcome a profiled `block?` appended to the stepped
+    /// operations would get.
+    fn peek(&self, block: BlockId) -> HitMiss;
 }
 
 impl<B: QueryBackend + ?Sized> QueryBackend for Box<B> {
@@ -154,6 +195,10 @@ impl<B: QueryBackend + ?Sized> QueryBackend for Box<B> {
 
     fn handles_repetitions(&self) -> bool {
         (**self).handles_repetitions()
+    }
+
+    fn stepper(&self) -> Option<Box<dyn QueryStepper>> {
+        (**self).stepper()
     }
 }
 
@@ -279,6 +324,73 @@ pub struct EngineStats {
     pub backend_executions: u64,
 }
 
+/// A stepping probe session: the queries `prefix · b?` over one growing
+/// prefix of unprofiled accesses, answered by [`QueryEngine::step`] with a
+/// backend [`QueryStepper`] instead of whole-query replays.
+///
+/// Opened by [`QueryEngine::step_session`] and driven with the engine that
+/// opened it, the way a [`TrieCursor`] is driven with its cache.  The
+/// session holds the namespace handle, the store cursor on its prefix and
+/// the stepper.  Store hits leave the stepper behind and the next miss
+/// catches it up, so a session served entirely from the store never touches
+/// the backend.  With a recorder attached, the session emits one
+/// `engine.step_session` span when dropped, carrying its `lookups`,
+/// `store_hits` and `backend_steps` (operations the stepper executed or
+/// peeked).
+pub struct StepSession {
+    stepper: Box<dyn QueryStepper>,
+    /// How many operations of `prefix` the stepper has executed.
+    stepped: usize,
+    /// The unprofiled accesses so far; each probe pushes its profiled access
+    /// onto it and pops it again.
+    prefix: Query,
+    space: Option<StoreSpace>,
+    cursor: TrieCursor,
+    /// Prefix length at the previous probe: what that probe's query shares
+    /// with the next one.
+    shared: usize,
+    lookups: u64,
+    store_hits: u64,
+    backend_steps: u64,
+    /// The recorder and the session's opening time, when traced.
+    trace: Option<(Arc<Recorder>, u64)>,
+}
+
+impl std::fmt::Debug for StepSession {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StepSession")
+            .field("prefix", &render_query(&self.prefix))
+            .field("stepped", &self.stepped)
+            .field("lookups", &self.lookups)
+            .field("store_hits", &self.store_hits)
+            .field("backend_steps", &self.backend_steps)
+            .finish_non_exhaustive()
+    }
+}
+
+impl StepSession {
+    /// Appends an unprofiled access to `block` to the session's prefix.
+    pub fn advance(&mut self, block: BlockId) {
+        self.prefix.push(MemOp::access(block));
+    }
+}
+
+impl Drop for StepSession {
+    fn drop(&mut self) {
+        if let Some((recorder, start_ns)) = &self.trace {
+            recorder.close_span(
+                "engine.step_session",
+                *start_ns,
+                &[
+                    ("lookups", FieldValue::U64(self.lookups)),
+                    ("store_hits", FieldValue::U64(self.store_hits)),
+                    ("backend_steps", FieldValue::U64(self.backend_steps)),
+                ],
+            );
+        }
+    }
+}
+
 /// The single query path: exactly one [`QueryStore`] in front of one
 /// [`QueryBackend`].
 ///
@@ -395,8 +507,10 @@ impl<B: QueryBackend> QueryEngine<B> {
     /// every batch through [`QueryEngine::run_many`] emits an
     /// `engine.run_batch` span carrying its `batch_len` and its store-hit /
     /// backend-execution split — so batch amortization shows up on the trace
-    /// timeline — and every voting round that escalates emits an
-    /// `engine.vote_escalation` event under that span.
+    /// timeline — every voting round that escalates emits an
+    /// `engine.vote_escalation` event under that span, and every
+    /// [`StepSession`] opened afterwards emits one `engine.step_session`
+    /// span.
     pub fn set_recorder(&mut self, recorder: Option<Arc<Recorder>>) {
         self.recorder = recorder;
     }
@@ -673,6 +787,96 @@ impl<B: QueryBackend> QueryEngine<B> {
         Ok(results)
     }
 
+    /// Opens a stepping probe session from the backend's initial state, or
+    /// returns `None` when this engine must replay: the backend cannot step
+    /// ([`QueryBackend::stepper`]), or the engine votes on it (repetitions
+    /// above one, see [`VoteConfig`]) while a stepper executes each probe
+    /// once.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`BackendError`] if the backend is unconfigured.
+    pub fn step_session(&mut self) -> Result<Option<StepSession>, BackendError> {
+        let Some(stepper) = self.backend.stepper() else {
+            return Ok(None);
+        };
+        let (reps, space) = if self.memoize {
+            let (config, space) = self.refresh_space()?;
+            (config.reps, Some(space.clone()))
+        } else {
+            (self.backend.config()?.reps, None)
+        };
+        if self.voting.enabled && reps > 1 && !self.backend.handles_repetitions() {
+            return Ok(None);
+        }
+        Ok(Some(StepSession {
+            stepper,
+            stepped: 0,
+            prefix: Query::new(),
+            space,
+            cursor: TrieCursor::new(),
+            shared: 0,
+            lookups: 0,
+            store_hits: 0,
+            backend_steps: 0,
+            trace: self
+                .recorder
+                .as_ref()
+                .map(|recorder| (Arc::clone(recorder), recorder.now_ns())),
+        }))
+    }
+
+    /// Answers the probe `prefix · block?` of `session` (which this engine
+    /// opened): one store lookup resumed at the prefix's trie position, and
+    /// on a miss one backend step whose answer is recorded from that
+    /// position.  The store sees exactly the lookup and recording
+    /// [`run`](Self::run) would make for the same query, and this engine's
+    /// [`EngineStats`] count the probe the same way.
+    pub fn step(&mut self, session: &mut StepSession, block: BlockId) -> HitMiss {
+        self.stats.queries += 1;
+        session.lookups += 1;
+        let lcp = session.shared;
+        session.shared = session.prefix.len();
+        session.prefix.push(MemOp::profiled(block));
+        let cached = session
+            .space
+            .as_ref()
+            .and_then(|space| space.lookup_resumed(&session.prefix, lcp, &mut session.cursor));
+        let outcome = match cached {
+            Some(outcomes) => {
+                self.stats.store_hits += 1;
+                session.store_hits += 1;
+                *outcomes
+                    .last()
+                    .expect("a probe ends in its profiled access")
+            }
+            None => {
+                let prefix = &session.prefix[..session.shared];
+                for op in &prefix[session.stepped..] {
+                    session.stepper.step(op);
+                }
+                session.backend_steps += (prefix.len() - session.stepped) as u64 + 1;
+                session.stepped = prefix.len();
+                let outcome = session.stepper.peek(block);
+                self.stats.backend_queries += 1;
+                self.stats.backend_executions += 1;
+                if let Some(space) = &session.space {
+                    let whole = session.prefix.len();
+                    space.record_resumed(
+                        &session.prefix,
+                        &[outcome],
+                        true,
+                        whole,
+                        &mut session.cursor,
+                    );
+                }
+                outcome
+            }
+        };
+        session.prefix.pop();
+        outcome
+    }
+
     /// Expands an MBL expression for the backend's associativity and runs
     /// every resulting concrete query (as one batch).
     ///
@@ -890,6 +1094,128 @@ mod tests {
         assert!(escalations[0].contains("\"pending\":1"));
         // The batch span was opened first (id 1); the event nests under it.
         assert!(escalations[0].contains("\"parent\":1"));
+    }
+
+    /// The parity rule, stepped: an exact backend whose answers do not
+    /// depend on history, with a configurable repetition count.
+    #[derive(Debug, Clone)]
+    struct SteppingParity {
+        inner: ParityBackend,
+        reps: usize,
+    }
+
+    struct ParityStepper;
+
+    impl QueryStepper for ParityStepper {
+        fn step(&mut self, op: &MemOp) -> Option<HitMiss> {
+            (op.tag == Some(mbl::Tag::Profile)).then(|| self.peek(op.block))
+        }
+
+        fn peek(&self, block: BlockId) -> HitMiss {
+            if block.0.is_multiple_of(2) {
+                HitMiss::Hit
+            } else {
+                HitMiss::Miss
+            }
+        }
+    }
+
+    impl QueryBackend for SteppingParity {
+        fn execute(&mut self, query: &Query) -> Result<(Vec<HitMiss>, bool), BackendError> {
+            self.inner.execute(query)
+        }
+
+        fn config(&self) -> Result<QueryConfig, BackendError> {
+            Ok(QueryConfig {
+                reps: self.reps,
+                ..self.inner.config()?
+            })
+        }
+
+        fn associativity(&self) -> Result<usize, BackendError> {
+            self.inner.associativity()
+        }
+
+        fn stepper(&self) -> Option<Box<dyn QueryStepper>> {
+            Some(Box::new(ParityStepper))
+        }
+    }
+
+    fn stepping(reps: usize) -> SteppingParity {
+        SteppingParity {
+            inner: ParityBackend::new(),
+            reps,
+        }
+    }
+
+    #[test]
+    fn only_single_execution_steppers_open_step_sessions() {
+        assert!(QueryEngine::new(ParityBackend::new())
+            .step_session()
+            .unwrap()
+            .is_none());
+        assert!(QueryEngine::new(stepping(1))
+            .step_session()
+            .unwrap()
+            .is_some());
+        // Three repetitions are voted on, which a stepper cannot do.
+        let mut voting = QueryEngine::new(stepping(3));
+        assert!(voting.step_session().unwrap().is_none());
+        voting.set_vote_config(VoteConfig::disabled());
+        assert!(voting.step_session().unwrap().is_some());
+    }
+
+    #[test]
+    fn step_sessions_make_the_store_traffic_of_whole_queries() {
+        // The probes `prefix · b?` of one session, stepped on one engine and
+        // run as whole queries on another: same answers, same store counts
+        // and contents, same engine counters.
+        let blocks = [BlockId(1), BlockId(2), BlockId(2), BlockId(5), BlockId(4)];
+        let mut stepped = QueryEngine::new(stepping(1));
+        let mut replayed = QueryEngine::new(stepping(1));
+        for _round in 0..2 {
+            let mut session = stepped.step_session().unwrap().unwrap();
+            let mut prefix = Query::new();
+            for (i, &block) in blocks.iter().enumerate() {
+                let speculated = BlockId(10 + i as u32 % 3);
+                for probe in [speculated, block] {
+                    let mut query = prefix.clone();
+                    query.push(MemOp::profiled(probe));
+                    let expected = replayed.run(&query).unwrap().outcomes[0];
+                    assert_eq!(stepped.step(&mut session, probe), expected);
+                }
+                session.advance(block);
+                prefix.push(MemOp::access(block));
+            }
+        }
+        assert_eq!(stepped.stats(), replayed.stats());
+        assert_eq!(stepped.store().counts(), replayed.store().counts());
+        assert_eq!(stepped.store().entries(), replayed.store().entries());
+        assert_eq!(stepped.store().export(), replayed.store().export());
+        // The second round was served from the store: the backend stepped
+        // only for the first.
+        assert_eq!(stepped.stats().store_hits, blocks.len() as u64 * 2);
+    }
+
+    #[test]
+    fn a_traced_step_session_emits_one_span() {
+        let sink = Arc::new(obs::RingSink::new(64));
+        let mut engine = QueryEngine::new(stepping(1));
+        engine.set_recorder(Some(Arc::new(Recorder::new(sink.clone()))));
+        let mut session = engine.step_session().unwrap().unwrap();
+        engine.step(&mut session, BlockId(3));
+        session.advance(BlockId(3));
+        engine.step(&mut session, BlockId(4));
+        engine.step(&mut session, BlockId(4));
+        assert!(sink.drain().is_empty(), "the span closes with the session");
+        drop(session);
+        let lines = sink.drain();
+        assert_eq!(lines.len(), 1, "one span per session, not per probe");
+        assert!(lines[0].contains("\"name\":\"engine.step_session\""));
+        assert!(lines[0].contains("\"lookups\":3"));
+        assert!(lines[0].contains("\"store_hits\":1"));
+        // Two misses: a peek each, plus the catch-up step over `3`.
+        assert!(lines[0].contains("\"backend_steps\":3"));
     }
 
     #[test]

@@ -57,7 +57,8 @@ mod store;
 
 pub use backend::{Backend, BackendError, Target};
 pub use engine::{
-    EngineStats, QueryBackend, QueryConfig, QueryEngine, QueryOutcome, VoteConfig, VoteEvidence,
+    EngineStats, QueryBackend, QueryConfig, QueryEngine, QueryOutcome, QueryStepper, StepSession,
+    VoteConfig, VoteEvidence,
 };
 pub use frontend::{CacheQuery, QueryStats};
 pub use leader::{

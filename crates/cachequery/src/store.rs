@@ -64,7 +64,7 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, Weak};
 
 use cache::HitMiss;
-use learning::QueryCache;
+use learning::{QueryCache, TrieCursor};
 use mbl::{expand_query, render_query, MemOp, Query, Tag};
 use policies::{KeyedPolicy, PolicyError, PolicyKind, ReplacementPolicy};
 
@@ -305,7 +305,28 @@ impl StoreSpace {
     /// Served answers are always consistent (inconsistent runs are never
     /// recorded).
     pub fn lookup(&self, query: &Query) -> Option<Vec<HitMiss>> {
-        let outputs = self.trie.lookup(query);
+        self.served(query, self.trie.lookup(query))
+    }
+
+    /// [`lookup`](Self::lookup) resuming from `cursor`, whose last query
+    /// shared its first `lcp` operations with `query` (see
+    /// [`QueryCache::lookup_resumed`]): the walk starts at the shared
+    /// prefix's trie position instead of the root.  Returns the profiled
+    /// outcomes of `query[lcp..]`; the shared prefix's are the caller's.
+    ///
+    /// The lookup is counted, tapped and touched exactly as `lookup` is.
+    pub fn lookup_resumed(
+        &self,
+        query: &Query,
+        lcp: usize,
+        cursor: &mut TrieCursor,
+    ) -> Option<Vec<HitMiss>> {
+        self.served(query, self.trie.lookup_resumed(query, lcp, cursor))
+    }
+
+    /// Reports one lookup's fate to the tap and the evictor, and flattens
+    /// the trie outputs of a hit into profiled outcomes.
+    fn served(&self, query: &Query, outputs: Option<Vec<Option<HitMiss>>>) -> Option<Vec<HitMiss>> {
         if let Some(tap) = &self.inner.tap {
             tap.on_lookup(&self.name, query, outputs.is_some());
         }
@@ -320,6 +341,41 @@ impl StoreSpace {
     /// A recording that contradicts an existing entry is dropped and counted
     /// as a conflict.  Returns whether the answer was stored.
     pub fn record(&self, query: &Query, outcomes: &[HitMiss], consistent: bool) -> bool {
+        self.commit(query, outcomes, consistent, |trie, outputs| {
+            trie.record(query, outputs)
+        })
+    }
+
+    /// [`record`](Self::record) resuming from `cursor`, whose last query
+    /// shared its first `lcp` operations with `query` (see
+    /// [`QueryCache::record_resumed`]): only the new nodes below the shared
+    /// prefix are walked and inserted, and the cursor ends on `query`.
+    ///
+    /// The recording is counted, logged, tapped and touched exactly as
+    /// `record`'s.
+    pub fn record_resumed(
+        &self,
+        query: &Query,
+        outcomes: &[HitMiss],
+        consistent: bool,
+        lcp: usize,
+        cursor: &mut TrieCursor,
+    ) -> bool {
+        self.commit(query, outcomes, consistent, |trie, outputs| {
+            trie.record_resumed(query, outputs, lcp, cursor)
+        })
+    }
+
+    /// The recording path shared by [`record`](Self::record) and
+    /// [`record_resumed`](Self::record_resumed); `insert` puts the per-access
+    /// outputs into the trie.
+    fn commit(
+        &self,
+        query: &Query,
+        outcomes: &[HitMiss],
+        consistent: bool,
+        insert: impl FnOnce(&Space, &[Option<HitMiss>]) -> Result<usize, learning::OracleError>,
+    ) -> bool {
         if !consistent {
             return false;
         }
@@ -344,7 +400,7 @@ impl StoreSpace {
                 }
             })
             .collect();
-        match self.trie.record(query, &outputs) {
+        match insert(&self.trie, &outputs) {
             Ok(fresh) => {
                 if fresh > 0 {
                     self.inner

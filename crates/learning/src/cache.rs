@@ -40,6 +40,9 @@ struct Node<I, O> {
 struct Trie<I, O> {
     nodes: Vec<Node<I, O>>,
     roots: Vec<(I, u32)>,
+    /// Bumped by every [`QueryCache::clear`]: a [`TrieCursor`] taken in an
+    /// older generation holds indices into an arena that no longer exists.
+    generation: u64,
 }
 
 impl<I: Eq, O> Trie<I, O> {
@@ -49,26 +52,105 @@ impl<I: Eq, O> Trie<I, O> {
             .find(|(i, _)| i == symbol)
             .map(|&(_, index)| index)
     }
+
+    /// The child list below `parent` (the root's when `None`).
+    fn children(&self, parent: Option<u32>) -> &[(I, u32)] {
+        match parent {
+            None => &self.roots,
+            Some(index) => &self.nodes[index as usize].children,
+        }
+    }
+
+    /// Revalidates `cursor` for a word sharing its first `lcp` symbols with
+    /// the cursor's last word: a cursor from an older generation is emptied
+    /// (it re-finds its prefix from the root), then cut to `lcp`.
+    fn resume(&self, cursor: &mut TrieCursor, lcp: usize) {
+        if cursor.generation != self.generation {
+            cursor.path.clear();
+            cursor.generation = self.generation;
+        }
+        cursor.path.truncate(lcp);
+    }
 }
 
-/// Resumable trie position for runs of lookups over prefix-sharing words.
+impl<I: Clone + Eq, O: Clone + PartialEq> Trie<I, O> {
+    /// Inserts `word[from..]` below `parent` (the node matching
+    /// `word[from - 1]`, or the root), checking already-recorded nodes
+    /// against `outputs`, and passes every node of the walk to `visit`.
+    /// Returns the number of fresh nodes.
+    ///
+    /// A contradiction is only detectable on the already-recorded part of
+    /// the walk, which precedes the first fresh insertion — so an `Err`
+    /// leaves the trie untouched.
+    fn insert(
+        &mut self,
+        word: &[I],
+        outputs: &[O],
+        from: usize,
+        parent: Option<u32>,
+        mut visit: impl FnMut(u32),
+    ) -> Result<usize, OracleError> {
+        // Walk with explicit "root or node index" positions: arena nodes are
+        // appended while walking, so child lists are re-borrowed per step.
+        let mut position = parent;
+        let mut inserted = 0usize;
+        for (offset, (symbol, output)) in word.iter().zip(outputs).enumerate().skip(from) {
+            if let Some(existing) = self.child(self.children(position), symbol) {
+                if self.nodes[existing as usize].output != *output {
+                    return Err(OracleError::new(format!(
+                        "inconsistent oracle answers: position {offset} of a \
+                         repeated prefix produced a different output (the system \
+                         under learning is behaving non-deterministically)"
+                    )));
+                }
+                position = Some(existing);
+                visit(existing);
+                continue;
+            }
+            let fresh = self.nodes.len() as u32;
+            self.nodes.push(Node {
+                output: output.clone(),
+                children: Vec::new(),
+            });
+            match position {
+                None => self.roots.push((symbol.clone(), fresh)),
+                Some(index) => self.nodes[index as usize]
+                    .children
+                    .push((symbol.clone(), fresh)),
+            }
+            position = Some(fresh);
+            visit(fresh);
+            inserted += 1;
+        }
+        Ok(inserted)
+    }
+}
+
+/// Resumable trie position for runs of operations over prefix-sharing words.
 ///
-/// Conformance suites enumerate `prefix · middle · suffix` products, so
-/// consecutive test words share long prefixes; a cursor lets
-/// [`QueryCache::check_against_resumed`] skip re-walking the shared part.
-/// The cursor stores the arena path of the last verified-agreeing prefix —
-/// valid across calls because the arena is append-only (nodes are never
-/// moved or mutated once recorded).
-#[derive(Debug, Default)]
+/// Conformance suites enumerate `prefix · middle · suffix` products, and a
+/// probe session asks `prefix · b?` for a growing prefix, so consecutive
+/// words share long prefixes; a cursor lets
+/// [`QueryCache::check_against_resumed`], [`QueryCache::lookup_resumed`]
+/// and [`QueryCache::record_resumed`] skip re-walking the shared part.  The
+/// cursor stores the arena path of the last word's walked prefix — valid
+/// across calls because the arena is append-only (nodes are never moved or
+/// mutated once recorded) until [`QueryCache::clear`] drops it.  The cursor
+/// therefore also carries the trie generation it was taken in: a stale
+/// cursor (see [`QueryCache::is_stale`]) is never dereferenced, the next
+/// resumed call re-finds its prefix from the root.
+#[derive(Debug, Default, Clone)]
 pub struct TrieCursor {
     /// `path[d]` is the arena index of the node matching symbol `d` of the
-    /// last checked word, for every position that was walked *and* agreed
-    /// with the prediction.
+    /// last word, for every position that was walked (and, for checks,
+    /// agreed with the prediction).
     path: Vec<u32>,
+    /// The trie generation `path` indexes into.
+    generation: u64,
 }
 
 impl TrieCursor {
-    /// Creates an empty cursor (next check walks from the root).
+    /// Creates an empty cursor (next call walks from the root).
     pub fn new() -> Self {
         TrieCursor::default()
     }
@@ -132,6 +214,7 @@ where
             trie: RwLock::new(Trie {
                 nodes: Vec::new(),
                 roots: Vec::new(),
+                generation: 0,
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -191,7 +274,8 @@ where
     /// word shared `lcp` symbols with `word` *and* whose predicted outputs
     /// agreed on that prefix (true for conformance testing, where a
     /// disagreeing prefix ends the suite run).  The walk then starts at
-    /// position `min(lcp, cursor depth)` instead of the root.
+    /// position `min(lcp, cursor depth)` instead of the root — or at the
+    /// root when the cursor is [stale](Self::is_stale).
     ///
     /// Counting is identical to `check_against` — exactly one hit
     /// (`Match`/`Mismatch`) or miss (`Unknown`) per call — so resuming never
@@ -206,11 +290,8 @@ where
         debug_assert_eq!(word.len(), predicted.len());
         debug_assert!(lcp <= word.len());
         let trie = self.trie.read().unwrap_or_else(PoisonError::into_inner);
-        cursor.path.truncate(lcp.min(cursor.path.len()));
-        let mut children = match cursor.path.last() {
-            None => &trie.roots,
-            Some(&index) => &trie.nodes[index as usize].children,
-        };
+        trie.resume(cursor, lcp);
+        let mut children = trie.children(cursor.path.last().copied());
         for position in cursor.path.len()..word.len() {
             let Some(index) = trie.child(children, &word[position]) else {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -226,6 +307,42 @@ where
         }
         self.hits.fetch_add(1, Ordering::Relaxed);
         CacheVerdict::Match
+    }
+
+    /// [`lookup`](Self::lookup) resuming from a cursor whose last word shared
+    /// its first `lcp` symbols with `word`; the walk starts at position
+    /// `min(lcp, cursor depth)` (the root when the cursor is
+    /// [stale](Self::is_stale)) and leaves the cursor on the walked prefix of
+    /// `word`.
+    ///
+    /// Returns the outputs of `word[lcp..]` only: the caller already holds
+    /// those of the shared prefix.  Counting is identical to `lookup` —
+    /// exactly one hit or miss per call.
+    pub fn lookup_resumed(
+        &self,
+        word: &[I],
+        lcp: usize,
+        cursor: &mut TrieCursor,
+    ) -> Option<Vec<O>> {
+        debug_assert!(lcp <= word.len());
+        let trie = self.trie.read().unwrap_or_else(PoisonError::into_inner);
+        trie.resume(cursor, lcp);
+        let mut children = trie.children(cursor.path.last().copied());
+        let mut outputs = Vec::with_capacity(word.len() - lcp);
+        for (position, symbol) in word.iter().enumerate().skip(cursor.path.len()) {
+            let Some(index) = trie.child(children, symbol) else {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                return None;
+            };
+            let node = &trie.nodes[index as usize];
+            if position >= lcp {
+                outputs.push(node.output.clone());
+            }
+            cursor.path.push(index);
+            children = &node.children;
+        }
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(outputs)
     }
 
     /// Records the output word of `word` (and, implicitly, of all its
@@ -250,41 +367,51 @@ where
             )));
         }
         let mut trie = self.trie.write().unwrap_or_else(PoisonError::into_inner);
-        // Walk with explicit "root or node index" positions: arena nodes are
-        // appended while walking, so child lists are re-borrowed per step.
-        let mut position: Option<u32> = None;
-        let mut inserted = 0usize;
-        for (offset, (symbol, output)) in word.iter().zip(outputs).enumerate() {
-            let children = match position {
-                None => &trie.roots,
-                Some(index) => &trie.nodes[index as usize].children,
-            };
-            if let Some(existing) = trie.child(children, symbol) {
-                if trie.nodes[existing as usize].output != *output {
-                    return Err(OracleError::new(format!(
-                        "inconsistent oracle answers: position {offset} of a \
-                         repeated prefix produced a different output (the system \
-                         under learning is behaving non-deterministically)"
-                    )));
-                }
-                position = Some(existing);
-                continue;
-            }
-            let fresh = trie.nodes.len() as u32;
-            trie.nodes.push(Node {
-                output: output.clone(),
-                children: Vec::new(),
-            });
-            match position {
-                None => trie.roots.push((symbol.clone(), fresh)),
-                Some(index) => trie.nodes[index as usize]
-                    .children
-                    .push((symbol.clone(), fresh)),
-            }
-            position = Some(fresh);
-            inserted += 1;
+        trie.insert(word, outputs, 0, None, |_| {})
+    }
+
+    /// [`record`](Self::record) resuming from a cursor whose last word shared
+    /// its first `lcp` symbols with `word` (pass `word.len()` right after a
+    /// [`lookup_resumed`](Self::lookup_resumed) of the same word): only the
+    /// part of `word` below the cursor's position is walked and inserted, and
+    /// the cursor ends on the whole of `word`.
+    ///
+    /// The nodes the cursor already holds are not re-checked against
+    /// `outputs` — they were matched symbol by symbol, and the caller vouches
+    /// for their outputs (in a probe session they are unprofiled accesses,
+    /// whose output is always `None`).  The returned count and the
+    /// all-or-nothing failure are exactly `record`'s.
+    ///
+    /// # Errors
+    ///
+    /// As [`record`](Self::record), on the walked part of `word`.
+    pub fn record_resumed(
+        &self,
+        word: &[I],
+        outputs: &[O],
+        lcp: usize,
+        cursor: &mut TrieCursor,
+    ) -> Result<usize, OracleError> {
+        if word.len() != outputs.len() {
+            return Err(OracleError::new(format!(
+                "cannot cache {} outputs for a word of length {}",
+                outputs.len(),
+                word.len()
+            )));
         }
-        Ok(inserted)
+        debug_assert!(lcp <= word.len());
+        let mut trie = self.trie.write().unwrap_or_else(PoisonError::into_inner);
+        trie.resume(cursor, lcp);
+        let (from, parent) = (cursor.path.len(), cursor.path.last().copied());
+        trie.insert(word, outputs, from, parent, |index| cursor.path.push(index))
+    }
+
+    /// Whether `cursor` holds a position taken before the last
+    /// [`clear`](Self::clear).  Resumed calls never dereference such a
+    /// position: they re-find the cursor's prefix from the root.
+    pub fn is_stale(&self, cursor: &TrieCursor) -> bool {
+        let trie = self.trie.read().unwrap_or_else(PoisonError::into_inner);
+        !cursor.path.is_empty() && cursor.generation != trie.generation
     }
 
     /// Drops every recorded word, returning how many trie nodes were
@@ -293,12 +420,14 @@ where
     /// history a hit-rate dashboard is built on.
     ///
     /// Existing handles to this cache stay valid — subsequent lookups simply
-    /// miss, exactly as if the entries had never been recorded.
+    /// miss, exactly as if the entries had never been recorded — and every
+    /// [`TrieCursor`] taken so far becomes [stale](Self::is_stale).
     pub fn clear(&self) -> u64 {
         let mut trie = self.trie.write().unwrap_or_else(PoisonError::into_inner);
         let dropped = trie.nodes.len() as u64;
         trie.nodes = Vec::new();
         trie.roots = Vec::new();
+        trie.generation += 1;
         dropped
     }
 
@@ -529,6 +658,88 @@ mod tests {
         // Agreeing prefix, uncached tail: undecidable from the cache.
         assert_eq!(
             cache.check_against(&[1, 2, 9], &[10, 20, 0]),
+            CacheVerdict::Unknown
+        );
+    }
+
+    #[test]
+    fn resumed_lookups_and_records_match_the_root_walks() {
+        // A probe-session shape: `prefix · x` for a growing prefix, each word
+        // looked up and, on a miss, recorded — once from the root, once
+        // resumed from a cursor.  Counters, contents and answers agree.
+        let plain: QueryCache<u8, u8> = QueryCache::new();
+        let resumed: QueryCache<u8, u8> = QueryCache::new();
+        let mut cursor = TrieCursor::new();
+        let mut positioned = 0;
+        let mut prefix: Vec<u8> = Vec::new();
+        for (step, symbol) in [1u8, 2, 1, 3, 2, 2, 1].into_iter().enumerate() {
+            for probe in [100 + symbol, 100 + (step as u8 % 3)] {
+                let mut word = prefix.clone();
+                word.push(probe);
+                let outputs: Vec<u8> = word.iter().map(|s| s.wrapping_mul(3)).collect();
+                let expected = plain.lookup(&word);
+                let lcp = positioned;
+                positioned = prefix.len();
+                let got = resumed.lookup_resumed(&word, lcp, &mut cursor);
+                assert_eq!(got, expected.as_ref().map(|o| o[lcp..].to_vec()));
+                if expected.is_none() {
+                    let fresh = plain.record(&word, &outputs).unwrap();
+                    let len = word.len();
+                    assert_eq!(
+                        resumed
+                            .record_resumed(&word, &outputs, len, &mut cursor)
+                            .unwrap(),
+                        fresh
+                    );
+                }
+            }
+            prefix.push(symbol);
+        }
+        assert_eq!(resumed.counts(), plain.counts());
+        assert_eq!(resumed.entries(), plain.entries());
+        assert_eq!(resumed.maximal_entries(), plain.maximal_entries());
+    }
+
+    #[test]
+    fn positions_taken_before_a_clear_are_stale_and_never_dereferenced() {
+        let cache: QueryCache<u8, u8> = QueryCache::new();
+        let mut cursor = TrieCursor::new();
+        cache.record(&[1, 2, 3, 4], &[10, 20, 30, 40]).unwrap();
+        assert!(cache
+            .lookup_resumed(&[1, 2, 3, 4], 0, &mut cursor)
+            .is_some());
+        assert!(!cache.is_stale(&cursor));
+        cache.clear();
+        assert!(cache.is_stale(&cursor), "the arena it indexes is gone");
+        // A smaller arena afterwards: the old indices (up to 3) would be out
+        // of bounds or point at unrelated nodes.
+        cache.record(&[7], &[70]).unwrap();
+        assert_eq!(cache.lookup_resumed(&[1, 2, 3, 9], 3, &mut cursor), None);
+        assert!(!cache.is_stale(&cursor), "re-found from the root");
+        assert_eq!(cache.lookup_resumed(&[7], 0, &mut cursor), Some(vec![70]));
+        // Records resume the same way: a stale cursor rebuilds from the root.
+        cache.record(&[1, 2], &[10, 20]).unwrap();
+        let mut stale = cursor.clone();
+        assert!(cache.lookup_resumed(&[1, 2], 0, &mut stale).is_some());
+        cache.clear();
+        assert_eq!(
+            cache
+                .record_resumed(&[1, 2, 5], &[10, 20, 50], 2, &mut stale)
+                .unwrap(),
+            3,
+            "nothing of the cleared path is reused"
+        );
+        assert_eq!(cache.lookup(&[1, 2, 5]), Some(vec![10, 20, 50]));
+        // Conformance checks share the cursor machinery.
+        let mut check = TrieCursor::new();
+        assert_eq!(
+            cache.check_against_resumed(&[1, 2, 5], &[10, 20, 50], 0, &mut check),
+            CacheVerdict::Match
+        );
+        cache.clear();
+        assert!(cache.is_stale(&check));
+        assert_eq!(
+            cache.check_against_resumed(&[1, 2, 5], &[10, 20, 50], 3, &mut check),
             CacheVerdict::Unknown
         );
     }

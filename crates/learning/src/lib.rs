@@ -74,7 +74,7 @@ mod pool;
 mod table;
 mod wmethod;
 
-pub use cache::{CacheVerdict, QueryCache};
+pub use cache::{CacheVerdict, QueryCache, TrieCursor};
 pub use equivalence::{RandomWalkOracle, WMethodOracle, WpMethodOracle};
 pub use lstar::{
     learn_mealy, LearnError, LearnOptions, LearnPhase, LearnPhases, LearnProgress, LearnStats,

@@ -4,6 +4,13 @@ use std::fmt;
 
 use crate::ast::{parse_block_name, Expr, Tag};
 
+/// Deepest expression tree [`parse`] builds: groups, sets and extensions
+/// inside each other, and tags, powers and extensions stacked on one term,
+/// all count.  Parsing, expanding, rendering and dropping an expression each
+/// recurse once per level, so the bound keeps a hostile expression from
+/// overflowing the stack of the thread handling it.
+const MAX_DEPTH: usize = 64;
+
 /// Error raised when an MBL expression cannot be parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -139,6 +146,8 @@ struct Parser {
     tokens: Vec<(usize, Token)>,
     cursor: usize,
     input_len: usize,
+    /// Expressions currently being parsed, outermost included.
+    nesting: usize,
 }
 
 impl Parser {
@@ -178,68 +187,92 @@ impl Parser {
         }
     }
 
+    /// The height of a node over children of height `below`, failing past
+    /// [`MAX_DEPTH`].
+    fn over(&self, below: usize) -> Result<usize, ParseError> {
+        if below >= MAX_DEPTH {
+            return Err(self.error(format!("expression nests deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(below + 1)
+    }
+
     /// expr := term (('∘')? term)*
-    fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut parts = vec![self.parse_term()?];
+    ///
+    /// Returns the expression with the height of its tree.
+    fn parse_expr(&mut self) -> Result<(Expr, usize), ParseError> {
+        // Recursion depth is checked on the way down: heights are only known
+        // on the way back up.
+        self.nesting = self.over(self.nesting)?;
+        let (first, mut height) = self.parse_term()?;
+        let mut parts = vec![first];
         loop {
             match self.peek() {
                 Some(Token::Compose) => {
                     self.advance();
-                    parts.push(self.parse_term()?);
                 }
                 Some(
                     Token::Block(_) | Token::At | Token::Underscore | Token::LParen | Token::LBrace,
-                ) => {
-                    parts.push(self.parse_term()?);
-                }
+                ) => {}
                 _ => break,
             }
+            let (part, part_height) = self.parse_term()?;
+            parts.push(part);
+            height = height.max(part_height);
         }
+        self.nesting -= 1;
         Ok(if parts.len() == 1 {
-            parts.pop().expect("one element")
+            (parts.pop().expect("one element"), height)
         } else {
-            Expr::Concat(parts)
+            (Expr::Concat(parts), self.over(height)?)
         })
     }
 
     /// term := atom postfix*
-    fn parse_term(&mut self) -> Result<Expr, ParseError> {
-        let mut expr = self.parse_atom()?;
+    fn parse_term(&mut self) -> Result<(Expr, usize), ParseError> {
+        let (mut expr, mut height) = self.parse_atom()?;
         loop {
             match self.peek() {
                 Some(Token::Question) => {
                     self.advance();
                     expr = match expr {
                         Expr::Block(b, None) => Expr::Block(b, Some(Tag::Profile)),
-                        other => Expr::Tagged(Box::new(other), Tag::Profile),
+                        other => {
+                            height = self.over(height)?;
+                            Expr::Tagged(Box::new(other), Tag::Profile)
+                        }
                     };
                 }
                 Some(Token::Bang) => {
                     self.advance();
                     expr = match expr {
                         Expr::Block(b, None) => Expr::Block(b, Some(Tag::Invalidate)),
-                        other => Expr::Tagged(Box::new(other), Tag::Invalidate),
+                        other => {
+                            height = self.over(height)?;
+                            Expr::Tagged(Box::new(other), Tag::Invalidate)
+                        }
                     };
                 }
                 Some(Token::Number(_)) => {
                     let Some(Token::Number(k)) = self.advance() else {
                         unreachable!("peeked a number")
                     };
+                    height = self.over(height)?;
                     expr = Expr::Power(Box::new(expr), k);
                 }
                 Some(Token::LBracket) => {
                     self.advance();
-                    let ext = self.parse_expr()?;
+                    let (ext, ext_height) = self.parse_expr()?;
                     self.expect(Token::RBracket)?;
+                    height = self.over(height.max(ext_height))?;
                     expr = Expr::Extension(Box::new(expr), Box::new(ext));
                 }
                 _ => break,
             }
         }
-        Ok(expr)
+        Ok((expr, height))
     }
 
-    fn parse_atom(&mut self) -> Result<Expr, ParseError> {
+    fn parse_atom(&mut self) -> Result<(Expr, usize), ParseError> {
         let position = self.position();
         match self.advance() {
             Some(Token::Block(name)) => {
@@ -247,22 +280,25 @@ impl Parser {
                     position,
                     message: format!("invalid block name '{name}'"),
                 })?;
-                Ok(Expr::Block(block, None))
+                Ok((Expr::Block(block, None), 1))
             }
-            Some(Token::At) => Ok(Expr::Expand),
-            Some(Token::Underscore) => Ok(Expr::Wildcard),
+            Some(Token::At) => Ok((Expr::Expand, 1)),
+            Some(Token::Underscore) => Ok((Expr::Wildcard, 1)),
             Some(Token::LParen) => {
                 let inner = self.parse_expr()?;
                 self.expect(Token::RParen)?;
                 Ok(inner)
             }
             Some(Token::LBrace) => {
-                let mut alternatives = vec![self.parse_expr()?];
+                let (first, mut height) = self.parse_expr()?;
+                let mut alternatives = vec![first];
                 loop {
                     match self.peek() {
                         Some(Token::Comma) => {
                             self.advance();
-                            alternatives.push(self.parse_expr()?);
+                            let (alternative, alternative_height) = self.parse_expr()?;
+                            alternatives.push(alternative);
+                            height = height.max(alternative_height);
                         }
                         Some(Token::RBrace) => {
                             self.advance();
@@ -271,7 +307,7 @@ impl Parser {
                         _ => return Err(self.error("expected ',' or '}' in set")),
                     }
                 }
-                Ok(Expr::Set(alternatives))
+                Ok((Expr::Set(alternatives), self.over(height)?))
             }
             other => Err(ParseError {
                 position,
@@ -308,8 +344,9 @@ pub fn parse(input: &str) -> Result<Expr, ParseError> {
         tokens,
         cursor: 0,
         input_len: input.len(),
+        nesting: 0,
     };
-    let expr = parser.parse_expr()?;
+    let (expr, _) = parser.parse_expr()?;
     if parser.peek().is_some() {
         return Err(parser.error("trailing tokens after expression"));
     }
@@ -399,6 +436,44 @@ mod tests {
         assert!(parse("(A").is_err());
         assert!(parse("A )").is_err());
         assert!(parse("{A").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_on_a_small_stack() {
+        // Unbounded recursion overflowed the parsing thread's stack (an
+        // abort, not a panic) on `((((…A`; stacked postfixes built trees
+        // that expansion and drop recursed through just as deeply.
+        let deep = 100_000;
+        let hostile = [
+            format!("{}A", "(".repeat(deep)),
+            format!("{}A{}", "(".repeat(deep), ")".repeat(deep)),
+            format!("{}A{}", "{".repeat(deep), "}".repeat(deep)),
+            format!("(A B){}", "?".repeat(deep)),
+            format!("(A){}", " 2".repeat(deep)),
+            format!("A{}", "[B]".repeat(deep)),
+        ];
+        let verdicts = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || {
+                hostile
+                    .iter()
+                    .map(|text| parse(text).map(|_| ()))
+                    .collect::<Vec<_>>()
+            })
+            .unwrap()
+            .join()
+            .expect("the parser never overflows its stack");
+        for verdict in verdicts {
+            let error = verdict.unwrap_err();
+            assert!(error.message.contains("nests deeper"), "{error}");
+        }
+        // Realistic nesting is far inside the bound.
+        let nested = format!(
+            "{}A B{}?",
+            "(".repeat(MAX_DEPTH / 2),
+            ")".repeat(MAX_DEPTH / 2)
+        );
+        assert!(parse(&nested).is_ok());
     }
 
     #[test]

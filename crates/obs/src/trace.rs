@@ -266,6 +266,22 @@ impl Recorder {
         }
     }
 
+    /// Emits a root span that opened at `start_ns` (a [`Recorder::now_ns`]
+    /// reading) and closes now — for owners that hold the recorder behind an
+    /// `Arc` and so cannot keep a [`Span`] guard borrowing it.
+    pub fn close_span(&self, name: &str, start_ns: u64, fields: &[(&str, FieldValue)]) {
+        let end = self.now_ns();
+        let id = self.fresh_id();
+        self.emit_record(
+            start_ns,
+            id,
+            None,
+            name,
+            end.saturating_sub(start_ns),
+            fields,
+        );
+    }
+
     /// Emits a zero-duration record (an instantaneous event).
     pub fn event(&self, name: &str, parent: Option<u64>, fields: &[(&str, FieldValue)]) {
         let ts = self.now_ns();

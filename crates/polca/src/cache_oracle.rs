@@ -8,15 +8,25 @@
 //! their cache set once per accessed block — turning Polca's per-query cost
 //! from quadratic to linear in the word length, which is where the bulk of a
 //! simulated learning run's time used to go.
+//!
+//! Both implementations step simulators: [`SimulatedCacheOracle`] directly,
+//! and [`CacheQueryOracle`] through its engine and store whenever the
+//! backend can step ([`cachequery::QueryBackend::stepper`], e.g. a
+//! [`PolicySimBackend`](crate::PolicySimBackend)).  Every other backend —
+//! hardware, noisy, remote, hierarchy — replays.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cache::{Block, CacheSet, HitMiss};
-use cachequery::{Backend, CacheQuery, QueryBackend, QueryEngine, Target};
+use cachequery::{
+    Backend, CacheQuery, QueryBackend, QueryEngine, QueryStepper, StepSession, Target,
+};
 use learning::{NonDeterminism, OracleError};
 use mbl::{BlockId, MemOp, Query};
 use policies::PolicyKind;
+
+use crate::sim_backend::SetStepper;
 
 /// A stateful probe along one block trace, with speculative side probes.
 ///
@@ -160,10 +170,10 @@ impl SimulatedCacheOracle {
 }
 
 /// An incremental session over a simulated cache set: one policy step per
-/// accessed block, one set clone per speculation.
+/// accessed block, one containment check per speculation.
 #[derive(Debug)]
 struct SimulatedSession {
-    set: CacheSet,
+    stepper: SetStepper,
     probes: Arc<AtomicU64>,
     accesses: Arc<AtomicU64>,
 }
@@ -172,20 +182,13 @@ impl CacheSession for SimulatedSession {
     fn access(&mut self, block: BlockId) -> Result<HitMiss, OracleError> {
         self.probes.fetch_add(1, Ordering::Relaxed);
         self.accesses.fetch_add(1, Ordering::Relaxed);
-        Ok(self.set.access(Block::new(block.0 as u64)).outcome())
+        Ok(self.stepper.access(block))
     }
 
     fn speculate(&mut self, block: BlockId) -> Result<HitMiss, OracleError> {
         self.probes.fetch_add(1, Ordering::Relaxed);
         self.accesses.fetch_add(1, Ordering::Relaxed);
-        // A speculative access hits exactly when the block is currently
-        // cached; checking containment avoids cloning the whole set (policy
-        // state included) for an answer the lookup alone determines.
-        if self.set.contains(Block::new(block.0 as u64)) {
-            Ok(HitMiss::Hit)
-        } else {
-            Ok(HitMiss::Miss)
-        }
+        Ok(self.stepper.peek(block))
     }
 }
 
@@ -201,17 +204,17 @@ impl CacheOracle for SimulatedCacheOracle {
         self.probes.fetch_add(1, Ordering::Relaxed);
         self.accesses
             .fetch_add(trace.len() as u64, Ordering::Relaxed);
-        let mut set = self.template.clone();
+        let mut stepper = SetStepper::new(self.template.clone());
         let mut last = HitMiss::Miss;
-        for block in trace {
-            last = set.access(Block::new(block.0 as u64)).outcome();
+        for &block in trace {
+            last = stepper.access(block);
         }
         Ok(last)
     }
 
     fn begin(&mut self) -> Box<dyn CacheSession + '_> {
         Box::new(SimulatedSession {
-            set: self.template.clone(),
+            stepper: SetStepper::new(self.template.clone()),
             probes: Arc::clone(&self.probes),
             accesses: Arc::clone(&self.accesses),
         })
@@ -235,9 +238,16 @@ impl CacheOracle for SimulatedCacheOracle {
 /// The backend's reset sequence plays the role of establishing the fixed
 /// initial state; the oracle additionally verifies that repeated executions
 /// agree and reports an error otherwise (the nondeterminism signal discussed
-/// in §7.1).  Sessions replay, as real hardware must (see [`ReplaySession`])
-/// — but a replayed prefix is a prefix of an already-recorded query, so the
-/// engine's prefix trie absorbs most of the replay blowup.
+/// in §7.1).
+///
+/// Sessions step through the engine when the backend can step (a simulator,
+/// see [`QueryEngine::step_session`]): each probe `prefix · b?` is one store
+/// lookup resumed at the prefix's trie position and, on a miss, one backend
+/// step — the same store lookups and recordings a replay makes, at one
+/// block access per probe.  Every other backend replays, as real hardware
+/// must (see [`ReplaySession`]); a replayed prefix is a prefix of an
+/// already-recorded query, so the engine's prefix trie absorbs most of that
+/// replay blowup.
 ///
 /// The oracle is generic over the [`QueryBackend`]: the simulated-hardware
 /// [`Backend`], a [`PolicySimBackend`](crate::PolicySimBackend), or a remote
@@ -393,7 +403,17 @@ impl<B: QueryBackend> CacheOracle for CacheQueryOracle<B> {
     }
 
     fn begin(&mut self) -> Box<dyn CacheSession + '_> {
-        Box::new(ReplaySession::new(self))
+        match self.engine.step_session() {
+            Ok(Some(session)) => Box::new(SteppedSession {
+                engine: &mut self.engine,
+                session,
+                probes: Arc::clone(&self.probes),
+                accesses: Arc::clone(&self.accesses),
+            }),
+            // Backends that cannot step replay, as real hardware must; an
+            // unconfigured backend reports its error from the first probe.
+            Ok(None) | Err(_) => Box::new(ReplaySession::new(self)),
+        }
     }
 
     fn probes(&self) -> u64 {
@@ -402,6 +422,30 @@ impl<B: QueryBackend> CacheOracle for CacheQueryOracle<B> {
 
     fn block_accesses(&self) -> u64 {
         self.accesses.load(Ordering::Relaxed)
+    }
+}
+
+/// A [`CacheOracle`] session stepped through a [`CacheQueryOracle`]'s engine:
+/// every step or speculation is one probe of [`QueryEngine::step`], which
+/// costs one block access.
+struct SteppedSession<'a, B> {
+    engine: &'a mut QueryEngine<B>,
+    session: StepSession,
+    probes: Arc<AtomicU64>,
+    accesses: Arc<AtomicU64>,
+}
+
+impl<B: QueryBackend> CacheSession for SteppedSession<'_, B> {
+    fn access(&mut self, block: BlockId) -> Result<HitMiss, OracleError> {
+        let outcome = self.speculate(block)?;
+        self.session.advance(block);
+        Ok(outcome)
+    }
+
+    fn speculate(&mut self, block: BlockId) -> Result<HitMiss, OracleError> {
+        self.probes.fetch_add(1, Ordering::Relaxed);
+        self.accesses.fetch_add(1, Ordering::Relaxed);
+        Ok(self.engine.step(&mut self.session, block))
     }
 }
 
@@ -527,6 +571,29 @@ mod tests {
         // Replay cost model: 1 + 2 + 3 block accesses for the three steps.
         assert_eq!(oracle.probes(), 3);
         assert_eq!(oracle.block_accesses(), 6);
+    }
+
+    #[test]
+    fn cachequery_sessions_step_policy_simulators() {
+        let backend = crate::PolicySimBackend::new(PolicyKind::Lru, 2).unwrap();
+        let mut oracle = CacheQueryOracle::from_engine(QueryEngine::new(backend)).unwrap();
+        let mut session = oracle.begin();
+        assert_eq!(session.access(BlockId(11)).unwrap(), HitMiss::Miss);
+        assert_eq!(session.access(BlockId(11)).unwrap(), HitMiss::Hit);
+        // 11 evicted block 0, the LRU line of cc0.
+        assert_eq!(session.speculate(BlockId(0)).unwrap(), HitMiss::Miss);
+        assert_eq!(session.speculate(BlockId(1)).unwrap(), HitMiss::Hit);
+        drop(session);
+        // One block access per step, against 1 + 2 + 3 + 3 when replaying.
+        assert_eq!(oracle.probes(), 4);
+        assert_eq!(oracle.block_accesses(), 4);
+        // Each probe was one store lookup (all misses) and one recording.
+        let store = Arc::clone(oracle.engine().store());
+        assert_eq!(store.counts(), (0, 4));
+        assert_eq!(oracle.engine().stats().backend_queries, 4);
+        // A replay of the same probes is now served from the store.
+        assert_eq!(oracle.probe(&blocks(&[11, 11, 0])).unwrap(), HitMiss::Miss);
+        assert_eq!(store.counts(), (1, 4));
     }
 
     #[test]

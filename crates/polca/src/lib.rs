@@ -19,8 +19,9 @@
 //!   hardware through CacheQuery, §7);
 //! * [`CacheSession`] / [`ReplaySession`] — stateful probe sessions: the
 //!   simulated caches step once per accessed block (linear-cost queries),
-//!   while hardware sessions replay the whole trace per step, which is the
-//!   cost model of the paper;
+//!   directly or through the query engine and its store, while hardware
+//!   sessions replay the whole trace per step, which is the cost model of
+//!   the paper;
 //! * [`PolcaOracle`] — Algorithm 1 as a [`learning::MembershipOracle`];
 //!   cloneable, so `|| PolcaOracle::new(cache.clone())` is an
 //!   [`learning::OracleFactory`] for the parallel learner;

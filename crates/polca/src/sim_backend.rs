@@ -10,8 +10,8 @@
 //! from, and vice versa.
 
 use cache::{Block, CacheSet, HitMiss};
-use cachequery::{BackendError, NoiseSpec, NoisyBackend, QueryConfig, Target};
-use mbl::{Query, Tag};
+use cachequery::{BackendError, NoiseSpec, NoisyBackend, QueryConfig, QueryStepper, Target};
+use mbl::{BlockId, MemOp, Query, Tag};
 use policies::{PolicyError, PolicyKind};
 
 /// A fault-injecting decoration of a [`PolicySimBackend`]: the §6 exact
@@ -55,6 +55,53 @@ pub fn noisy_sim_config_for(
     )
 }
 
+/// A cache set stepped one memory operation at a time: the one exact
+/// simulator core behind [`PolicySimBackend`]'s queries, its stepping probe
+/// sessions, and the probes and sessions of
+/// [`SimulatedCacheOracle`](crate::SimulatedCacheOracle).
+#[derive(Debug, Clone)]
+pub(crate) struct SetStepper {
+    set: CacheSet,
+}
+
+impl SetStepper {
+    /// Starts stepping from `set`'s current state.
+    pub(crate) fn new(set: CacheSet) -> Self {
+        SetStepper { set }
+    }
+
+    /// Accesses `block`, advancing the set, and reports whether it hit.
+    pub(crate) fn access(&mut self, block: BlockId) -> HitMiss {
+        self.set.access(Block::new(u64::from(block.0))).outcome()
+    }
+}
+
+impl QueryStepper for SetStepper {
+    fn step(&mut self, op: &MemOp) -> Option<HitMiss> {
+        match op.tag {
+            Some(Tag::Invalidate) => {
+                self.set.invalidate(Block::new(u64::from(op.block.0)));
+                None
+            }
+            tag => {
+                let outcome = self.access(op.block);
+                (tag == Some(Tag::Profile)).then_some(outcome)
+            }
+        }
+    }
+
+    fn peek(&self, block: BlockId) -> HitMiss {
+        // An access hits exactly when the block is currently cached; checking
+        // containment avoids cloning the whole set (policy state included)
+        // for an answer the lookup alone determines.
+        if self.set.contains(Block::new(u64::from(block.0))) {
+            HitMiss::Hit
+        } else {
+            HitMiss::Miss
+        }
+    }
+}
+
 /// A deterministic cache-set backend running a named replacement policy.
 ///
 /// Every query starts from the canonical initial state `cc0` (block `i`
@@ -63,6 +110,12 @@ pub fn noisy_sim_config_for(
 /// classifies each profiled access.  Execution is exact, so answers are
 /// always consistent and repetitions are pointless; the memoization
 /// namespace is pinned to `reset=cc0 reps=1` accordingly.
+///
+/// Being exact, the backend also *steps* ([`QueryBackend::stepper`]): a
+/// probe session through its engine advances one cache set instead of
+/// replaying every probe from `cc0`.
+///
+/// [`QueryBackend::stepper`]: cachequery::QueryBackend::stepper
 #[derive(Debug, Clone)]
 pub struct PolicySimBackend {
     kind: PolicyKind,
@@ -104,23 +157,11 @@ impl PolicySimBackend {
     /// Simulates one query from `cc0`; the exact-simulation core shared by
     /// the single-query and batch paths.
     fn simulate(&self, query: &Query) -> (Vec<HitMiss>, bool) {
-        let mut set = self.template.clone();
-        let mut outcomes = Vec::new();
-        for op in query {
-            let block = Block::new(u64::from(op.block.0));
-            match op.tag {
-                Some(Tag::Invalidate) => {
-                    set.invalidate(block);
-                }
-                tag => {
-                    let outcome = set.access(block).outcome();
-                    if tag == Some(Tag::Profile) {
-                        outcomes.push(outcome);
-                    }
-                }
-            }
-        }
-        (outcomes, true)
+        let mut stepper = SetStepper::new(self.template.clone());
+        (
+            query.iter().filter_map(|op| stepper.step(op)).collect(),
+            true,
+        )
     }
 }
 
@@ -149,6 +190,10 @@ impl cachequery::QueryBackend for PolicySimBackend {
 
     fn associativity(&self) -> Result<usize, BackendError> {
         Ok(self.template.associativity())
+    }
+
+    fn stepper(&self) -> Option<Box<dyn QueryStepper>> {
+        Some(Box::new(SetStepper::new(self.template.clone())))
     }
 }
 

@@ -2,8 +2,12 @@
 //! membership oracle's answers coincide with the policy semantics — and the
 //! cache-consistency invariant of the memoization layer.
 
+use cachequery::QueryEngine;
 use learning::{CachedOracle, MembershipOracle};
-use polca::{CacheOracle, CacheSession, PolcaOracle, ReplaySession, SimulatedCacheOracle};
+use polca::{
+    CacheOracle, CacheQueryOracle, CacheSession, PolcaOracle, PolicySimBackend, ReplaySession,
+    SimulatedCacheOracle,
+};
 use policies::{policy_to_mealy, PolicyInput, PolicyKind};
 use proptest::prelude::*;
 
@@ -108,13 +112,19 @@ proptest! {
         prop_assert!(memoized.cache_hits() >= words.len() as u64);
     }
 
-    /// The incremental simulated probe session agrees with the paper's
+    /// The incremental simulated probe session, and the session an
+    /// engine-backed oracle steps through its store, agree with the paper's
     /// replay-based session on every step and speculation.
     #[test]
     fn incremental_and_replay_sessions_agree((kind, assoc, word) in case_strategy()) {
         let mut incremental_host = SimulatedCacheOracle::new(kind, assoc).unwrap();
+        let mut engine_host = CacheQueryOracle::from_engine(QueryEngine::new(
+            PolicySimBackend::new(kind, assoc).unwrap(),
+        ))
+        .unwrap();
         let mut replay_host = SimulatedCacheOracle::new(kind, assoc).unwrap();
         let mut incremental = incremental_host.begin();
+        let mut stepped = engine_host.begin();
         let mut replay = ReplaySession::new(&mut replay_host);
         // Drive both sessions with the blocks a Polca run would use and
         // interleave speculations on every initially-resident block.
@@ -123,16 +133,28 @@ proptest! {
                 PolicyInput::Line(i) => mbl::BlockId(*i as u32),
                 PolicyInput::Evct => mbl::BlockId((assoc + step) as u32),
             };
+            let expected = replay.access(block).unwrap();
             prop_assert_eq!(
                 incremental.access(block).unwrap(),
-                replay.access(block).unwrap(),
+                expected,
                 "sessions diverged on access at step {}", step
             );
+            prop_assert_eq!(
+                stepped.access(block).unwrap(),
+                expected,
+                "the engine session diverged on access at step {}", step
+            );
             let probe = mbl::BlockId((step % assoc) as u32);
+            let expected = replay.speculate(probe).unwrap();
             prop_assert_eq!(
                 incremental.speculate(probe).unwrap(),
-                replay.speculate(probe).unwrap(),
+                expected,
                 "sessions diverged on speculation at step {}", step
+            );
+            prop_assert_eq!(
+                stepped.speculate(probe).unwrap(),
+                expected,
+                "the engine session diverged on speculation at step {}", step
             );
         }
     }

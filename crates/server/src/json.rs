@@ -16,6 +16,12 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts.  The parser
+/// recurses once per level (and so do rendering and dropping a value), so the
+/// bound keeps a hostile document from overflowing the stack of the thread
+/// parsing it; no wire message nests more than a few levels.
+const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -119,11 +125,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] describing the first malformed construct.
+    /// Returns a [`JsonError`] describing the first malformed construct,
+    /// including arrays and objects nested deeper than 128 levels.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.value()?;
@@ -205,6 +213,8 @@ fn render_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -257,12 +267,23 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Opens one array or object level, failing past [`MAX_DEPTH`].
+    fn nest(&mut self) -> Result<(), JsonError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.error(&format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
+    }
+
     fn array(&mut self) -> Result<Json, JsonError> {
         self.expect(b'[')?;
+        self.nest()?;
         let mut items = Vec::new();
         self.skip_whitespace();
         if self.peek() == Some(b']') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Json::Arr(items));
         }
         loop {
@@ -273,6 +294,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Json::Arr(items));
                 }
                 _ => return Err(self.error("expected ',' or ']' in array")),
@@ -282,10 +304,12 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<Json, JsonError> {
         self.expect(b'{')?;
+        self.nest()?;
         let mut pairs = Vec::new();
         self.skip_whitespace();
         if self.peek() == Some(b'}') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Json::Obj(pairs));
         }
         loop {
@@ -301,6 +325,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Json::Obj(pairs));
                 }
                 _ => return Err(self.error("expected ',' or '}' in object")),
@@ -495,6 +520,38 @@ mod tests {
         assert_eq!(Json::Num(f64::INFINITY).render(), "null");
         assert_eq!(Json::Num(f64::NAN).render(), "null");
         assert!(Json::parse(&Json::Num(f64::NAN).render()).is_ok());
+    }
+
+    #[test]
+    fn nesting_is_bounded_on_a_small_stack() {
+        // Unbounded recursion overflowed the parsing thread's stack (an
+        // abort, not a panic) on a 100 KB line of `[`.  Every hostile shape
+        // gets an error, on a stack far smaller than a daemon session's.
+        let hostile = [
+            "[".repeat(100_000),
+            "{\"a\":".repeat(100_000),
+            format!("{}1{}", "[".repeat(100_000), "]".repeat(100_000)),
+        ];
+        let verdicts = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || {
+                hostile
+                    .iter()
+                    .map(|text| Json::parse(text).map(|_| ()))
+                    .collect::<Vec<_>>()
+            })
+            .unwrap()
+            .join()
+            .expect("the parser never overflows its stack");
+        for verdict in verdicts {
+            let error = verdict.unwrap_err();
+            assert!(error.message.contains("nested deeper"), "{error}");
+        }
+        // The limit itself still parses.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+        let deeper = format!("[{deepest}]");
+        assert!(Json::parse(&deeper).is_err());
     }
 
     #[test]
