@@ -41,6 +41,10 @@
 //! the probes-equal-block-accesses gate holds there too.  The *time* gate is
 //! skipped: every probe also pays a store lookup, and every miss a recording
 //! and a log append, which the memory-only baseline times do not include.
+//! After the campaigns the store is closed and `DIR` reopened: the gate fails
+//! unless the reopened store holds exactly the entries the store closed with
+//! (937,681 for `new1_4` on an empty directory).  The reopen time is printed,
+//! not gated.
 //!
 //! `--workloads LIST` (comma-separated names) restricts the run to a subset
 //! of the pinned workloads — CI uses it to keep the store-mode count pin
@@ -285,9 +289,25 @@ fn main() {
         .iter()
         .map(|w| measure(w, store.as_ref()))
         .collect();
-    if let Some(store) = &store {
-        store.flush();
-    }
+    // Dropping the store is the durability barrier; the reopened directory
+    // must hold exactly what the store held.
+    let reopen = store.map(|store| {
+        let dir = args
+            .value_of("store-dir")
+            .expect("a store comes from --store-dir");
+        let store = Arc::try_unwrap(store).expect("no engine outlives its campaign");
+        let closed = store.entries();
+        drop(store);
+        let started = Instant::now();
+        let reopened =
+            QueryStore::open(dir).unwrap_or_else(|e| panic!("reopening store {dir}: {e}"));
+        let open_s = started.elapsed().as_secs_f64();
+        println!(
+            "perfgate: reopened {dir} in {open_s:.2} s: {} of {closed} entries",
+            reopened.entries()
+        );
+        (closed, reopened.entries())
+    });
 
     let mut table = TextTable::new(&[
         "Workload",
@@ -354,6 +374,13 @@ fn main() {
     };
 
     let mut violations: Vec<String> = Vec::new();
+    if let Some((closed, reopened)) = reopen {
+        if reopened != closed {
+            violations.push(format!(
+                "the reopened store holds {reopened} entries, {closed} when it closed"
+            ));
+        }
+    }
     for w in &measured {
         let Some((_, base)) = baseline.iter().find(|(name, _)| name == w.name) else {
             violations.push(format!("workload {} has no baseline entry", w.name));
@@ -393,7 +420,7 @@ fn main() {
                 ));
             }
         }
-        if store.is_some() {
+        if reopen.is_some() {
             // The store-backed engine path is a different machine than the
             // memory-only oracle the baseline timed; only counts are gated.
             println!(

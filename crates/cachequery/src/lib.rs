@@ -69,6 +69,6 @@ pub use noise::{NoiseSpec, NoiseStats, NoisyBackend, DEFAULT_NOISY_REPS};
 pub use repl::{execute_command, parse_command, process_command, Command, ReplSession, HELP_TEXT};
 pub use reset::ResetSequence;
 pub use store::{
-    EvictionPolicy, ImportReport, NamespaceUsage, PersistStats, PolicyEvictor, QueryStore,
-    StoreOptions, StoreSpace, StoreTap, VoteStats, DEFAULT_EVICTOR_WAYS,
+    decode_pattern, encode_pattern, EvictionPolicy, ImportReport, NamespaceUsage, PersistStats,
+    PolicyEvictor, QueryStore, StoreOptions, StoreSpace, StoreTap, VoteStats, DEFAULT_EVICTOR_WAYS,
 };

@@ -9,8 +9,9 @@
 //!   record is `[u32 LE payload length][u32 LE FNV-1a checksum][payload]`;
 //!   the payload is one line of the store's tab-separated export format
 //!   (`namespace \t pattern \t rendered query`).  Records are appended by
-//!   one writer thread as queries are recorded, so a crash loses at most
-//!   the unsynced tail.
+//!   one writer thread as queries are recorded, so a crash loses the
+//!   unsynced tail — and the appends the writer dropped since the last
+//!   snapshot (see [`QueryStore::flush`](crate::QueryStore::flush)).
 //! * **`store.snap`** — a compacted snapshot: the full plain-text
 //!   [`export`](crate::QueryStore::export) of the store, written atomically
 //!   (temp file + fsync + rename) whenever the log grows past the

@@ -30,14 +30,18 @@
 //!
 //! A store opened with [`QueryStore::open`] (or [`QueryStore::with_options`]
 //! and a directory) is backed by the log-structured files of
-//! [`persist`](crate::persist): every fresh recording is framed and handed to
-//! a dedicated writer thread over a *bounded* channel (the hot lookup path
-//! never blocks on disk — a full queue drops the append and counts it, and
-//! the next snapshot heals the gap because snapshots capture the whole
-//! store), the writer compacts the log into an atomic snapshot past a size
-//! threshold, and startup replays snapshot-then-log so a restarted `cqd`
-//! serves yesterday's campaign from memory.  A `kill -9` loses at most the
-//! unsynced tail of the log.
+//! [`persist`](crate::persist): every fresh recording is rendered as one
+//! store line (`namespace \t pattern \t query`, the format of
+//! [`QueryStore::export`] too) and handed to a dedicated writer thread over a
+//! *bounded* channel (the hot lookup path never blocks on disk — a full
+//! queue drops the append and counts it, and the next snapshot heals the gap
+//! because snapshots capture the whole store), the writer compacts the log
+//! into an atomic snapshot past a size threshold, and startup replays
+//! snapshot-then-log so a restarted `cqd` serves yesterday's campaign from
+//! memory.  [`QueryStore::flush`] — and dropping the store — is the
+//! durability barrier: it fsyncs the log, and compacts first when appends
+//! were dropped since the last snapshot.  A `kill -9` loses the unsynced
+//! tail of the log and every append dropped since the last snapshot.
 //!
 //! # Bounded memory
 //!
@@ -65,7 +69,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, Weak};
 
 use cache::HitMiss;
 use learning::{QueryCache, TrieCursor};
-use mbl::{expand_query, render_query, MemOp, Query, Tag};
+use mbl::{expand_query, render_query_into, MemOp, Query, Tag};
 use policies::{KeyedPolicy, PolicyError, PolicyKind, ReplacementPolicy};
 
 use crate::persist;
@@ -205,7 +209,7 @@ pub trait StoreTap: Send + Sync + std::fmt::Debug {
 
 /// Configuration of a [`QueryStore`] beyond the in-memory default — see
 /// [`QueryStore::with_options`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct StoreOptions {
     /// Directory for the record log and snapshots; `None` keeps the store
     /// memory-only.
@@ -218,25 +222,64 @@ pub struct StoreOptions {
     pub evictor: Option<Box<dyn EvictionPolicy>>,
     /// Traffic observer (see [`StoreTap`]).
     pub tap: Option<Arc<dyn StoreTap>>,
-    /// Depth of the bounded channel feeding the writer thread.  When the
-    /// writer falls behind, appends are dropped (and counted) instead of
-    /// blocking the query path; the next snapshot heals the gap.
-    pub queue_depth: usize,
-    /// Log size past which the writer compacts into a snapshot.
-    pub compact_bytes: u64,
 }
 
-impl Default for StoreOptions {
-    fn default() -> Self {
-        StoreOptions {
-            dir: None,
-            max_entries: None,
-            evictor: None,
-            tap: None,
-            queue_depth: 1024,
-            compact_bytes: 4 << 20,
-        }
-    }
+/// Depth of the bounded channel feeding a durable store's writer thread.
+/// When the writer falls behind, appends are dropped (and counted) instead
+/// of blocking the query path; the next snapshot heals the gap.
+const QUEUE_DEPTH: usize = 1024;
+
+/// Log size past which the writer compacts the store into a snapshot.
+const COMPACT_BYTES: u64 = 4 << 20;
+
+/// Appends the hit/miss pattern of `outcomes` — `H` per hit, `M` per miss,
+/// the pattern column of a store line and the `pattern` of a wire answer —
+/// to `out`.
+fn push_pattern<'a>(out: &mut String, outcomes: impl IntoIterator<Item = &'a HitMiss>) {
+    out.extend(outcomes.into_iter().map(|outcome| match outcome {
+        HitMiss::Hit => 'H',
+        HitMiss::Miss => 'M',
+    }));
+}
+
+/// The hit/miss pattern of `outcomes`: `H` per hit, `M` per miss — the
+/// pattern column of a store line and the `pattern` of a wire answer.
+pub fn encode_pattern(outcomes: &[HitMiss]) -> String {
+    let mut pattern = String::with_capacity(outcomes.len());
+    push_pattern(&mut pattern, outcomes);
+    pattern
+}
+
+/// Decodes a hit/miss pattern written by [`encode_pattern`].
+///
+/// # Errors
+///
+/// Names the first character other than `H` or `M`: a corrupted pattern
+/// must be rejected, never coerced into plausible-looking answers.
+pub fn decode_pattern(pattern: &str) -> Result<Vec<HitMiss>, String> {
+    pattern
+        .chars()
+        .map(|letter| match letter {
+            'H' => Ok(HitMiss::Hit),
+            'M' => Ok(HitMiss::Miss),
+            other => Err(format!("pattern letter '{other}' is neither H nor M")),
+        })
+        .collect()
+}
+
+/// Appends one store line — `namespace \t pattern \t query`, the one format
+/// of [`QueryStore::export`], snapshot lines and log records — to `out`.
+fn push_line<'a>(
+    out: &mut String,
+    namespace: &str,
+    outcomes: impl IntoIterator<Item = &'a HitMiss>,
+    query: &[MemOp],
+) {
+    out.push_str(namespace);
+    out.push('\t');
+    push_pattern(out, outcomes);
+    out.push('\t');
+    render_query_into(out, query);
 }
 
 /// Counters of a store's persistence layer, all zero for a memory-only
@@ -523,11 +566,12 @@ impl Default for VoteCounters {
 enum PersistMsg {
     /// Append one framed export line to the record log.
     Append(String),
-    /// Flush and fsync the log, then acknowledge.
+    /// Flush and fsync the log — compacting instead when appends were
+    /// dropped since the last snapshot — then acknowledge.
     Sync(SyncSender<()>),
     /// Compact the store into a snapshot (truncating the log), then
-    /// acknowledge if a channel is given.
-    Snapshot(Option<SyncSender<()>>),
+    /// acknowledge.
+    Snapshot(SyncSender<()>),
 }
 
 /// The live persistence attachment of a durable store.
@@ -537,8 +581,21 @@ struct Persist {
     tx: SyncSender<PersistMsg>,
     appended: AtomicU64,
     dropped: AtomicU64,
+    /// Appends dropped since the last snapshot: the gap only the next
+    /// snapshot closes.
+    unlogged: AtomicU64,
     snapshots: AtomicU64,
     replayed: u64,
+}
+
+impl Persist {
+    /// Counts one append that will not reach the log.
+    fn drop_append(&self) {
+        self.dropped.fetch_add(1, Ordering::Relaxed);
+        // Release: a compaction that sees this count also sees the recording
+        // it stands for (inserted into the trie before the append).
+        self.unlogged.fetch_add(1, Ordering::Release);
+    }
 }
 
 /// The entry cap and its eviction strategy.
@@ -586,20 +643,28 @@ impl StoreInner {
     /// Serializes every namespace to the tab-separated export format (also
     /// used by the writer thread for compaction).
     fn export(&self) -> String {
-        let spaces = self.spaces.read().unwrap_or_else(PoisonError::into_inner);
-        let mut lines: Vec<String> = Vec::new();
-        for (namespace, space) in spaces.iter() {
-            for (query, outputs) in space.maximal_entries() {
-                let pattern: String = outputs
-                    .iter()
-                    .flatten()
-                    .map(|o| if *o == HitMiss::Hit { 'H' } else { 'M' })
-                    .collect();
-                lines.push(format!("{namespace}\t{pattern}\t{}", render_query(&query)));
+        // Every line goes into one buffer; the sort permutes their spans.
+        let mut lines = String::new();
+        let mut spans: Vec<std::ops::Range<usize>> = Vec::new();
+        {
+            let spaces = self.spaces.read().unwrap_or_else(PoisonError::into_inner);
+            for (namespace, space) in spaces.iter() {
+                space.for_each_maximal(|query, outputs| {
+                    let start = lines.len();
+                    push_line(&mut lines, namespace, outputs.iter().flatten(), query);
+                    spans.push(start..lines.len());
+                });
             }
         }
-        lines.sort();
-        lines.join("\n")
+        spans.sort_unstable_by(|a, b| lines[a.clone()].cmp(&lines[b.clone()]));
+        let mut text = String::with_capacity(lines.len() + spans.len());
+        for (index, span) in spans.into_iter().enumerate() {
+            if index > 0 {
+                text.push('\n');
+            }
+            text.push_str(&lines[span]);
+        }
+        text
     }
 
     /// Hands one export line to the writer thread; never blocks — a full
@@ -608,17 +673,15 @@ impl StoreInner {
         let Some(persist) = self.persist.get() else {
             return;
         };
-        let pattern: String = outcomes
-            .iter()
-            .map(|o| if *o == HitMiss::Hit { 'H' } else { 'M' })
-            .collect();
-        let line = format!("{namespace}\t{pattern}\t{}", render_query(query));
+        let mut line =
+            String::with_capacity(namespace.len() + outcomes.len() + 3 * query.len() + 2);
+        push_line(&mut line, namespace, outcomes, query);
         match persist.tx.try_send(PersistMsg::Append(line)) {
             Ok(()) => {
                 persist.appended.fetch_add(1, Ordering::Relaxed);
             }
             Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                persist.dropped.fetch_add(1, Ordering::Relaxed);
+                persist.drop_append();
             }
         }
     }
@@ -734,6 +797,14 @@ impl Default for QueryStore {
     }
 }
 
+impl Drop for QueryStore {
+    /// Closing a durable store is a durability barrier: see
+    /// [`QueryStore::flush`].
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
 impl QueryStore {
     /// Creates an empty, unbounded, memory-only store.
     pub fn new() -> Self {
@@ -742,7 +813,10 @@ impl QueryStore {
     }
 
     /// Opens a durable store in `dir` with default options: unbounded
-    /// memory, 1024-deep writer queue, 4 MiB compaction threshold.
+    /// memory, a 1024-deep writer queue and a 4 MiB compaction threshold
+    /// (both fixed).  Replay costs one MBL parse and one trie insert per
+    /// snapshot line and log record.  Call [`flush`](Self::flush), or drop
+    /// the store, to make everything recorded so far durable.
     ///
     /// # Errors
     ///
@@ -773,8 +847,6 @@ impl QueryStore {
             max_entries,
             evictor,
             tap,
-            queue_depth,
-            compact_bytes,
         } = options;
         let bound = max_entries.map(|max_entries| Bound {
             max_entries,
@@ -804,17 +876,18 @@ impl QueryStore {
         // Open the log eagerly so open-time I/O errors surface here, and so
         // the writer thread never races directory removal with file creation.
         let log = persist::open_log_for_append(&dir)?;
-        let (tx, rx) = mpsc::sync_channel(queue_depth.max(1));
+        let (tx, rx) = mpsc::sync_channel(QUEUE_DEPTH);
         let weak = Arc::downgrade(&store.inner);
         let writer_dir = dir.clone();
         std::thread::Builder::new()
             .name("cq-store-writer".to_string())
-            .spawn(move || writer_loop(rx, log, writer_dir, weak, compact_bytes, valid_len))?;
+            .spawn(move || writer_loop(rx, log, writer_dir, weak, valid_len))?;
         let _ = store.inner.persist.set(Persist {
             dir,
             tx,
             appended: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
+            unlogged: AtomicU64::new(0),
             snapshots: AtomicU64::new(0),
             replayed,
         });
@@ -839,8 +912,12 @@ impl QueryStore {
         }
     }
 
-    /// Blocks until every append handed to the writer so far is flushed and
-    /// fsynced to the record log.  No-op for a memory-only store.
+    /// The durability barrier: blocks until everything recorded so far is on
+    /// disk and survives a reopen.  Appends handed to the writer are flushed
+    /// and fsynced to the record log; when appends were dropped since the
+    /// last snapshot (a full writer queue, a failed write), the store is
+    /// compacted into a fresh snapshot instead, which covers them.  Dropping
+    /// a durable store does the same.  No-op for a memory-only store.
     pub fn flush(&self) {
         let Some(persist) = self.inner.persist.get() else {
             return;
@@ -858,7 +935,7 @@ impl QueryStore {
             return;
         };
         let (ack_tx, ack_rx) = mpsc::sync_channel(1);
-        if persist.tx.send(PersistMsg::Snapshot(Some(ack_tx))).is_ok() {
+        if persist.tx.send(PersistMsg::Snapshot(ack_tx)).is_ok() {
             let _ = ack_rx.recv();
         }
     }
@@ -1079,6 +1156,9 @@ impl QueryStore {
     /// contents are dropped and counted as conflicts.
     pub fn import(&self, text: &str) -> ImportReport {
         let mut report = ImportReport::default();
+        // Snapshot lines are sorted, so each namespace's lines are
+        // contiguous and one handle serves them all.
+        let mut space: Option<StoreSpace> = None;
         for line in text.lines() {
             if line.is_empty() {
                 continue;
@@ -1090,10 +1170,10 @@ impl QueryStore {
                 report.malformed += 1;
                 continue;
             };
-            if !pattern.chars().all(|c| c == 'H' || c == 'M') {
+            let Ok(outcomes) = decode_pattern(pattern) else {
                 report.malformed += 1;
                 continue;
-            }
+            };
             // A rendered concrete query contains no macros, so it expands to
             // itself at any associativity.
             let Ok(mut queries) = expand_query(rendered, 1) else {
@@ -1109,21 +1189,15 @@ impl QueryStore {
                 .iter()
                 .filter(|op| op.tag == Some(Tag::Profile))
                 .count();
-            if profiled_ops != pattern.len() {
+            if profiled_ops != outcomes.len() {
                 report.malformed += 1;
                 continue;
             }
-            let outcomes: Vec<HitMiss> = pattern
-                .chars()
-                .map(|c| {
-                    if c == 'H' {
-                        HitMiss::Hit
-                    } else {
-                        HitMiss::Miss
-                    }
-                })
-                .collect();
-            if self.space(namespace).record(&query, &outcomes, true) {
+            let space = match &mut space {
+                Some(space) if &*space.name == namespace => space,
+                slot => slot.insert(self.space(namespace)),
+            };
+            if space.record(&query, &outcomes, true) {
                 report.imported += 1;
             } else {
                 report.conflicted += 1;
@@ -1144,15 +1218,15 @@ impl QueryStore {
 }
 
 /// The persistence writer: drains the bounded channel, buffers appends,
-/// flushes when idle, fsyncs on demand, and compacts the log into an atomic
-/// snapshot past `compact_bytes`.  Exits when every sender is gone (the
-/// store was dropped) after a final flush.
+/// flushes when idle, fsyncs (or compacts, see [`QueryStore::flush`]) on
+/// demand, and compacts the log into an atomic snapshot past
+/// [`COMPACT_BYTES`].  Exits when every sender is gone (the store was
+/// dropped) after a final flush.
 fn writer_loop(
     rx: Receiver<PersistMsg>,
     log: std::fs::File,
     dir: PathBuf,
     store: Weak<StoreInner>,
-    compact_bytes: u64,
     mut log_bytes: u64,
 ) {
     let mut log = io::BufWriter::new(log);
@@ -1170,60 +1244,81 @@ fn writer_loop(
                         Err(_) => {
                             if let Some(inner) = store.upgrade() {
                                 if let Some(p) = inner.persist.get() {
-                                    p.dropped.fetch_add(1, Ordering::Relaxed);
+                                    p.drop_append();
                                 }
                             }
                         }
                     }
                 }
                 PersistMsg::Sync(ack) => {
-                    let _ = io::Write::flush(&mut log);
-                    let _ = log.get_ref().sync_data();
+                    let unlogged = store.upgrade().is_some_and(|inner| {
+                        inner
+                            .persist
+                            .get()
+                            .is_some_and(|p| p.unlogged.load(Ordering::Acquire) > 0)
+                    });
+                    if !(unlogged && compact(&mut log, &dir, &store, &mut log_bytes)) {
+                        sync(&mut log);
+                    }
                     let _ = ack.send(());
                 }
                 PersistMsg::Snapshot(ack) => {
-                    compact(&mut log, &dir, &store, &mut log_bytes);
-                    if let Some(ack) = ack {
-                        let _ = ack.send(());
+                    if !compact(&mut log, &dir, &store, &mut log_bytes) {
+                        sync(&mut log);
                     }
+                    let _ = ack.send(());
                 }
             }
             next = rx.try_recv().ok();
         }
         // The channel is idle: make the buffered tail visible on disk.
         let _ = io::Write::flush(&mut log);
-        if log_bytes > compact_bytes {
+        if log_bytes > COMPACT_BYTES {
             compact(&mut log, &dir, &store, &mut log_bytes);
         }
     }
-    let _ = io::Write::flush(&mut log);
+    sync(&mut log);
+}
+
+/// Flushes the buffered log tail and fsyncs the log.
+fn sync(log: &mut io::BufWriter<std::fs::File>) {
+    let _ = io::Write::flush(log);
     let _ = log.get_ref().sync_data();
 }
 
-/// Compacts the store into a snapshot and truncates the log.
+/// Compacts the store into a snapshot and truncates the log; returns
+/// whether the snapshot was written.
 ///
 /// Ordering is what makes this safe: buffered appends are flushed *before*
 /// the export (every record processed so far was inserted into the trie
 /// before it was sent, so the export covers it), the snapshot replaces its
 /// predecessor atomically, and only then is the log truncated.  A crash at
 /// any point replays either the old snapshot plus the old log, or the new
-/// snapshot plus whatever was appended after it — both consistent.
+/// snapshot plus whatever was appended after it — both consistent.  Appends
+/// dropped before the export are covered by it too, so their count restarts
+/// from zero unless the snapshot fails.
 fn compact(
     log: &mut io::BufWriter<std::fs::File>,
     dir: &Path,
     store: &Weak<StoreInner>,
     log_bytes: &mut u64,
-) {
+) -> bool {
     let Some(inner) = store.upgrade() else {
-        return;
+        return false;
+    };
+    let Some(persist) = inner.persist.get() else {
+        return false;
     };
     let _ = io::Write::flush(log);
+    let unlogged = persist.unlogged.swap(0, Ordering::AcqRel);
     let text = inner.export();
     if persist::write_snapshot(dir, &text).is_ok() && log.get_ref().set_len(0).is_ok() {
         *log_bytes = 0;
-        if let Some(p) = inner.persist.get() {
-            p.snapshots.fetch_add(1, Ordering::Relaxed);
-        }
+        persist.snapshots.fetch_add(1, Ordering::Relaxed);
+        true
+    } else {
+        persist.unlogged.fetch_add(unlogged, Ordering::Relaxed);
+        false
     }
 }
 
@@ -1384,6 +1479,26 @@ mod tests {
         assert_eq!(store.entries(), 0, "nothing was stored from garbage");
         // The same query must still be answerable with the *correct* data.
         assert_eq!(store.lookup(NS, &concrete("A B A?")), None);
+    }
+
+    #[test]
+    fn patterns_round_trip_and_reject_other_letters() {
+        let outcomes = [HitMiss::Hit, HitMiss::Miss, HitMiss::Miss];
+        assert_eq!(encode_pattern(&outcomes), "HMM");
+        assert_eq!(decode_pattern("HMM"), Ok(outcomes.to_vec()));
+        assert_eq!(decode_pattern(""), Ok(Vec::new()));
+        assert!(decode_pattern("HX").is_err());
+        assert!(decode_pattern("h").is_err());
+    }
+
+    #[test]
+    fn block_names_past_u32_are_malformed() {
+        // `AAAAAAAA` used to wrap onto block `MCNIOCE` and be stored under
+        // that query.
+        let store = QueryStore::new();
+        let report = store.import(&format!("{NS}\tH\tA AAAAAAAA?\n{NS}\tH\tA MWLQKWV?"));
+        assert_eq!((report.malformed, report.imported), (1, 1));
+        assert_eq!(store.export(), format!("{NS}\tH\tA MWLQKWV?"));
     }
 
     #[test]

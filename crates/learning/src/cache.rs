@@ -463,21 +463,22 @@ where
         self.hits() + self.misses()
     }
 
-    /// Every *maximal* recorded word (root-to-leaf path of the trie) with
-    /// its output word.  Because the trie is prefix-closed, re-recording the
-    /// maximal words reconstructs the whole cache — which is exactly what a
-    /// plain-text export/import needs.
-    pub fn maximal_entries(&self) -> Vec<(Vec<I>, Vec<O>)> {
+    /// Calls `visit` with every *maximal* recorded word (root-to-leaf path
+    /// of the trie) and its output word, in trie order, without copying
+    /// either; the trie stays read-locked during the walk.  Because the trie
+    /// is prefix-closed, re-recording the maximal words reconstructs the
+    /// whole cache — which is exactly what a plain-text export/import needs.
+    pub fn for_each_maximal(&self, mut visit: impl FnMut(&[I], &[O])) {
         fn walk<I: Clone + Eq, O: Clone + PartialEq>(
             trie: &Trie<I, O>,
             children: &[(I, u32)],
             word: &mut Vec<I>,
             outputs: &mut Vec<O>,
-            result: &mut Vec<(Vec<I>, Vec<O>)>,
+            visit: &mut impl FnMut(&[I], &[O]),
         ) {
             if children.is_empty() {
                 if !word.is_empty() {
-                    result.push((word.clone(), outputs.clone()));
+                    visit(word, outputs);
                 }
                 return;
             }
@@ -485,21 +486,19 @@ where
                 let node = &trie.nodes[*index as usize];
                 word.push(symbol.clone());
                 outputs.push(node.output.clone());
-                walk(trie, &node.children, word, outputs, result);
+                walk(trie, &node.children, word, outputs, visit);
                 word.pop();
                 outputs.pop();
             }
         }
         let trie = self.trie.read().unwrap_or_else(PoisonError::into_inner);
-        let mut result = Vec::new();
         walk(
             &trie,
             &trie.roots,
             &mut Vec::new(),
             &mut Vec::new(),
-            &mut result,
+            &mut visit,
         );
-        result
     }
 
     /// Estimated heap footprint of the trie, in bytes: the node arena plus
@@ -697,7 +696,7 @@ mod tests {
         }
         assert_eq!(resumed.counts(), plain.counts());
         assert_eq!(resumed.entries(), plain.entries());
-        assert_eq!(resumed.maximal_entries(), plain.maximal_entries());
+        assert_eq!(maximal_entries(&resumed), maximal_entries(&plain));
     }
 
     #[test]
@@ -744,12 +743,18 @@ mod tests {
         );
     }
 
+    fn maximal_entries(cache: &QueryCache<u8, u8>) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut entries = Vec::new();
+        cache.for_each_maximal(|word, outputs| entries.push((word.to_vec(), outputs.to_vec())));
+        entries
+    }
+
     #[test]
     fn maximal_entries_cover_the_whole_trie() {
         let cache: QueryCache<u8, u8> = QueryCache::new();
         cache.record(&[1, 2, 3], &[10, 20, 30]).unwrap();
         cache.record(&[1, 4], &[10, 40]).unwrap();
-        let mut entries = cache.maximal_entries();
+        let mut entries = maximal_entries(&cache);
         entries.sort();
         assert_eq!(
             entries,
@@ -760,7 +765,7 @@ mod tests {
         );
         // Re-recording the maximal words reconstructs an identical trie.
         let copy: QueryCache<u8, u8> = QueryCache::new();
-        for (word, outputs) in cache.maximal_entries() {
+        for (word, outputs) in maximal_entries(&cache) {
             copy.record(&word, &outputs).unwrap();
         }
         assert_eq!(copy.entries(), cache.entries());

@@ -104,29 +104,48 @@ impl fmt::Display for Expr {
 /// Renders a block identifier as its alphabetic name (`A`, `B`, …, `Z`, `AA`,
 /// `AB`, …).
 pub fn block_name(block: BlockId) -> String {
-    let mut n = block.0 as i64;
-    let mut out = Vec::new();
-    loop {
-        out.push((b'A' + (n % 26) as u8) as char);
-        n = n / 26 - 1;
-        if n < 0 {
-            break;
-        }
+    let mut name = String::new();
+    push_block_name(&mut name, block);
+    name
+}
+
+/// Appends the alphabetic name of `block` to `out` (bijective base 26: at
+/// most seven letters, `MWLQKWV` for `u32::MAX`).
+pub(crate) fn push_block_name(out: &mut String, block: BlockId) {
+    let mut letters = [0u8; 7];
+    let mut rest = u64::from(block.0) + 1;
+    let mut len = 0;
+    while rest > 0 {
+        rest -= 1;
+        letters[len] = b'A' + (rest % 26) as u8;
+        rest /= 26;
+        len += 1;
     }
-    out.iter().rev().collect()
+    out.extend(
+        letters[..len]
+            .iter()
+            .rev()
+            .map(|&letter| char::from(letter)),
+    );
 }
 
 /// Parses an alphabetic block name back into its identifier.
 ///
 /// Returns `None` if the string is not a non-empty sequence of ASCII uppercase
-/// letters.
+/// letters, or names a block past `u32::MAX` (`MWLQKWV`).
 pub fn parse_block_name(name: &str) -> Option<BlockId> {
-    if name.is_empty() || !name.bytes().all(|b| b.is_ascii_uppercase()) {
+    if name.is_empty() {
         return None;
     }
     let mut value: u64 = 0;
     for b in name.bytes() {
-        value = value * 26 + (b - b'A') as u64 + 1;
+        if !b.is_ascii_uppercase() {
+            return None;
+        }
+        value = value * 26 + u64::from(b - b'A') + 1;
+        if value > u64::from(u32::MAX) + 1 {
+            return None;
+        }
     }
     Some(BlockId((value - 1) as u32))
 }
@@ -159,6 +178,17 @@ mod tests {
         assert_eq!(parse_block_name(""), None);
         assert_eq!(parse_block_name("a"), None);
         assert_eq!(parse_block_name("A1"), None);
+    }
+
+    #[test]
+    fn block_names_stop_at_u32_max() {
+        // Names past the last `u32` used to wrap (or overflow in debug
+        // builds) onto an unrelated block.
+        assert_eq!(block_name(BlockId(u32::MAX)), "MWLQKWV");
+        assert_eq!(parse_block_name("MWLQKWV"), Some(BlockId(u32::MAX)));
+        assert_eq!(parse_block_name("MWLQKWW"), None);
+        assert_eq!(parse_block_name("AAAAAAAA"), None);
+        assert_eq!(parse_block_name("ABCDEFGHIJKLMNO"), None);
     }
 
     #[test]

@@ -24,6 +24,13 @@ pub enum ExpandError {
         /// The limit that was exceeded.
         limit: usize,
     },
+    /// The expansion would produce more memory operations, summed over its
+    /// queries, than the given limit (misuse guard for long powers such as
+    /// `(A)4294967295`).
+    TooManyOps {
+        /// The limit that was exceeded.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for ExpandError {
@@ -35,6 +42,9 @@ impl fmt::Display for ExpandError {
             }
             ExpandError::TooManyQueries { limit } => {
                 write!(f, "expansion exceeds {limit} queries")
+            }
+            ExpandError::TooManyOps { limit } => {
+                write!(f, "expansion exceeds {limit} memory operations")
             }
         }
     }
@@ -50,6 +60,10 @@ impl From<ParseError> for ExpandError {
 
 /// Upper bound on the number of queries a single expansion may produce.
 const MAX_QUERIES: usize = 1 << 16;
+
+/// Upper bound on the number of memory operations, summed over all its
+/// queries, that a single expansion may produce (32 MiB of [`MemOp`]s).
+const MAX_OPS: usize = 1 << 22;
 
 /// Expands an already-parsed expression for a cache of the given
 /// associativity.
@@ -72,12 +86,49 @@ pub fn expand_query(input: &str, associativity: usize) -> Result<Vec<Query>, Exp
     expand(&expr, associativity)
 }
 
-fn guard(len: usize) -> Result<(), ExpandError> {
+/// Fails if a result of `len` queries holding `ops` operations in total
+/// would exceed the size limits; called before the result is built.
+fn guard(len: usize, ops: usize) -> Result<(), ExpandError> {
     if len > MAX_QUERIES {
         Err(ExpandError::TooManyQueries { limit: MAX_QUERIES })
+    } else if ops > MAX_OPS {
+        Err(ExpandError::TooManyOps { limit: MAX_OPS })
     } else {
         Ok(())
     }
+}
+
+/// The number of memory operations in `queries`.
+fn ops(queries: &[Query]) -> usize {
+    queries.iter().map(Vec::len).sum()
+}
+
+/// Concatenates every query of `prefixes` with every query of `suffixes`,
+/// prefix-major.  A single suffix is appended to each prefix in place, so a
+/// long chain of single-alternative parts costs time linear in its length;
+/// a result over the size limits fails before anything is extended or
+/// allocated.
+fn cross(mut prefixes: Vec<Query>, suffixes: &[Query]) -> Result<Vec<Query>, ExpandError> {
+    let total = ops(&prefixes)
+        .saturating_mul(suffixes.len())
+        .saturating_add(ops(suffixes).saturating_mul(prefixes.len()));
+    guard(prefixes.len().saturating_mul(suffixes.len()), total)?;
+    if let [suffix] = suffixes {
+        for query in &mut prefixes {
+            query.extend_from_slice(suffix);
+        }
+        return Ok(prefixes);
+    }
+    let mut next = Vec::with_capacity(prefixes.len() * suffixes.len());
+    for prefix in &prefixes {
+        for suffix in suffixes {
+            let mut query = Vec::with_capacity(prefix.len() + suffix.len());
+            query.extend_from_slice(prefix);
+            query.extend_from_slice(suffix);
+            next.push(query);
+        }
+    }
+    Ok(next)
 }
 
 fn expand_inner(expr: &Expr, assoc: usize) -> Result<Vec<Query>, ExpandError> {
@@ -93,28 +144,30 @@ fn expand_inner(expr: &Expr, assoc: usize) -> Result<Vec<Query>, ExpandError> {
             .map(|i| vec![MemOp::access(BlockId(i))])
             .collect()),
         Expr::Concat(parts) => {
-            let mut result: Vec<Query> = vec![Vec::new()];
+            // Exact for the commonest concatenation, blocks only.
+            let mut result: Vec<Query> = vec![Vec::with_capacity(parts.len())];
             for part in parts {
-                let expanded = expand_inner(part, assoc)?;
-                let mut next = Vec::with_capacity(result.len() * expanded.len());
-                for prefix in &result {
-                    for suffix in &expanded {
-                        let mut q = prefix.clone();
-                        q.extend_from_slice(suffix);
-                        next.push(q);
+                if let Expr::Block(block, tag) = *part {
+                    // The commonest part needs no expansion of its own.
+                    guard(result.len(), ops(&result).saturating_add(result.len()))?;
+                    for query in &mut result {
+                        query.push(MemOp { block, tag });
                     }
+                    continue;
                 }
-                guard(next.len())?;
-                result = next;
+                result = cross(result, &expand_inner(part, assoc)?)?;
             }
             Ok(result)
         }
         Expr::Set(alternatives) => {
             let mut result = Vec::new();
+            let mut total = 0;
             for alt in alternatives {
-                result.extend(expand_inner(alt, assoc)?);
+                let queries = expand_inner(alt, assoc)?;
+                total += ops(&queries);
+                guard(result.len() + queries.len(), total)?;
+                result.extend(queries);
             }
-            guard(result.len())?;
             Ok(result)
         }
         Expr::Extension(base, ext) => {
@@ -131,6 +184,10 @@ fn expand_inner(expr: &Expr, assoc: usize) -> Result<Vec<Query>, ExpandError> {
                     }
                 }
             }
+            guard(
+                bases.len().saturating_mul(blocks.len()),
+                (ops(&bases) + bases.len()).saturating_mul(blocks.len()),
+            )?;
             let mut result = Vec::with_capacity(bases.len() * blocks.len());
             for base_query in &bases {
                 for op in &blocks {
@@ -139,23 +196,21 @@ fn expand_inner(expr: &Expr, assoc: usize) -> Result<Vec<Query>, ExpandError> {
                     result.push(q);
                 }
             }
-            guard(result.len())?;
             Ok(result)
         }
         Expr::Power(base, k) => {
             let bases = expand_inner(base, assoc)?;
+            // Every round after the first adds an operation to each query or
+            // doubles their number, unless `bases` is no query or one empty
+            // one: then the first round already gives the answer.
+            let rounds = if bases.len() <= 1 && ops(&bases) == 0 {
+                (*k).min(1)
+            } else {
+                *k
+            };
             let mut result: Vec<Query> = vec![Vec::new()];
-            for _ in 0..*k {
-                let mut next = Vec::with_capacity(result.len() * bases.len());
-                for prefix in &result {
-                    for rep in &bases {
-                        let mut q = prefix.clone();
-                        q.extend_from_slice(rep);
-                        next.push(q);
-                    }
-                }
-                guard(next.len())?;
-                result = next;
+            for _ in 0..rounds {
+                result = cross(result, &bases)?;
             }
             Ok(result)
         }
@@ -279,8 +334,60 @@ mod tests {
     }
 
     #[test]
+    fn expansion_length_is_bounded() {
+        // One query of 2^32 - 1 operations would take 32 GiB.
+        assert_eq!(
+            expand_query("(A)4294967295", 4),
+            Err(ExpandError::TooManyOps { limit: MAX_OPS })
+        );
+        // 65,536 queries of 16 operations, then one more block each per part.
+        let text = format!("({{A, B}})16{}", " C".repeat(64));
+        assert_eq!(
+            expand_query(&text, 4),
+            Err(ExpandError::TooManyOps { limit: MAX_OPS })
+        );
+        assert_eq!(
+            expand_query(&format!("{{{}}}", vec!["(A)70000"; 64].join(", ")), 4),
+            Err(ExpandError::TooManyOps { limit: MAX_OPS })
+        );
+        // Powers of nothing stop after one round.
+        assert_eq!(rendered("((A)0)4294967295 B", 4), vec!["B"]);
+    }
+
+    #[test]
     fn parse_errors_are_propagated() {
         assert!(matches!(expand_query("(", 4), Err(ExpandError::Parse(_))));
+    }
+
+    #[test]
+    fn mixed_concatenations_keep_their_queries_and_order() {
+        assert_eq!(
+            rendered("A @ {B, C AA}? _ (E)2 ZZ!", 2),
+            vec![
+                "A A B B? A E E ZZ!",
+                "A A B B? B E E ZZ!",
+                "A A B C? AA? A E E ZZ!",
+                "A A B C? AA? B E E ZZ!",
+            ]
+        );
+    }
+
+    #[test]
+    fn long_concatenations_expand_in_linear_time() {
+        // Copying every prefix once per part made this quadratic: about a
+        // minute of CPU for one request line under the daemon's 1 MiB cap.
+        let blocks = 500_000;
+        let text = (0..blocks)
+            .map(|i| block_name(BlockId(i % 30)))
+            .collect::<Vec<_>>()
+            .join(" ");
+        let queries = expand_query(&text, 4).unwrap();
+        assert_eq!(queries.len(), 1);
+        assert_eq!(queries[0].len(), blocks as usize);
+        assert_eq!(
+            queries[0][blocks as usize - 1].block,
+            BlockId((blocks - 1) % 30)
+        );
     }
 
     #[test]

@@ -45,19 +45,24 @@ pub use parse::{parse, ParseError};
 /// Renders a query back into MBL surface syntax (blocks separated by spaces,
 /// tags attached).
 pub fn render_query(query: &Query) -> String {
-    query
-        .iter()
-        .map(|op| {
-            let mut s = block_name(op.block);
-            match op.tag {
-                Some(Tag::Profile) => s.push('?'),
-                Some(Tag::Invalidate) => s.push('!'),
-                None => {}
-            }
-            s
-        })
-        .collect::<Vec<_>>()
-        .join(" ")
+    let mut out = String::with_capacity(3 * query.len());
+    render_query_into(&mut out, query);
+    out
+}
+
+/// Appends `query` rendered as by [`render_query`] to `out`.
+pub fn render_query_into(out: &mut String, query: &[MemOp]) {
+    for (index, op) in query.iter().enumerate() {
+        if index > 0 {
+            out.push(' ');
+        }
+        ast::push_block_name(out, op.block);
+        match op.tag {
+            Some(Tag::Profile) => out.push('?'),
+            Some(Tag::Invalidate) => out.push('!'),
+            None => {}
+        }
+    }
 }
 
 #[cfg(test)]

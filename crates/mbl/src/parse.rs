@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::ast::{parse_block_name, Expr, Tag};
+use crate::ast::{parse_block_name, BlockId, Expr, Tag};
 
 /// Deepest expression tree [`parse`] builds: groups, sets and extensions
 /// inside each other, and tags, powers and extensions stacked on one term,
@@ -28,9 +28,10 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Token {
-    Block(String),
+    /// A block name, `None` past the last `u32` block.
+    Block(Option<BlockId>),
     Question,
     Bang,
     At,
@@ -47,7 +48,8 @@ enum Token {
 }
 
 fn lex(input: &str) -> Result<Vec<(usize, Token)>, ParseError> {
-    let mut tokens = Vec::new();
+    // Room for a rendered query's tokens: a block and a separator each.
+    let mut tokens = Vec::with_capacity(input.len() / 2 + 1);
     let bytes = input.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
@@ -109,7 +111,7 @@ fn lex(input: &str) -> Result<Vec<(usize, Token)>, ParseError> {
                 while i < bytes.len() && bytes[i].is_ascii_uppercase() {
                     i += 1;
                 }
-                tokens.push((start, Token::Block(input[start..i].to_string())));
+                tokens.push((start, Token::Block(parse_block_name(&input[start..i]))));
             }
             '0'..='9' => {
                 let start = i;
@@ -142,15 +144,15 @@ fn lex(input: &str) -> Result<Vec<(usize, Token)>, ParseError> {
     Ok(tokens)
 }
 
-struct Parser {
+struct Parser<'a> {
+    input: &'a str,
     tokens: Vec<(usize, Token)>,
     cursor: usize,
-    input_len: usize,
     /// Expressions currently being parsed, outermost included.
     nesting: usize,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.cursor).map(|(_, t)| t)
     }
@@ -158,11 +160,11 @@ impl Parser {
     fn position(&self) -> usize {
         self.tokens
             .get(self.cursor)
-            .map_or(self.input_len, |(p, _)| *p)
+            .map_or(self.input.len(), |(p, _)| *p)
     }
 
     fn advance(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.cursor).map(|(_, t)| t.clone());
+        let t = self.tokens.get(self.cursor).map(|&(_, t)| t);
         if t.is_some() {
             self.cursor += 1;
         }
@@ -275,10 +277,17 @@ impl Parser {
     fn parse_atom(&mut self) -> Result<(Expr, usize), ParseError> {
         let position = self.position();
         match self.advance() {
-            Some(Token::Block(name)) => {
-                let block = parse_block_name(&name).ok_or(ParseError {
-                    position,
-                    message: format!("invalid block name '{name}'"),
+            Some(Token::Block(block)) => {
+                let block = block.ok_or_else(|| {
+                    let name = &self.input[position..];
+                    let end = name
+                        .bytes()
+                        .position(|b| !b.is_ascii_uppercase())
+                        .unwrap_or(name.len());
+                    ParseError {
+                        position,
+                        message: format!("invalid block name '{}'", &name[..end]),
+                    }
                 })?;
                 Ok((Expr::Block(block, None), 1))
             }
@@ -341,9 +350,9 @@ pub fn parse(input: &str) -> Result<Expr, ParseError> {
         });
     }
     let mut parser = Parser {
+        input,
         tokens,
         cursor: 0,
-        input_len: input.len(),
         nesting: 0,
     };
     let (expr, _) = parser.parse_expr()?;
@@ -356,7 +365,6 @@ pub fn parse(input: &str) -> Result<Expr, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::BlockId;
 
     #[test]
     fn parses_single_blocks_and_tags() {
@@ -479,5 +487,25 @@ mod tests {
     #[test]
     fn multi_letter_blocks_are_supported() {
         assert_eq!(parse("AA").unwrap(), Expr::Block(BlockId(26), None));
+    }
+
+    #[test]
+    fn block_names_past_u32_are_errors() {
+        assert_eq!(
+            parse("A MWLQKWV?").unwrap(),
+            Expr::Concat(vec![
+                Expr::Block(BlockId(0), None),
+                Expr::Block(BlockId(u32::MAX), Some(Tag::Profile)),
+            ])
+        );
+        for (input, position, name) in [
+            ("AAAAAAAA? B", 0, "AAAAAAAA"),
+            ("A MWLQKWW", 2, "MWLQKWW"),
+            ("{A, ABCDEFGHIJKLMNO!}", 4, "ABCDEFGHIJKLMNO"),
+        ] {
+            let error = parse(input).unwrap_err();
+            assert_eq!(error.position, position, "{input}");
+            assert_eq!(error.message, format!("invalid block name '{name}'"));
+        }
     }
 }

@@ -3,16 +3,18 @@
 use mbl::{block_name, expand_query, parse_block_name, render_query, BlockId};
 use proptest::prelude::*;
 
-/// A strategy for small, well-formed MBL expressions rendered as strings.
+/// A strategy for small, well-formed MBL expressions rendered as strings:
+/// one- and multi-letter block names (up to the last `u32` block), tags,
+/// the two macros and `{…}` sets of tagged block sequences.
 fn mbl_expression() -> impl Strategy<Value = String> {
-    let block = (0u32..6).prop_map(|b| block_name(BlockId(b)));
-    let atom = prop_oneof![
-        block.clone(),
-        Just("@".to_string()),
-        Just("_".to_string()),
-        block.clone().prop_map(|b| format!("{b}?")),
-        block.prop_map(|b| format!("{b}!")),
-    ];
+    let block = prop_oneof![0u32..6, 26u32..=u32::MAX].prop_map(|b| block_name(BlockId(b)));
+    let tagged = (block, prop_oneof![Just(""), Just("?"), Just("!")])
+        .prop_map(|(block, tag)| format!("{block}{tag}"));
+    let alternative =
+        proptest::collection::vec(tagged.clone(), 1..3).prop_map(|blocks| blocks.join(" "));
+    let set = proptest::collection::vec(alternative, 1..4)
+        .prop_map(|alternatives| format!("{{{}}}", alternatives.join(", ")));
+    let atom = prop_oneof![tagged, Just("@".to_string()), Just("_".to_string()), set,];
     proptest::collection::vec(atom, 1..6).prop_map(|parts| parts.join(" "))
 }
 
@@ -20,7 +22,7 @@ proptest! {
     /// Block naming is a bijection between indices and spreadsheet-style
     /// names.
     #[test]
-    fn block_names_round_trip(id in 0u32..100_000) {
+    fn block_names_round_trip(id in 0u32..=u32::MAX) {
         let name = block_name(BlockId(id));
         prop_assert_eq!(parse_block_name(&name), Some(BlockId(id)));
         prop_assert!(name.bytes().all(|b| b.is_ascii_uppercase()));

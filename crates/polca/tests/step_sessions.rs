@@ -5,12 +5,13 @@
 //! `cc0`.  Stepping must be invisible to everything but the block-access
 //! count: the learned machine, the membership-query count, and every byte of
 //! store traffic — lookups, recordings, persist appends, the exported
-//! contents — equal those of the replayed campaign.
+//! contents — equal those of the replayed campaign.  The exported contents
+//! are pinned byte for byte, and a reopened store re-exports them.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use cachequery::{QueryEngine, QueryStore, StoreOptions};
+use cachequery::{persist, QueryEngine, QueryStore, StoreOptions};
 use learning::OracleError;
 use mbl::BlockId;
 use polca::{
@@ -69,7 +70,8 @@ struct Traffic {
     export: String,
 }
 
-/// Learns `kind@assoc` through a fresh durable store, stepping or replayed.
+/// Learns `kind@assoc` through a fresh durable store, stepping or replayed,
+/// and checks that reopening the store's directory re-exports its contents.
 fn campaign(kind: PolicyKind, assoc: usize, replay: bool) -> (LearnOutcome, Traffic) {
     let dir = scratch_dir(&format!("{kind}_{assoc}_{replay}"));
     let store = Arc::new(QueryStore::open(&dir).expect("scratch store opens"));
@@ -98,15 +100,35 @@ fn campaign(kind: PolicyKind, assoc: usize, replay: bool) -> (LearnOutcome, Traf
         export: store.export(),
     };
     drop(store);
+    let reopened = QueryStore::open(&dir).expect("the store reopens");
+    assert!(
+        reopened.export() == traffic.export,
+        "{kind}@{assoc}: the reopened store exports other bytes"
+    );
+    drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
     (outcome, traffic)
 }
 
 #[test]
 fn stepping_and_replayed_campaigns_leave_identical_store_traffic() {
-    for (kind, assoc, states, queries) in [
-        (PolicyKind::Lru, 4, 24, 7_569),
-        (PolicyKind::SrripFp, 2, 16, 2_966),
+    // The export's length, line count and FNV-1a checksum (the log's record
+    // checksum) pin the store's file format byte for byte.
+    for (kind, assoc, states, queries, export) in [
+        (
+            PolicyKind::Lru,
+            4,
+            24,
+            7_569,
+            (876_033, 13_652, 0xd9b2_db6d),
+        ),
+        (
+            PolicyKind::SrripFp,
+            2,
+            16,
+            2_966,
+            (250_940, 3_495, 0x153b_4a31),
+        ),
     ] {
         let (stepped, stepped_traffic) = campaign(kind, assoc, false);
         let (replayed, replayed_traffic) = campaign(kind, assoc, true);
@@ -125,6 +147,16 @@ fn stepping_and_replayed_campaigns_leave_identical_store_traffic() {
         assert_eq!(
             stepped_traffic.append_attempts, stepped_traffic.misses,
             "one persist append attempt per store miss"
+        );
+        let text = &stepped_traffic.export;
+        assert_eq!(
+            (
+                text.len(),
+                text.lines().count(),
+                persist::checksum(text.as_bytes())
+            ),
+            export,
+            "{kind}@{assoc}: exported store bytes"
         );
         // The cost model is the one difference: one block access per probe
         // when stepping, whole-trace replays otherwise.

@@ -6,10 +6,11 @@
 //!
 //! With `--store-dir`, the shared query store is durable: answers append to
 //! a record log in DIR, are compacted into snapshots, and replay on the next
-//! start — a restarted daemon serves yesterday's campaign from memory, and a
-//! `kill -9` loses at most the unsynced log tail.  `--store-max-entries`
-//! bounds the store, evicting whole namespaces chosen by `--store-evict`
-//! (default `lru@16`).
+//! start — a restarted daemon serves yesterday's campaign from memory.  A
+//! `kill -9` loses the unsynced log tail and the appends the writer dropped
+//! since the last snapshot; a graceful shutdown loses nothing.
+//! `--store-max-entries` bounds the store, evicting whole namespaces chosen
+//! by `--store-evict` (default `lru@16`).
 //!
 //! Runs until killed (or until stdin reaches EOF when `--until-eof` is
 //! given, which is how the smoke tests drive a bounded run).

@@ -12,7 +12,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 
 use cache::HitMiss;
-use cachequery::{BackendError, QueryBackend, QueryConfig};
+use cachequery::{decode_pattern, BackendError, QueryBackend, QueryConfig};
 use mbl::{render_query, Query};
 
 use crate::daemon::{resolve_with_limits, ResolvedSpec};
@@ -460,19 +460,11 @@ impl RemoteBackend {
         Ok(self.client.as_mut().expect("session was just established"))
     }
 
-    fn parse_outcome(outcome: &WireOutcome) -> (Vec<HitMiss>, bool) {
-        let outcomes = outcome
-            .pattern
-            .chars()
-            .map(|c| {
-                if c == 'H' {
-                    HitMiss::Hit
-                } else {
-                    HitMiss::Miss
-                }
-            })
-            .collect();
-        (outcomes, outcome.consistent)
+    fn parse_outcome(outcome: &WireOutcome) -> Result<(Vec<HitMiss>, bool), BackendError> {
+        let outcomes = decode_pattern(&outcome.pattern).map_err(|e| {
+            BackendError::Service(format!("server answered a malformed pattern: {e}"))
+        })?;
+        Ok((outcomes, outcome.consistent))
     }
 }
 
@@ -497,7 +489,7 @@ impl QueryBackend for RemoteBackend {
             .query(&rendered)
             .map_err(|e| BackendError::Service(e.to_string()))?;
         match results.as_slice() {
-            [outcome] => Ok(Self::parse_outcome(outcome)),
+            [outcome] => Self::parse_outcome(outcome),
             other => Err(BackendError::Service(format!(
                 "server answered a concrete query with {} results",
                 other.len()
@@ -529,7 +521,7 @@ impl QueryBackend for RemoteBackend {
         groups
             .iter()
             .map(|group| match group.as_slice() {
-                [outcome] => Ok(Self::parse_outcome(outcome)),
+                [outcome] => Self::parse_outcome(outcome),
                 other => Err(BackendError::Service(format!(
                     "server answered a concrete query with {} results",
                     other.len()
@@ -550,5 +542,33 @@ impl QueryBackend for RemoteBackend {
         // The daemon's own engine performs the `reps` majority vote; voting
         // again client-side would multiply every novel query's round trips.
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn outcome(pattern: &str) -> WireOutcome {
+        WireOutcome {
+            query: "A? B?".to_string(),
+            pattern: pattern.to_string(),
+            consistent: true,
+            cached: false,
+        }
+    }
+
+    #[test]
+    fn malformed_patterns_are_backend_errors() {
+        assert_eq!(
+            RemoteBackend::parse_outcome(&outcome("HM")).unwrap(),
+            (vec![HitMiss::Hit, HitMiss::Miss], true)
+        );
+        // A letter other than H used to decode as a clean Miss and land in
+        // the client engine's store.
+        assert!(matches!(
+            RemoteBackend::parse_outcome(&outcome("HX")),
+            Err(BackendError::Service(_))
+        ));
     }
 }

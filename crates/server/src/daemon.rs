@@ -36,9 +36,9 @@ use std::time::{Duration, Instant};
 
 use cache::{HitMiss, LevelId};
 use cachequery::{
-    parse_command, Backend, Command, NoiseSpec, PolicyEvictor, QueryBackend, QueryConfig,
-    QueryEngine, QueryStore, ResetSequence, StoreOptions, StoreSpace, Target, DEFAULT_NOISY_REPS,
-    HELP_TEXT,
+    encode_pattern, parse_command, Backend, Command, NoiseSpec, PolicyEvictor, QueryBackend,
+    QueryConfig, QueryEngine, QueryStore, ResetSequence, StoreOptions, StoreSpace, Target,
+    DEFAULT_NOISY_REPS, HELP_TEXT,
 };
 use hardware::{CpuModel, SimulatedCpu};
 use mbl::{expand_query, render_query, Query};
@@ -734,10 +734,9 @@ impl CqdHandle {
         for job in jobs {
             let _ = job.join();
         }
-        // Every producer of store answers has stopped: flush the record log
-        // and compact a final snapshot so the next start replays warm (both
-        // are no-ops without --store-dir).
-        self.shared.store.flush();
+        // Every producer of store answers has stopped: compact a final
+        // snapshot, which covers every record (logged or dropped), so the
+        // next start replays warm (a no-op without --store-dir).
         self.shared.store.snapshot();
         // Everything that could emit has joined; push buffered span events
         // out to the trace log.
@@ -864,13 +863,6 @@ fn worker_loop(shared: &Arc<Shared>, work_rx: &Arc<Mutex<Receiver<WorkItem>>>) {
     }
 }
 
-fn hitmiss_pattern(outcomes: &[HitMiss]) -> String {
-    outcomes
-        .iter()
-        .map(|o| if *o == HitMiss::Hit { 'H' } else { 'M' })
-        .collect()
-}
-
 fn execute_item(
     shared: &Arc<Shared>,
     item: &WorkItem,
@@ -888,7 +880,7 @@ fn execute_item(
                 *index,
                 WireOutcome {
                     query: render_query(query),
-                    pattern: hitmiss_pattern(&outcomes),
+                    pattern: encode_pattern(&outcomes),
                     consistent: true,
                     cached: true,
                 },
@@ -931,7 +923,7 @@ fn execute_item(
             *index,
             WireOutcome {
                 query: outcome.rendered,
-                pattern: hitmiss_pattern(&outcome.outcomes),
+                pattern: encode_pattern(&outcome.outcomes),
                 consistent: outcome.consistent,
                 cached: outcome.from_cache,
             },
@@ -1210,9 +1202,8 @@ fn handle_request(
         },
         Request::Metrics => shared.metrics_response(),
         Request::Persist => {
-            // Both calls block until the writer acknowledges, so a client
-            // that sees `done` knows its answers are on disk.
-            shared.store.flush();
+            // Blocks until the writer acknowledges the fsynced snapshot, so a
+            // client that sees `done` knows its answers are on disk.
             shared.store.snapshot();
             let message = match shared.store.store_dir() {
                 Some(dir) => format!("store persisted to {}", dir.display()),
@@ -1248,7 +1239,7 @@ fn run_mbl(
             Some(outcomes) => {
                 results[index] = Some(WireOutcome {
                     query: render_query(&query),
-                    pattern: hitmiss_pattern(&outcomes),
+                    pattern: encode_pattern(&outcomes),
                     consistent: true,
                     cached: true,
                 });
