@@ -17,8 +17,8 @@ use mbl::{render_query, Query};
 
 use crate::daemon::{resolve_with_limits, ResolvedSpec};
 use crate::proto::{
-    decode_response, encode_request, Request, Response, SessionSpec, WireCacheMap, WireJobStatus,
-    WireMetric, WireNamespace, WireOutcome, WireReplay, WireSessionStats, WireStats,
+    decode_response, encode_request, Request, Response, ServerInfo, ServerStats, SessionSpec,
+    WireCacheMap, WireJobStatus, WireMetric, WireOutcome, WireReplay,
 };
 
 /// Errors surfaced by [`Client`] calls.
@@ -49,28 +49,6 @@ impl From<std::io::Error> for ClientError {
     fn from(e: std::io::Error) -> Self {
         ClientError::Io(e)
     }
-}
-
-/// Identity reported by the server's `hello` handshake.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServerInfo {
-    /// Server name (`cqd`).
-    pub server: String,
-    /// Protocol version.
-    pub proto: u64,
-    /// Worker-pool size.
-    pub workers: u64,
-}
-
-/// Everything the `stats` command reports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServerStats {
-    /// Daemon-wide counters.
-    pub global: WireStats,
-    /// The calling session's counters.
-    pub session: WireSessionStats,
-    /// Per-namespace entry counts of the shared query store.
-    pub namespaces: Vec<WireNamespace>,
 }
 
 /// One blocking `cqd` session.
@@ -135,15 +113,7 @@ impl Client {
     /// Fails on connection or protocol errors.
     pub fn hello(&mut self) -> Result<ServerInfo, ClientError> {
         match self.roundtrip(&Request::Hello)? {
-            Response::Hello {
-                server,
-                proto,
-                workers,
-            } => Ok(ServerInfo {
-                server,
-                proto,
-                workers,
-            }),
+            Response::Hello(info) => Ok(info),
             other => Self::unexpected(other),
         }
     }
@@ -328,15 +298,7 @@ impl Client {
     /// Fails on connection or protocol errors.
     pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
         match self.roundtrip(&Request::Stats)? {
-            Response::Stats {
-                global,
-                session,
-                namespaces,
-            } => Ok(ServerStats {
-                global,
-                session,
-                namespaces,
-            }),
+            Response::Stats(stats) => Ok(stats),
             other => Self::unexpected(other),
         }
     }

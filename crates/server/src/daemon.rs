@@ -53,9 +53,9 @@ use trace::{differential_replay, generate, replay_policy, GeneratorKind, TraceSp
 
 use crate::metrics::ServerMetrics;
 use crate::proto::{
-    decode_request, encode_response, Request, Response, SessionSpec, WireCacheMap, WireJobStatus,
-    WireMapGroup, WireMapSet, WireMetric, WireNamespace, WireOutcome, WirePhase, WireReplay,
-    WireSessionStats, WireStats, PROTOCOL_VERSION,
+    decode_request, encode_response, Request, Response, ServerInfo, ServerStats, SessionSpec,
+    WireCacheMap, WireJobStatus, WireMapGroup, WireMapSet, WireMetric, WireNamespace, WireOutcome,
+    WirePhase, WireReplay, WireSessionStats, WireStats, PROTOCOL_VERSION,
 };
 
 /// Configuration of a daemon instance.
@@ -68,14 +68,6 @@ pub struct CqdConfig {
     /// Capacity of the bounded work queue; once full, sessions block
     /// (backpressure).
     pub queue_depth: usize,
-    /// Worker threads each learning job may use (keep 1 to not starve
-    /// query traffic).
-    pub learn_workers: usize,
-    /// Largest associativity accepted by the `learn` command (and by
-    /// `policy:` session targets).
-    pub max_learn_assoc: usize,
-    /// Largest number of concrete queries one MBL expression may expand to.
-    pub max_expansions: usize,
     /// When set, the daemon appends structured span events (one JSON object
     /// per line) covering request handling, engine batches and learning
     /// campaigns to this file.
@@ -99,9 +91,6 @@ impl Default for CqdConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
             queue_depth: 64,
-            learn_workers: 1,
-            max_learn_assoc: 4,
-            max_expansions: 4096,
             trace_log: None,
             store_dir: None,
             store_max_entries: None,
@@ -128,6 +117,20 @@ const POLL_INTERVAL: Duration = Duration::from_millis(50);
 const MAX_REQUEST_BYTES: usize = 1 << 20;
 /// How often `wait` emits a non-final status line.
 const WAIT_STATUS_INTERVAL: Duration = Duration::from_millis(200);
+/// Worker threads each learning job uses: one keeps campaigns from starving
+/// query traffic.
+const LEARN_WORKERS: usize = 1;
+/// Largest associativity accepted by the `learn` command (and by `policy:`
+/// session targets and `map` campaigns).
+const MAX_LEARN_ASSOC: usize = 4;
+/// Largest number of concrete queries one MBL expression may expand to.
+const MAX_EXPANSIONS: usize = 4096;
+/// Most repetitions a session or noisy policy spec may vote with.  The engine
+/// executes a voted query `reps` times per round and escalates over at most
+/// `VoteConfig::max_rounds` rounds, so the cap bounds one query at
+/// `MAX_REPS · 2^(max_rounds − 1)` executions; unbounded, a single `target`
+/// line could pin a worker (and its machine's pooled backend) indefinitely.
+const MAX_REPS: usize = 99;
 
 /// The backend half of a resolved session spec: which scarce oracle answers
 /// this session's queries.
@@ -243,6 +246,9 @@ fn parse_noise_args(args: &str) -> Result<(NoiseSpec, usize), String> {
                     .parse::<usize>()
                     .map_err(|_| format!("bad noise reps '{value}'"))?
                     .max(1);
+                if reps > MAX_REPS {
+                    return Err(format!("noise reps {reps} exceeds the limit of {MAX_REPS}"));
+                }
             }
             other => return Err(format!("unknown noise key '{other}'")),
         }
@@ -288,7 +294,7 @@ pub(crate) fn parse_policy_spec(spec: &str, max_assoc: usize) -> Result<PolicySp
 }
 
 pub(crate) fn resolve(spec: &SessionSpec) -> Result<ResolvedSpec, String> {
-    resolve_with_limits(spec, CqdConfig::default().max_learn_assoc)
+    resolve_with_limits(spec, MAX_LEARN_ASSOC)
 }
 
 pub(crate) fn resolve_with_limits(
@@ -363,6 +369,12 @@ pub(crate) fn resolve_with_limits(
     } else {
         geometry.associativity
     };
+    if spec.reps > MAX_REPS as u64 {
+        return Err(format!(
+            "reps {} exceeds the limit of {MAX_REPS}",
+            spec.reps
+        ));
+    }
     // Mirror the backend's repetition rounding so equal effective settings
     // share one store namespace.
     let reps = {
@@ -1001,7 +1013,7 @@ fn session_loop(stream: TcpStream, shared: &Arc<Shared>, work_tx: &SyncSender<Wo
                         let recorder = shared.recorder.clone();
                         let mut span = obs::maybe_span(recorder.as_deref(), "cqd.request");
                         if let Some(span) = span.as_mut() {
-                            span.set("cmd", request_name(&request));
+                            span.set("cmd", request.tag());
                         }
                         let started = Instant::now();
                         let ok =
@@ -1038,26 +1050,6 @@ fn session_loop(stream: TcpStream, shared: &Arc<Shared>, work_tx: &SyncSender<Wo
             }
             Err(_) => break,
         }
-    }
-}
-
-/// The span label of a request, for the `cqd.request` trace field.
-fn request_name(request: &Request) -> &'static str {
-    match request {
-        Request::Hello => "hello",
-        Request::Target(_) => "target",
-        Request::Query { .. } => "query",
-        Request::Batch { .. } => "batch",
-        Request::Repl { .. } => "repl",
-        Request::Learn { .. } => "learn",
-        Request::Replay { .. } => "replay",
-        Request::Map { .. } => "map",
-        Request::Job { .. } => "job",
-        Request::Wait { .. } => "wait",
-        Request::Stats => "stats",
-        Request::Metrics => "metrics",
-        Request::Persist => "persist",
-        Request::Quit => "quit",
     }
 }
 
@@ -1123,33 +1115,31 @@ fn handle_request(
     writer: &mut TcpStream,
 ) -> bool {
     let response = match request {
-        Request::Hello => Response::Hello {
+        Request::Hello => Response::Hello(ServerInfo {
             server: "cqd".to_string(),
             proto: PROTOCOL_VERSION,
             workers: shared.config.workers as u64,
-        },
-        Request::Target(wire_spec) => {
-            match resolve_with_limits(wire_spec, shared.config.max_learn_assoc) {
-                Ok(spec) => {
-                    let message = match &spec.backend {
-                        ResolvedBackend::Hardware { seed, .. } => format!(
-                            "target: {} (model {}, seed {})",
-                            spec.target, wire_spec.model, seed
+        }),
+        Request::Target(wire_spec) => match resolve(wire_spec) {
+            Ok(spec) => {
+                let message = match &spec.backend {
+                    ResolvedBackend::Hardware { seed, .. } => format!(
+                        "target: {} (model {}, seed {})",
+                        spec.target, wire_spec.model, seed
+                    ),
+                    ResolvedBackend::Policy { kind, assoc, noise } => match noise {
+                        None => format!("target: simulated policy {kind}@{assoc}"),
+                        Some((noise_spec, reps)) => format!(
+                            "target: simulated policy {kind}@{assoc} with noise \
+                             [{noise_spec}] voted over {reps} repetitions"
                         ),
-                        ResolvedBackend::Policy { kind, assoc, noise } => match noise {
-                            None => format!("target: simulated policy {kind}@{assoc}"),
-                            Some((noise_spec, reps)) => format!(
-                                "target: simulated policy {kind}@{assoc} with noise \
-                                 [{noise_spec}] voted over {reps} repetitions"
-                            ),
-                        },
-                    };
-                    session.apply(wire_spec.clone(), spec, &shared.store);
-                    Response::Done { message }
-                }
-                Err(message) => Response::Error { message },
+                    },
+                };
+                session.apply(wire_spec.clone(), spec, &shared.store);
+                Response::Done { message }
             }
-        }
+            Err(message) => Response::Error { message },
+        },
         Request::Query { mbl } => match run_mbl(shared, work_tx, session, mbl) {
             Ok(results) => Response::Outcomes { results },
             Err(message) => Response::Error { message },
@@ -1195,11 +1185,11 @@ fn handle_request(
             },
         },
         Request::Wait { id } => return stream_wait(shared, *id, writer),
-        Request::Stats => Response::Stats {
+        Request::Stats => Response::Stats(ServerStats {
             global: shared.global_stats(),
             session: session.stats,
             namespaces: shared.namespace_stats(),
-        },
+        }),
         Request::Metrics => shared.metrics_response(),
         Request::Persist => {
             // Blocks until the writer acknowledges the fsynced snapshot, so a
@@ -1225,11 +1215,10 @@ fn run_mbl(
     mbl: &str,
 ) -> Result<Vec<WireOutcome>, String> {
     let queries = expand_query(mbl, session.spec.assoc).map_err(|e| e.to_string())?;
-    if queries.len() > shared.config.max_expansions {
+    if queries.len() > MAX_EXPANSIONS {
         return Err(format!(
-            "expression expands to {} queries (limit {})",
-            queries.len(),
-            shared.config.max_expansions
+            "expression expands to {} queries (limit {MAX_EXPANSIONS})",
+            queries.len()
         ));
     }
     let mut results: Vec<Option<WireOutcome>> = vec![None; queries.len()];
@@ -1342,7 +1331,7 @@ fn handle_repl(
     match message {
         Ok(message) => {
             if candidate != session.wire_spec {
-                match resolve_with_limits(&candidate, shared.config.max_learn_assoc) {
+                match resolve(&candidate) {
                     Ok(spec) => session.apply(candidate, spec, &shared.store),
                     Err(error) => {
                         return Response::Error { message: error };
@@ -1374,7 +1363,7 @@ fn handle_learn(shared: &Arc<Shared>, spec: &str) -> Response {
         let space = shared.store.space(namespace);
         let oracle = CacheQueryOracle::from_engine(engine).map_err(|e| e.to_string())?;
         let setup = LearnSetup {
-            workers: shared.config.learn_workers,
+            workers: LEARN_WORKERS,
             recorder: shared.recorder.clone(),
             ..LearnSetup::default()
         };
@@ -1386,7 +1375,7 @@ fn handle_learn(shared: &Arc<Shared>, spec: &str) -> Response {
         ))
     }
 
-    match parse_policy_spec(spec, shared.config.max_learn_assoc) {
+    match parse_policy_spec(spec, MAX_LEARN_ASSOC) {
         Ok((kind, assoc, noise)) => {
             let job = match &noise {
                 None => PolicySimBackend::new(kind, assoc)
@@ -1435,7 +1424,7 @@ fn handle_replay(
     seed: u64,
     job: Option<u64>,
 ) -> Response {
-    let (kind, assoc, noise) = match parse_policy_spec(spec, shared.config.max_learn_assoc) {
+    let (kind, assoc, noise) = match parse_policy_spec(spec, MAX_LEARN_ASSOC) {
         Ok(parsed) => parsed,
         Err(message) => return Response::Error { message },
     };
@@ -1694,12 +1683,11 @@ fn handle_map(
     // to the same ceiling as `learn` so a map request cannot smuggle in a
     // campaign the server would refuse as a job.
     let assoc = cat_ways.unwrap_or(geometry.associativity);
-    if assoc > shared.config.max_learn_assoc {
+    if assoc > MAX_LEARN_ASSOC {
         return Response::Error {
             message: format!(
-                "mapping at associativity {assoc} exceeds this server's learning limit {}; \
-                 restrict the L3 with 'cat'",
-                shared.config.max_learn_assoc
+                "mapping at associativity {assoc} exceeds this server's learning limit \
+                 {MAX_LEARN_ASSOC}; restrict the L3 with 'cat'"
             ),
         };
     }
@@ -1858,6 +1846,18 @@ mod tests {
             ..SessionSpec::default()
         };
         assert!(resolve(&haswell_cat).unwrap_err().contains("CAT"));
+        // The vote count is bounded: past it, one query would pin a worker.
+        let most_reps = SessionSpec {
+            reps: MAX_REPS as u64,
+            ..SessionSpec::default()
+        };
+        assert_eq!(resolve(&most_reps).unwrap().reps, MAX_REPS);
+        let too_many_reps = SessionSpec {
+            reps: MAX_REPS as u64 + 1,
+            ..SessionSpec::default()
+        };
+        let error = resolve(&too_many_reps).unwrap_err();
+        assert!(error.contains(&MAX_REPS.to_string()), "{error}");
     }
 
     #[test]
@@ -1980,6 +1980,11 @@ mod tests {
         };
         let resolved = resolve(&spec).unwrap();
         assert_eq!(resolved.reps, DEFAULT_NOISY_REPS);
+        let spec = SessionSpec {
+            policy: Some(format!("LRU@4+noise(flip=0.05,reps={MAX_REPS})")),
+            ..SessionSpec::default()
+        };
+        assert_eq!(resolve(&spec).unwrap().reps, MAX_REPS);
 
         for bad in [
             "LRU@4+noise(flip=0.05",
@@ -1988,6 +1993,7 @@ mod tests {
             "LRU@4+noise(warp=0.1)",
             "LRU@4+noise(flip)",
             "LRU@4+noise(seed=x)",
+            &format!("LRU@4+noise(flip=0.05,reps={})", MAX_REPS + 1),
         ] {
             let spec = SessionSpec {
                 policy: Some(bad.into()),

@@ -65,13 +65,13 @@ mod metrics;
 pub mod proto;
 
 pub use cachequery::{QueryStore, StoreSpace};
-pub use client::{Client, ClientError, RemoteBackend, ServerInfo, ServerStats};
+pub use client::{Client, ClientError, RemoteBackend};
 pub use daemon::{spawn, CqdConfig, CqdHandle};
 pub use json::{Json, JsonError};
 pub use metrics::ServerMetrics;
 pub use proto::{
     decode_request, decode_response, encode_request, encode_response, ProtoError, Request,
-    Response, SessionSpec, WireCacheMap, WireJobStatus, WireMapGroup, WireMapSet, WireMetric,
-    WireNamespace, WireOutcome, WirePhase, WireReplay, WireSessionStats, WireStats,
-    PROTOCOL_VERSION,
+    Response, ServerInfo, ServerStats, SessionSpec, WireCacheMap, WireJobStatus, WireMapGroup,
+    WireMapSet, WireMetric, WireNamespace, WireOutcome, WirePhase, WireReplay, WireSessionStats,
+    WireStats, PROTOCOL_VERSION,
 };

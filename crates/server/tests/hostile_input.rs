@@ -1,9 +1,12 @@
-//! Hostile request lines must get error responses, never kill `cqd`.
+//! Hostile request lines must get error responses, never kill or stall `cqd`.
 //!
 //! Both recursive-descent parsers on the request path — the wire JSON and the
 //! MBL expression inside a `query` — used to recurse without a bound, so one
 //! line of deep nesting overflowed the session thread's stack and aborted
-//! the whole daemon.
+//! the whole daemon.  And a `reps` count was never bounded: the engine votes
+//! that many times per query, so one `target`, `learn` or REPL line asking
+//! for 2^53 - 1 repetitions pinned a worker, and with it the machine's pooled
+//! backend, for every session.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -20,14 +23,33 @@ fn deeply_nested_lines_get_errors_and_the_session_keeps_serving() {
     let deep = 100_000;
     let json_bomb = "[".repeat(deep);
     let mbl_bomb = format!("{{\"cmd\":\"query\",\"mbl\":\"{}A\"}}", "(".repeat(deep));
-    for line in [json_bomb.as_str(), mbl_bomb.as_str(), "{\"cmd\":\"hello\"}"] {
+    // 2^53 - 1, the largest integer the wire carries exactly.
+    let reps = 9_007_199_254_740_991u64;
+    let target_reps = format!(
+        r#"{{"cmd":"target","model":"skylake","seed":7,"level":"L1","set":0,"slice":0,"cat":null,"reps":{reps},"reset":"F+R","policy":null}}"#
+    );
+    let policy_reps = format!(
+        r#"{{"cmd":"target","model":"skylake","seed":7,"level":"L1","set":0,"slice":0,"reps":3,"reset":"F+R","policy":"LRU@4+noise(flip=0.05,reps={reps})"}}"#
+    );
+    let learn_reps = format!(r#"{{"cmd":"learn","spec":"LRU@2+noise(reps={reps})"}}"#);
+    let repl_reps = format!(r#"{{"cmd":"repl","line":"reps {reps}"}}"#);
+    let lines = [
+        json_bomb.as_str(),
+        mbl_bomb.as_str(),
+        &target_reps,
+        &policy_reps,
+        &learn_reps,
+        &repl_reps,
+        "{\"cmd\":\"hello\"}",
+    ];
+    for line in lines {
         writer.write_all(line.as_bytes()).unwrap();
         writer.write_all(b"\n").unwrap();
     }
     writer.flush().unwrap();
 
     let mut responses = Vec::new();
-    for _ in 0..3 {
+    for _ in 0..lines.len() {
         let mut line = String::new();
         reader
             .read_line(&mut line)
@@ -41,7 +63,10 @@ fn deeply_nested_lines_get_errors_and_the_session_keeps_serving() {
                 .to_string(),
         );
     }
-    assert_eq!(responses, ["error", "error", "hello"]);
+    assert_eq!(
+        responses,
+        ["error", "error", "error", "error", "error", "error", "hello"]
+    );
     drop(writer);
     daemon.shutdown();
 }

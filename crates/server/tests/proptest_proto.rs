@@ -6,8 +6,8 @@ use proptest::prelude::*;
 
 use server::{
     decode_request, decode_response, encode_request, encode_response, Json, Request, Response,
-    SessionSpec, WireCacheMap, WireJobStatus, WireMapGroup, WireMapSet, WireMetric, WireNamespace,
-    WireOutcome, WirePhase, WireReplay, WireSessionStats, WireStats,
+    ServerInfo, ServerStats, SessionSpec, WireCacheMap, WireJobStatus, WireMapGroup, WireMapSet,
+    WireMetric, WireNamespace, WireOutcome, WirePhase, WireReplay, WireSessionStats, WireStats,
 };
 
 /// A string strategy that loves JSON metacharacters: quotes, backslashes,
@@ -447,10 +447,12 @@ fn response() -> impl Strategy<Value = Response> {
             },
         );
     prop_oneof![
-        (wire_string(), 0u64..10, 0u64..8).prop_map(|(server, proto, workers)| Response::Hello {
-            server,
-            proto,
-            workers
+        (wire_string(), 0u64..10, 0u64..8).prop_map(|(server, proto, workers)| {
+            Response::Hello(ServerInfo {
+                server,
+                proto,
+                workers,
+            })
         }),
         wire_string().prop_map(|message| Response::Done { message }),
         proptest::collection::vec(wire_outcome(), 0..4)
@@ -467,14 +469,14 @@ fn response() -> impl Strategy<Value = Response> {
             proptest::collection::vec(namespace(), 0..4),
         )
             .prop_map(|(global, (queries, store_hits), namespaces)| {
-                Response::Stats {
+                Response::Stats(ServerStats {
                     global,
                     session: WireSessionStats {
                         queries,
                         store_hits,
                     },
                     namespaces,
-                }
+                })
             }),
         (wire_string(), proptest::collection::vec(metric(), 0..4))
             .prop_map(|(text, metrics)| Response::Metrics { text, metrics }),
