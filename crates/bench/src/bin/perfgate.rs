@@ -41,7 +41,10 @@
 //! the probes-equal-block-accesses gate holds there too.  The *time* gate is
 //! skipped: every probe also pays a store lookup, and every miss a recording
 //! and a log append, which the memory-only baseline times do not include.
-//! After the campaigns the store is closed and `DIR` reopened: the gate fails
+//! The persist counters are gated exactly: the gate fails unless the store
+//! dropped no append and appended one record per store miss (604,205 for
+//! `new1_4` on an empty directory); the snapshot count is printed.  After
+//! the campaigns the store is closed and `DIR` reopened: the gate fails
 //! unless the reopened store holds exactly the entries the store closed with
 //! (937,681 for `new1_4` on an empty directory).  The reopen time is printed,
 //! not gated.
@@ -297,6 +300,11 @@ fn main() {
             .expect("a store comes from --store-dir");
         let store = Arc::try_unwrap(store).expect("no engine outlives its campaign");
         let closed = store.entries();
+        let (persist, misses) = (store.persist_stats(), store.misses());
+        println!(
+            "perfgate: {} appends for {misses} store misses, {} dropped, {} snapshots",
+            persist.appended, persist.dropped, persist.snapshots
+        );
         drop(store);
         let started = Instant::now();
         let reopened =
@@ -306,7 +314,7 @@ fn main() {
             "perfgate: reopened {dir} in {open_s:.2} s: {} of {closed} entries",
             reopened.entries()
         );
-        (closed, reopened.entries())
+        (closed, reopened.entries(), persist, misses)
     });
 
     let mut table = TextTable::new(&[
@@ -374,10 +382,19 @@ fn main() {
     };
 
     let mut violations: Vec<String> = Vec::new();
-    if let Some((closed, reopened)) = reopen {
+    if let Some((closed, reopened, persist, misses)) = reopen {
         if reopened != closed {
             violations.push(format!(
                 "the reopened store holds {reopened} entries, {closed} when it closed"
+            ));
+        }
+        if persist.dropped != 0 {
+            violations.push(format!("the store dropped {} appends", persist.dropped));
+        }
+        if persist.appended != misses {
+            violations.push(format!(
+                "the store appended {} records for {misses} store misses",
+                persist.appended
             ));
         }
     }

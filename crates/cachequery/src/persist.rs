@@ -8,15 +8,17 @@
 //! * **`store.log`** — an append-only sequence of framed records.  Each
 //!   record is `[u32 LE payload length][u32 LE FNV-1a checksum][payload]`;
 //!   the payload is one line of the store's tab-separated export format
-//!   (`namespace \t pattern \t rendered query`).  Records are appended by
-//!   one writer thread as queries are recorded, so a crash loses the
-//!   unsynced tail — and the appends the writer dropped since the last
-//!   snapshot (see [`QueryStore::flush`](crate::QueryStore::flush)).
+//!   (`namespace \t pattern \t rendered query`).  One writer thread appends
+//!   records in batches, in the order queries were recorded, so a `kill -9`
+//!   loses at most the batch it had not written yet, and a power loss the
+//!   unsynced tail (see [`QueryStore::flush`](crate::QueryStore::flush)).
+//!   A record longer than [`MAX_RECORD_LEN`] is never framed: it is left to
+//!   the next snapshot.
 //! * **`store.snap`** — a compacted snapshot: the full plain-text
 //!   [`export`](crate::QueryStore::export) of the store, written atomically
-//!   (temp file + fsync + rename) whenever the log grows past the
-//!   compaction threshold and on graceful shutdown.  After a snapshot the
-//!   log is truncated to zero.
+//!   (temp file + fsync + rename) whenever the log outgrows both the
+//!   compaction threshold and the previous snapshot, and on graceful
+//!   shutdown.  After a snapshot the log is truncated to zero.
 //!
 //! Startup replays **snapshot first, then log**: the snapshot holds
 //! everything compacted so far, the log holds everything since.  Because
@@ -61,10 +63,16 @@ pub fn checksum(payload: &[u8]) -> u32 {
 /// Frames one payload as a log record: `[len][checksum][payload]`.
 pub fn encode_record(payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&checksum(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
+    encode_record_into(&mut frame, payload);
     frame
+}
+
+/// Appends the frame of one payload to `out` (see [`encode_record`]): the
+/// store's writer frames a whole batch of records into one buffer.
+pub fn encode_record_into(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&checksum(payload).to_le_bytes());
+    out.extend_from_slice(payload);
 }
 
 /// Decodes a log image into its valid record payloads.

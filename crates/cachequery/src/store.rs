@@ -30,18 +30,21 @@
 //!
 //! A store opened with [`QueryStore::open`] (or [`QueryStore::with_options`]
 //! and a directory) is backed by the log-structured files of
-//! [`persist`](crate::persist): every fresh recording is rendered as one
+//! [`persist`](crate::persist).  Every fresh recording is rendered as one
 //! store line (`namespace \t pattern \t query`, the format of
-//! [`QueryStore::export`] too) and handed to a dedicated writer thread over a
-//! *bounded* channel (the hot lookup path never blocks on disk — a full
-//! queue drops the append and counts it, and the next snapshot heals the gap
-//! because snapshots capture the whole store), the writer compacts the log
-//! into an atomic snapshot past a size threshold, and startup replays
+//! [`QueryStore::export`] too) straight into a shared pending batch.  A
+//! dedicated writer thread commits the batch as a group: it swaps the batch
+//! out, frames and checksums its records off the query path, and writes
+//! them with one `write`.  The writer is woken once per batch, never once
+//! per record.  The batch is bounded in bytes, and a recording thread that
+//! finds it full waits for the writer, so no append is dropped.  The writer
+//! compacts the log into an atomic snapshot once the log outgrows both a
+//! size threshold and the last snapshot, and startup replays
 //! snapshot-then-log so a restarted `cqd` serves yesterday's campaign from
 //! memory.  [`QueryStore::flush`] — and dropping the store — is the
-//! durability barrier: it fsyncs the log, and compacts first when appends
-//! were dropped since the last snapshot.  A `kill -9` loses the unsynced
-//! tail of the log and every append dropped since the last snapshot.
+//! durability barrier: it writes what is pending and fsyncs the log once.
+//! A `kill -9` loses at most the records the writer had not written yet:
+//! what survives is always a prefix of the recordings, in order.
 //!
 //! # Bounded memory
 //!
@@ -61,11 +64,12 @@
 //! a parallel learning run) share one store through an [`Arc`].
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, Weak};
+use std::sync::mpsc::{self, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, Weak};
+use std::time::{Duration, Instant};
 
 use cache::HitMiss;
 use learning::{QueryCache, TrieCursor};
@@ -224,13 +228,22 @@ pub struct StoreOptions {
     pub tap: Option<Arc<dyn StoreTap>>,
 }
 
-/// Depth of the bounded channel feeding a durable store's writer thread.
-/// When the writer falls behind, appends are dropped (and counted) instead
-/// of blocking the query path; the next snapshot heals the gap.
-const QUEUE_DEPTH: usize = 1024;
-
-/// Log size past which the writer compacts the store into a snapshot.
+/// Log size past which the writer compacts the store into a snapshot, once
+/// the log has also outgrown the last snapshot: each export then costs at
+/// most the log bytes written since the previous one, so a campaign's total
+/// export work is linear in its size.
 const COMPACT_BYTES: u64 = 4 << 20;
+
+/// Rendered bytes the pending batch may hold: a producer that finds it
+/// fuller waits for the writer to take it.
+const PENDING_BYTES: usize = 16 << 20;
+
+/// Pending bytes at which a producer wakes the writer before
+/// [`BATCH_WAIT`] is over.
+const BATCH_BYTES: usize = 256 << 10;
+
+/// How long the writer lets a batch fill after its first record.
+const BATCH_WAIT: Duration = Duration::from_millis(2);
 
 /// Appends the hit/miss pattern of `outcomes` — `H` per hit, `M` per miss,
 /// the pattern column of a store line and the `pattern` of a wire answer —
@@ -288,9 +301,10 @@ fn push_line<'a>(
 pub struct PersistStats {
     /// Records handed to the writer thread since open.
     pub appended: u64,
-    /// Appends lost: the writer's queue was full, or a write failed.  Lost
-    /// appends are durability gaps (healed by the next snapshot), never
-    /// in-memory data loss.
+    /// Records that will not reach the log: a write failed, or the record
+    /// is longer than [`persist::MAX_RECORD_LEN`].  A full writer makes
+    /// producers wait, never drop.  A dropped record lives in memory, and
+    /// the next snapshot ([`QueryStore::flush`] takes one) covers it.
     pub dropped: u64,
     /// Compacted snapshots written since open.
     pub snapshots: u64,
@@ -561,27 +575,79 @@ impl Default for VoteCounters {
     }
 }
 
-/// Messages to the persistence writer thread.
+/// Store lines waiting for the writer: rendered back to back, framed by
+/// the writer.
 #[derive(Debug)]
-enum PersistMsg {
-    /// Append one framed export line to the record log.
-    Append(String),
-    /// Flush and fsync the log — compacting instead when appends were
-    /// dropped since the last snapshot — then acknowledge.
-    Sync(SyncSender<()>),
-    /// Compact the store into a snapshot (truncating the log), then
-    /// acknowledge.
-    Snapshot(SyncSender<()>),
+struct Batch {
+    text: String,
+    /// End offset in `text` of each line.
+    ends: Vec<usize>,
+}
+
+impl Default for Batch {
+    /// A batch with room for a full one: [`BATCH_BYTES`] plus the line
+    /// that crosses it.
+    fn default() -> Self {
+        Batch {
+            text: String::with_capacity(2 * BATCH_BYTES),
+            ends: Vec::with_capacity(BATCH_BYTES / 32),
+        }
+    }
+}
+
+impl Batch {
+    /// Empties the batch for reuse, releasing what a burst (records that
+    /// piled up during a compaction) grew it past its default size.
+    fn recycle(&mut self) {
+        self.text.clear();
+        self.text.shrink_to(2 * BATCH_BYTES);
+        self.ends.clear();
+        self.ends.shrink_to(BATCH_BYTES / 32);
+    }
+}
+
+/// What producers hand the writer, under [`LogQueue::pending`].
+#[derive(Debug, Default)]
+struct Pending {
+    batch: Batch,
+    /// Barriers waiting for everything before them to be durable.
+    acks: Vec<SyncSender<()>>,
+    /// A barrier asked for a snapshot rather than an fsync.
+    snapshot: bool,
+    /// Producers waiting for room.
+    waiting: usize,
+    /// The store is gone: write what is pending and exit.
+    closed: bool,
+    /// The writer has exited: producers drop instead of waiting.
+    detached: bool,
+}
+
+/// The group-commit queue between a durable store's producers and its
+/// writer thread.
+#[derive(Debug, Default)]
+struct LogQueue {
+    pending: Mutex<Pending>,
+    /// Wakes the writer: a batch's first record, a full batch, a barrier,
+    /// the store closing.
+    work: Condvar,
+    /// Wakes producers waiting for room.
+    room: Condvar,
+}
+
+impl LogQueue {
+    fn lock(&self) -> MutexGuard<'_, Pending> {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// The live persistence attachment of a durable store.
 #[derive(Debug)]
 struct Persist {
     dir: PathBuf,
-    tx: SyncSender<PersistMsg>,
+    queue: Arc<LogQueue>,
     appended: AtomicU64,
     dropped: AtomicU64,
-    /// Appends dropped since the last snapshot: the gap only the next
+    /// Records dropped since the last snapshot: the gap only the next
     /// snapshot closes.
     unlogged: AtomicU64,
     snapshots: AtomicU64,
@@ -589,12 +655,37 @@ struct Persist {
 }
 
 impl Persist {
-    /// Counts one append that will not reach the log.
-    fn drop_append(&self) {
-        self.dropped.fetch_add(1, Ordering::Relaxed);
-        // Release: a compaction that sees this count also sees the recording
-        // it stands for (inserted into the trie before the append).
-        self.unlogged.fetch_add(1, Ordering::Release);
+    /// Counts `records` that will not reach the log.
+    fn drop_appends(&self, records: u64) {
+        self.dropped.fetch_add(records, Ordering::Relaxed);
+        // Release: a compaction that sees this count also sees the
+        // recordings it stands for (inserted into the trie before the
+        // append).
+        self.unlogged.fetch_add(records, Ordering::Release);
+    }
+
+    /// Queues a durability barrier behind every record appended so far and
+    /// blocks until the writer has served it.
+    fn barrier(&self, snapshot: bool) {
+        let (ack_tx, ack_rx) = mpsc::sync_channel(1);
+        {
+            let mut pending = self.queue.lock();
+            if pending.detached {
+                return;
+            }
+            pending.acks.push(ack_tx);
+            pending.snapshot |= snapshot;
+        }
+        self.queue.work.notify_one();
+        let _ = ack_rx.recv();
+    }
+}
+
+impl Drop for Persist {
+    /// The store is gone: the writer writes what is pending and exits.
+    fn drop(&mut self) {
+        self.queue.lock().closed = true;
+        self.queue.work.notify_one();
     }
 }
 
@@ -667,22 +758,48 @@ impl StoreInner {
         text
     }
 
-    /// Hands one export line to the writer thread; never blocks — a full
-    /// queue or a detached writer drops the append and counts it.
+    /// Renders one store line into the pending batch for the writer thread
+    /// to frame and write.  Waits while the batch holds [`PENDING_BYTES`];
+    /// wakes the writer only for a batch's first record and when the batch
+    /// fills.  A line `decode_log` would refuse, or a detached writer,
+    /// drops the record and counts it.
     fn append_to_log(&self, namespace: &str, query: &Query, outcomes: &[HitMiss]) {
         let Some(persist) = self.persist.get() else {
             return;
         };
-        let mut line =
-            String::with_capacity(namespace.len() + outcomes.len() + 3 * query.len() + 2);
-        push_line(&mut line, namespace, outcomes, query);
-        match persist.tx.try_send(PersistMsg::Append(line)) {
-            Ok(()) => {
-                persist.appended.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                persist.drop_append();
-            }
+        let queue = &persist.queue;
+        let mut pending = queue.lock();
+        while pending.batch.text.len() >= PENDING_BYTES && !pending.detached {
+            pending.waiting += 1;
+            pending = queue
+                .room
+                .wait(pending)
+                .unwrap_or_else(PoisonError::into_inner);
+            pending.waiting -= 1;
+        }
+        if pending.detached {
+            drop(pending);
+            persist.drop_appends(1);
+            return;
+        }
+        let batch = &mut pending.batch;
+        let start = batch.text.len();
+        push_line(&mut batch.text, namespace, outcomes, query);
+        let end = batch.text.len();
+        if end - start > persist::MAX_RECORD_LEN as usize {
+            // Replay would take this frame for corruption and cut the log
+            // there: the record is left to the next snapshot.
+            batch.text.truncate(start);
+            drop(pending);
+            persist.drop_appends(1);
+            return;
+        }
+        let wake = batch.ends.is_empty() || (start < BATCH_BYTES && end >= BATCH_BYTES);
+        batch.ends.push(end);
+        drop(pending);
+        persist.appended.fetch_add(1, Ordering::Relaxed);
+        if wake {
+            queue.work.notify_one();
         }
     }
 
@@ -813,10 +930,13 @@ impl QueryStore {
     }
 
     /// Opens a durable store in `dir` with default options: unbounded
-    /// memory, a 1024-deep writer queue and a 4 MiB compaction threshold
-    /// (both fixed).  Replay costs one MBL parse and one trie insert per
-    /// snapshot line and log record.  Call [`flush`](Self::flush), or drop
-    /// the store, to make everything recorded so far durable.
+    /// memory, and a writer thread that commits records in batches and
+    /// compacts once the log outgrows both 4 MiB and the last snapshot.
+    /// Recording never drops an append: when 16 MiB of records wait for the
+    /// writer, the recording thread waits too.  Replay costs one MBL parse
+    /// and one trie insert per snapshot line and log record.  Call
+    /// [`flush`](Self::flush), or drop the store, to make everything
+    /// recorded so far durable.
     ///
     /// # Errors
     ///
@@ -864,8 +984,10 @@ impl QueryStore {
 
         std::fs::create_dir_all(&dir)?;
         let mut replayed = 0u64;
+        let mut snapshot_bytes = 0u64;
         if let Some(snapshot) = persist::read_snapshot(&dir)? {
             replayed += store.import(&snapshot).imported;
+            snapshot_bytes = snapshot.len() as u64;
         }
         let (records, valid_len) = persist::read_log(&dir)?;
         for line in &records {
@@ -875,16 +997,22 @@ impl QueryStore {
 
         // Open the log eagerly so open-time I/O errors surface here, and so
         // the writer thread never races directory removal with file creation.
-        let log = persist::open_log_for_append(&dir)?;
-        let (tx, rx) = mpsc::sync_channel(QUEUE_DEPTH);
+        let log = Log {
+            file: persist::open_log_for_append(&dir)?,
+            dir: dir.clone(),
+            frames: Vec::with_capacity(2 * BATCH_BYTES),
+            bytes: valid_len,
+            snapshot_bytes,
+        };
+        let queue = Arc::new(LogQueue::default());
         let weak = Arc::downgrade(&store.inner);
-        let writer_dir = dir.clone();
+        let writer_queue = Arc::clone(&queue);
         std::thread::Builder::new()
             .name("cq-store-writer".to_string())
-            .spawn(move || writer_loop(rx, log, writer_dir, weak, valid_len))?;
+            .spawn(move || writer_loop(&writer_queue, log, &weak))?;
         let _ = store.inner.persist.set(Persist {
             dir,
-            tx,
+            queue,
             appended: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             unlogged: AtomicU64::new(0),
@@ -913,30 +1041,23 @@ impl QueryStore {
     }
 
     /// The durability barrier: blocks until everything recorded so far is on
-    /// disk and survives a reopen.  Appends handed to the writer are flushed
-    /// and fsynced to the record log; when appends were dropped since the
-    /// last snapshot (a full writer queue, a failed write), the store is
-    /// compacted into a fresh snapshot instead, which covers them.  Dropping
-    /// a durable store does the same.  No-op for a memory-only store.
+    /// disk and survives a reopen.  The writer writes every pending record
+    /// and fsyncs the log once.  When records were dropped since the last
+    /// snapshot (a failed write, or a record too long for a log frame), it
+    /// compacts the store into a fresh snapshot instead, which covers them.
+    /// Dropping a durable store does the same.  No-op for a memory-only
+    /// store.
     pub fn flush(&self) {
-        let Some(persist) = self.inner.persist.get() else {
-            return;
-        };
-        let (ack_tx, ack_rx) = mpsc::sync_channel(1);
-        if persist.tx.send(PersistMsg::Sync(ack_tx)).is_ok() {
-            let _ = ack_rx.recv();
+        if let Some(persist) = self.inner.persist.get() {
+            persist.barrier(false);
         }
     }
 
     /// Blocks until the store is compacted into a fresh snapshot (and the
     /// log truncated).  No-op for a memory-only store.
     pub fn snapshot(&self) {
-        let Some(persist) = self.inner.persist.get() else {
-            return;
-        };
-        let (ack_tx, ack_rx) = mpsc::sync_channel(1);
-        if persist.tx.send(PersistMsg::Snapshot(ack_tx)).is_ok() {
-            let _ = ack_rx.recv();
+        if let Some(persist) = self.inner.persist.get() {
+            persist.barrier(true);
         }
     }
 
@@ -1217,109 +1338,176 @@ impl QueryStore {
     }
 }
 
-/// The persistence writer: drains the bounded channel, buffers appends,
-/// flushes when idle, fsyncs (or compacts, see [`QueryStore::flush`]) on
-/// demand, and compacts the log into an atomic snapshot past
-/// [`COMPACT_BYTES`].  Exits when every sender is gone (the store was
-/// dropped) after a final flush.
-fn writer_loop(
-    rx: Receiver<PersistMsg>,
-    log: std::fs::File,
+/// The writer's side of the store directory.
+#[derive(Debug)]
+struct Log {
+    file: std::fs::File,
     dir: PathBuf,
-    store: Weak<StoreInner>,
-    mut log_bytes: u64,
-) {
-    let mut log = io::BufWriter::new(log);
-    loop {
-        let Ok(first) = rx.recv() else {
-            break;
-        };
-        let mut next = Some(first);
-        while let Some(msg) = next.take() {
-            match msg {
-                PersistMsg::Append(line) => {
-                    let frame = persist::encode_record(line.as_bytes());
-                    match io::Write::write_all(&mut log, &frame) {
-                        Ok(()) => log_bytes += frame.len() as u64,
-                        Err(_) => {
-                            if let Some(inner) = store.upgrade() {
-                                if let Some(p) = inner.persist.get() {
-                                    p.drop_append();
-                                }
-                            }
-                        }
-                    }
-                }
-                PersistMsg::Sync(ack) => {
-                    let unlogged = store.upgrade().is_some_and(|inner| {
-                        inner
-                            .persist
-                            .get()
-                            .is_some_and(|p| p.unlogged.load(Ordering::Acquire) > 0)
-                    });
-                    if !(unlogged && compact(&mut log, &dir, &store, &mut log_bytes)) {
-                        sync(&mut log);
-                    }
-                    let _ = ack.send(());
-                }
-                PersistMsg::Snapshot(ack) => {
-                    if !compact(&mut log, &dir, &store, &mut log_bytes) {
-                        sync(&mut log);
-                    }
-                    let _ = ack.send(());
-                }
+    /// The framed records of the write in progress.
+    frames: Vec<u8>,
+    /// Bytes in the record log.
+    bytes: u64,
+    /// Bytes of the last snapshot, which the log must outgrow (as well as
+    /// [`COMPACT_BYTES`]) before it is compacted.
+    snapshot_bytes: u64,
+}
+
+impl Log {
+    /// Frames and checksums the records of `batch` and appends them with
+    /// one `write` — one per `2 * BATCH_BYTES` of frames for a batch that
+    /// piled up during a compaction, so the frame buffer stays the size of
+    /// a batch.  A failed write cuts the log back to its last record
+    /// boundary (a torn frame would hide every later record from replay)
+    /// and counts the records not written as dropped.
+    fn write(&mut self, batch: &Batch, store: &Weak<StoreInner>) {
+        let mut start = 0;
+        let mut written = 0;
+        for (index, &end) in batch.ends.iter().enumerate() {
+            persist::encode_record_into(&mut self.frames, &batch.text.as_bytes()[start..end]);
+            start = end;
+            if self.frames.len() < 2 * BATCH_BYTES && index + 1 < batch.ends.len() {
+                continue;
             }
-            next = rx.try_recv().ok();
-        }
-        // The channel is idle: make the buffered tail visible on disk.
-        let _ = io::Write::flush(&mut log);
-        if log_bytes > COMPACT_BYTES {
-            compact(&mut log, &dir, &store, &mut log_bytes);
+            if self.file.write_all(&self.frames).is_err() {
+                self.frames.clear();
+                let _ = self.file.set_len(self.bytes);
+                if let Some(inner) = store.upgrade() {
+                    if let Some(persist) = inner.persist.get() {
+                        persist.drop_appends((batch.ends.len() - written) as u64);
+                    }
+                }
+                return;
+            }
+            self.bytes += self.frames.len() as u64;
+            self.frames.clear();
+            written = index + 1;
         }
     }
-    sync(&mut log);
-}
 
-/// Flushes the buffered log tail and fsyncs the log.
-fn sync(log: &mut io::BufWriter<std::fs::File>) {
-    let _ = io::Write::flush(log);
-    let _ = log.get_ref().sync_data();
-}
-
-/// Compacts the store into a snapshot and truncates the log; returns
-/// whether the snapshot was written.
-///
-/// Ordering is what makes this safe: buffered appends are flushed *before*
-/// the export (every record processed so far was inserted into the trie
-/// before it was sent, so the export covers it), the snapshot replaces its
-/// predecessor atomically, and only then is the log truncated.  A crash at
-/// any point replays either the old snapshot plus the old log, or the new
-/// snapshot plus whatever was appended after it — both consistent.  Appends
-/// dropped before the export are covered by it too, so their count restarts
-/// from zero unless the snapshot fails.
-fn compact(
-    log: &mut io::BufWriter<std::fs::File>,
-    dir: &Path,
-    store: &Weak<StoreInner>,
-    log_bytes: &mut u64,
-) -> bool {
-    let Some(inner) = store.upgrade() else {
-        return false;
-    };
-    let Some(persist) = inner.persist.get() else {
-        return false;
-    };
-    let _ = io::Write::flush(log);
-    let unlogged = persist.unlogged.swap(0, Ordering::AcqRel);
-    let text = inner.export();
-    if persist::write_snapshot(dir, &text).is_ok() && log.get_ref().set_len(0).is_ok() {
-        *log_bytes = 0;
-        persist.snapshots.fetch_add(1, Ordering::Relaxed);
-        true
-    } else {
-        persist.unlogged.fetch_add(unlogged, Ordering::Relaxed);
-        false
+    /// Fsyncs the log.
+    fn sync(&self) {
+        let _ = self.file.sync_data();
     }
+
+    /// Compacts the store into a snapshot and truncates the log; returns
+    /// whether the snapshot was written.
+    ///
+    /// Ordering is what makes this safe: every record the writer has not
+    /// written yet was inserted into the trie before it was appended, so
+    /// the export covers it; the snapshot replaces its predecessor
+    /// atomically, and only then is the log truncated.  A crash at any point
+    /// replays either the old snapshot plus the old log, or the new snapshot
+    /// plus whatever was appended after it — both consistent.  Records
+    /// dropped before the export are covered by it too, so their count
+    /// restarts from zero unless the snapshot fails.
+    fn compact(&mut self, store: &Weak<StoreInner>) -> bool {
+        let Some(inner) = store.upgrade() else {
+            return false;
+        };
+        let Some(persist) = inner.persist.get() else {
+            return false;
+        };
+        let unlogged = persist.unlogged.swap(0, Ordering::AcqRel);
+        let text = inner.export();
+        if persist::write_snapshot(&self.dir, &text).is_ok() && self.file.set_len(0).is_ok() {
+            self.bytes = 0;
+            self.snapshot_bytes = text.len() as u64;
+            persist.snapshots.fetch_add(1, Ordering::Relaxed);
+            true
+        } else {
+            persist.unlogged.fetch_add(unlogged, Ordering::Relaxed);
+            false
+        }
+    }
+}
+
+/// Whether records were dropped since the last snapshot.
+fn unlogged(store: &Weak<StoreInner>) -> bool {
+    store.upgrade().is_some_and(|inner| {
+        inner
+            .persist
+            .get()
+            .is_some_and(|p| p.unlogged.load(Ordering::Acquire) > 0)
+    })
+}
+
+/// Marks the queue detached when the writer exits, by a panic too: waiting
+/// producers then drop their records instead of waiting forever, and
+/// barriers return.
+struct Detach<'a>(&'a LogQueue);
+
+impl Drop for Detach<'_> {
+    fn drop(&mut self) {
+        let mut pending = self.0.lock();
+        pending.detached = true;
+        pending.acks.clear();
+        drop(pending);
+        self.0.room.notify_all();
+    }
+}
+
+/// The persistence writer (group commit): sleeps until a batch has its
+/// first record, lets it fill for [`BATCH_WAIT`] (less when it is full or
+/// a barrier waits), swaps it for an empty one, frames and writes it with
+/// one `write`, then serves the barriers queued with it — an fsync, or a
+/// snapshot when one was asked for or records were dropped since the last
+/// (see [`QueryStore::flush`]).  Compacts the log into an atomic snapshot
+/// once it outgrows both [`COMPACT_BYTES`] and the last snapshot.  Exits
+/// after a final fsync when the store is gone.
+fn writer_loop(queue: &LogQueue, mut log: Log, store: &Weak<StoreInner>) {
+    let _detach = Detach(queue);
+    let mut batch = Batch::default();
+    loop {
+        let (acks, snapshot, closed) = {
+            let mut pending = queue.lock();
+            while pending.batch.ends.is_empty() && pending.acks.is_empty() && !pending.closed {
+                pending = queue
+                    .work
+                    .wait(pending)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            let deadline = Instant::now() + BATCH_WAIT;
+            while pending.batch.text.len() < BATCH_BYTES
+                && pending.acks.is_empty()
+                && !pending.closed
+            {
+                let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                    break;
+                };
+                pending = queue
+                    .work
+                    .wait_timeout(pending, left)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            }
+            std::mem::swap(&mut pending.batch, &mut batch);
+            if pending.waiting > 0 {
+                queue.room.notify_all();
+            }
+            (
+                std::mem::take(&mut pending.acks),
+                std::mem::take(&mut pending.snapshot),
+                pending.closed,
+            )
+        };
+        log.write(&batch, store);
+        batch.recycle();
+        if !acks.is_empty() {
+            if !((snapshot || unlogged(store)) && log.compact(store)) {
+                log.sync();
+            }
+            for ack in acks {
+                let _ = ack.send(());
+            }
+        }
+        if log.bytes > COMPACT_BYTES.max(log.snapshot_bytes) {
+            log.compact(store);
+        }
+        if closed {
+            break;
+        }
+    }
+    log.sync();
 }
 
 #[cfg(test)]
@@ -1686,6 +1874,32 @@ mod tests {
         drop(reopened);
         let third = QueryStore::open(&dir).unwrap();
         assert_eq!(third.lookup(NS, &concrete("A?")), Some(vec![HitMiss::Miss]));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn records_too_long_for_a_log_frame_survive_a_reopen() {
+        // Regression test: a 600,001-operation query renders to a 1.2 MB
+        // line, over `persist::MAX_RECORD_LEN`.  It used to be framed
+        // anyway; replay took the frame for corruption and truncated it and
+        // every later record away, so the store reopened empty.
+        let dir = temp_dir("oversized");
+        let long = concrete("(A B C D)150000 A?");
+        let short = concrete("B C?");
+        let (entries, stats) = {
+            let store = QueryStore::open(&dir).unwrap();
+            assert!(store.record(NS, &long, &[HitMiss::Hit], true));
+            assert!(store.record(NS, &short, &[HitMiss::Miss], true));
+            store.flush();
+            (store.entries(), store.persist_stats())
+        };
+        let reopened = QueryStore::open(&dir).unwrap();
+        assert_eq!(reopened.entries(), entries);
+        assert_eq!(reopened.lookup(NS, &long), Some(vec![HitMiss::Hit]));
+        assert_eq!(reopened.lookup(NS, &short), Some(vec![HitMiss::Miss]));
+        drop(reopened);
+        // The long record was left to the snapshot `flush` took.
+        assert_eq!((stats.appended, stats.dropped, stats.snapshots), (1, 1, 1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

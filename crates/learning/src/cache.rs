@@ -468,37 +468,33 @@ where
     /// either; the trie stays read-locked during the walk.  Because the trie
     /// is prefix-closed, re-recording the maximal words reconstructs the
     /// whole cache — which is exactly what a plain-text export/import needs.
+    ///
+    /// The walk keeps its path on the heap, so a word of any length (a
+    /// store query may have millions of operations) walks in constant stack.
     pub fn for_each_maximal(&self, mut visit: impl FnMut(&[I], &[O])) {
-        fn walk<I: Clone + Eq, O: Clone + PartialEq>(
-            trie: &Trie<I, O>,
-            children: &[(I, u32)],
-            word: &mut Vec<I>,
-            outputs: &mut Vec<O>,
-            visit: &mut impl FnMut(&[I], &[O]),
-        ) {
-            if children.is_empty() {
-                if !word.is_empty() {
-                    visit(word, outputs);
-                }
-                return;
-            }
-            for (symbol, index) in children {
-                let node = &trie.nodes[*index as usize];
-                word.push(symbol.clone());
-                outputs.push(node.output.clone());
-                walk(trie, &node.children, word, outputs, visit);
+        let trie = self.trie.read().unwrap_or_else(PoisonError::into_inner);
+        let mut word = Vec::new();
+        let mut outputs = Vec::new();
+        // The unvisited children of every node on the current path.
+        let mut levels = vec![trie.roots.iter()];
+        while let Some(level) = levels.last_mut() {
+            let Some((symbol, index)) = level.next() else {
+                levels.pop();
                 word.pop();
                 outputs.pop();
+                continue;
+            };
+            let node = &trie.nodes[*index as usize];
+            word.push(symbol.clone());
+            outputs.push(node.output.clone());
+            if node.children.is_empty() {
+                visit(&word, &outputs);
+                word.pop();
+                outputs.pop();
+            } else {
+                levels.push(node.children.iter());
             }
         }
-        let trie = self.trie.read().unwrap_or_else(PoisonError::into_inner);
-        walk(
-            &trie,
-            &trie.roots,
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut visit,
-        );
     }
 
     /// Estimated heap footprint of the trie, in bytes: the node arena plus
@@ -769,6 +765,20 @@ mod tests {
             copy.record(&word, &outputs).unwrap();
         }
         assert_eq!(copy.entries(), cache.entries());
+    }
+
+    #[test]
+    fn maximal_entries_of_a_deep_word_walk_in_constant_stack() {
+        // As deep as a 600,001-operation store query, which a `cqd` query
+        // can expand to: a walk with one call frame per symbol overflows a
+        // thread's stack long before.
+        let cache: QueryCache<u8, u8> = QueryCache::new();
+        let word = vec![7u8; 600_001];
+        cache.record(&word, &word).unwrap();
+        cache.record(&[8], &[8]).unwrap();
+        let mut lengths = Vec::new();
+        cache.for_each_maximal(|word, outputs| lengths.push((word.len(), outputs.len())));
+        assert_eq!(lengths, vec![(600_001, 600_001), (1, 1)]);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Closing a durable store is a durability barrier.
 //!
-//! A campaign records answers faster than the store's writer thread logs
-//! them while it compacts, so some appends are dropped (counted, never lost
-//! from memory) and only a snapshot covers them.  `flush` and dropping the
-//! store must take that snapshot: a reopened directory holds exactly what
-//! the store held when it closed.
+//! A campaign hands every recorded answer to the store's writer thread,
+//! which commits them to the log in batches; a recording thread that finds
+//! the writer 16 MiB behind waits, so no append is dropped.  `flush` and
+//! dropping the store write and fsync what is pending: a reopened
+//! directory holds exactly what the store held when it closed.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -31,6 +31,13 @@ fn learn_new1_4(name: &str) -> (QueryStore, PathBuf) {
     assert_eq!(outcome.stats.membership_queries, 353_310);
     let store = Arc::try_unwrap(store).expect("no engine outlives the campaign");
     assert_eq!(store.entries(), 937_681);
+    // One append per store miss, none dropped, and compactions only when
+    // the log outgrows the last snapshot.
+    let persist = store.persist_stats();
+    assert_eq!(persist.dropped, 0, "appends dropped: {persist:?}");
+    assert_eq!(persist.appended, 604_205, "{persist:?}");
+    assert_eq!(persist.appended, store.misses());
+    assert!(persist.snapshots <= 4, "{persist:?}");
     (store, dir)
 }
 

@@ -6,9 +6,10 @@
 //!
 //! With `--store-dir`, the shared query store is durable: answers append to
 //! a record log in DIR, are compacted into snapshots, and replay on the next
-//! start — a restarted daemon serves yesterday's campaign from memory.  A
-//! `kill -9` loses the unsynced log tail and the appends the writer dropped
-//! since the last snapshot; a graceful shutdown loses nothing.
+//! start — a restarted daemon serves yesterday's campaign from memory.  The
+//! log is written in batches and no answer is ever dropped from it: a
+//! `kill -9` loses at most the batch not yet written (what survives is a
+//! prefix of the answers, in order); a graceful shutdown loses nothing.
 //! `--store-max-entries` bounds the store, evicting whole namespaces chosen
 //! by `--store-evict` (default `lru@16`).
 //!

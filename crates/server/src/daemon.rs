@@ -747,8 +747,8 @@ impl CqdHandle {
             let _ = job.join();
         }
         // Every producer of store answers has stopped: compact a final
-        // snapshot, which covers every record (logged or dropped), so the
-        // next start replays warm (a no-op without --store-dir).
+        // snapshot, so the next start replays one sorted file instead of
+        // the log (a no-op without --store-dir).
         self.shared.store.snapshot();
         // Everything that could emit has joined; push buffered span events
         // out to the trace log.

@@ -626,8 +626,10 @@ wire_struct! {
         /// Records handed to the store's persistence writer (0 when the daemon
         /// runs without `--store-dir`).
         pub persist_appended: u64,
-        /// Appends lost to a full writer queue or write errors — durability
-        /// gaps healed by the next snapshot, never in-memory data loss.
+        /// Records kept out of the log by a write error or a length over a
+        /// log frame's limit — durability gaps healed by the next snapshot,
+        /// never in-memory data loss.  A busy writer makes recordings wait,
+        /// never drop.
         pub persist_dropped: u64,
         /// Compacted snapshots written since startup.
         pub persist_snapshots: u64,

@@ -1,18 +1,29 @@
-//! Crash-recovery integration test: a real `cqd` process with a durable
-//! store is killed with SIGKILL mid-campaign, restarted over the same
-//! directory, and must serve the previously persisted campaign entirely
-//! from memory — zero re-executed backend queries.
+//! Crash-recovery integration tests: a real `cqd` process with a durable
+//! store is killed with SIGKILL mid-campaign.
 //!
-//! The re-execution pin uses the store's own namespace counters: in the
-//! unified query path a store *miss* is exactly what triggers a backend
-//! execution, so a warm re-run of a fully persisted campaign must leave
-//! the campaign namespace at zero misses.
+//! * Restarted over the same directory, it must serve the previously
+//!   persisted campaign entirely from memory — zero re-executed backend
+//!   queries.  The re-execution pin uses the store's own namespace
+//!   counters: in the unified query path a store *miss* is exactly what
+//!   triggers a backend execution, so a warm re-run of a fully persisted
+//!   campaign must leave the campaign namespace at zero misses.
+//! * Reopened in-process, the directory must hold a prefix of the killed
+//!   campaign's records, in the order the campaign recorded them: only the
+//!   tail the writer had not written yet may be missing, never a record
+//!   before it.
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
+use cache::HitMiss;
+use cachequery::{QueryEngine, QueryStore, StoreOptions, StoreTap};
+use mbl::Query;
+use polca::{learn_policy, CacheQueryOracle, LearnSetup, PolicySimBackend};
+use policies::PolicyKind;
 use server::Client;
 
 /// Spawns a durable `cqd` on an ephemeral port and parses its bound
@@ -132,5 +143,102 @@ fn a_killed_daemon_restarts_warm_and_reexecutes_nothing() {
     drop(client);
     child.kill().expect("SIGKILL cqd");
     child.wait().expect("reap cqd");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Appends (made or dropped) after which the prefix test kills the daemon:
+/// about half of a cold New1@4 campaign's 604,205.
+const KILL_AT: u64 = 300_000;
+
+/// A twin campaign's records, in order, checked against the store a killed
+/// daemon left behind: `mirror` re-records every record up to the first one
+/// the reopened store does not answer.
+#[derive(Debug)]
+struct PrefixCheck {
+    reopened: QueryStore,
+    /// `(mirror, records seen, index of the first missing record)`.
+    state: Mutex<(QueryStore, u64, Option<u64>)>,
+}
+
+impl StoreTap for PrefixCheck {
+    fn on_lookup(&self, _namespace: &str, _query: &Query, _hit: bool) {}
+
+    fn on_record(&self, namespace: &str, query: &Query, outcomes: &[HitMiss]) {
+        let mut state = self.state.lock().expect("tap state");
+        let (mirror, seen, first_missing) = &mut *state;
+        *seen += 1;
+        if first_missing.is_some() {
+            return;
+        }
+        if self.reopened.lookup(namespace, query).as_deref() == Some(outcomes) {
+            mirror.record(namespace, query, outcomes, true);
+        } else {
+            *first_missing = Some(*seen);
+        }
+    }
+}
+
+#[test]
+fn a_killed_campaign_leaves_a_prefix_of_its_records() {
+    let dir = temp_dir("prefix");
+    let (mut child, addr) = spawn_daemon(&dir);
+    let mut client = Client::connect(addr).expect("connect");
+    client.learn("New1@4").expect("start New1@4 campaign");
+    let deadline = Instant::now() + Duration::from_secs(300);
+    let appends = loop {
+        let stats = client.stats().expect("stats").global;
+        let appends = stats.persist_appended + stats.persist_dropped;
+        if appends >= KILL_AT {
+            break appends;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            panic!("campaign stalled at {appends} appends");
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    child.kill().expect("SIGKILL cqd");
+    child.wait().expect("reap cqd");
+    drop(client);
+
+    // The same campaign in this process, in the order the daemon recorded
+    // it, over an in-memory store.
+    let check = Arc::new(PrefixCheck {
+        reopened: QueryStore::open(&dir).expect("reopen the killed store"),
+        state: Mutex::new((QueryStore::new(), 0, None)),
+    });
+    let twin = QueryStore::with_options(StoreOptions {
+        tap: Some(Arc::clone(&check) as Arc<dyn StoreTap>),
+        ..StoreOptions::default()
+    })
+    .expect("memory-only store");
+    let backend = PolicySimBackend::new(PolicyKind::New1, 4).expect("New1 supports 4 ways");
+    let engine = QueryEngine::with_store(backend, Arc::new(twin));
+    let oracle = CacheQueryOracle::from_engine(engine).expect("simulated backend is configured");
+    let setup = LearnSetup {
+        workers: 1,
+        ..LearnSetup::default()
+    };
+    let outcome = learn_policy(oracle, &setup).expect("twin campaign");
+    assert_eq!(outcome.machine.num_states(), 160);
+
+    let (mirror, seen, first_missing) = &*check.state.lock().expect("tap state");
+    assert_eq!(*seen, 604_205, "the twin recorded the whole campaign");
+    let survived = first_missing.map_or(*seen, |first| first - 1);
+    assert!(
+        survived > 0,
+        "nothing survived a kill after {appends} appends"
+    );
+    // Everything the directory holds is the campaign's first `survived`
+    // records: no record after a missing one was written.
+    assert_eq!(
+        check.reopened.entries(),
+        mirror.entries(),
+        "the reopened store is not the campaign's first {survived} records"
+    );
+    assert!(
+        check.reopened.export() == mirror.export(),
+        "the reopened store is not the campaign's first {survived} records"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
