@@ -10,7 +10,7 @@
 //! Usage:
 //!   `loadgen [--mode queries|learn-remote|noisy|trace|map]
 //!            [--clients K] [--queries M] [--sets S] [--distinct D]
-//!            [--workers W] [--queue-depth Q] [--json PATH]
+//!            [--workers W] [--json PATH]
 //!            [--policy POLICY@ASSOC] [--flip RATE]
 //!            [--accesses N] [--lines L] [--seed S]
 //!            [--model NAME] [--cat WAYS] [--slice I]`
@@ -511,12 +511,10 @@ fn main() {
     let sets: u64 = args.value_or("sets", 2);
     let distinct: u64 = args.value_or("distinct", 128);
     let workers: usize = args.value_or("workers", 4);
-    let queue_depth: usize = args.value_or("queue-depth", 64);
     let json_path = args.value_of("json").unwrap_or("BENCH_server.json");
 
     let daemon = spawn(CqdConfig {
         workers,
-        queue_depth,
         ..CqdConfig::default()
     })
     .expect("ephemeral port is bindable");

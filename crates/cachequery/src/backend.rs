@@ -6,7 +6,9 @@
 //! * **Set mapping / address selection** — find virtual addresses whose
 //!   physical translations are congruent in the target cache set, so that the
 //!   abstract blocks `A`, `B`, `C`, … of a query can be bound to concrete
-//!   loads.
+//!   loads.  The scan is a pure function of the target and the page table, so
+//!   its result is memoized per target; re-selecting a target restores the
+//!   addresses and still re-calibrates.
 //! * **Cache filtering** — when the target is L2 or L3, every access is
 //!   followed by loads to *non-interfering eviction sets* (congruent in the
 //!   smaller caches, not congruent in the target level) so the next access to
@@ -17,6 +19,7 @@
 //! * **Noise handling** — the machine is quiesced and every query is executed
 //!   several times with a majority vote.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use cache::{CacheGeometry, HitMiss, LevelId};
@@ -149,6 +152,19 @@ struct TargetState {
     hit_threshold: u64,
 }
 
+/// What the address scan of [`Backend::select_target`] found for one target:
+/// the eagerly bound blocks and both filter sets.  The scan reads only the
+/// target, the page table and the memory pools; translations never change
+/// once made and pools only grow, so a re-scan would find exactly these
+/// addresses again (and translate no new page).
+#[derive(Debug, Clone)]
+struct Selection {
+    /// The first [`INITIAL_BLOCKS`] congruent addresses.
+    blocks: Vec<VirtAddr>,
+    l1_filter: Vec<VirtAddr>,
+    l2_filter: Vec<VirtAddr>,
+}
+
 /// Number of filter passes performed when evicting a block from the caches
 /// above the target level.
 const FILTER_PASSES: usize = 3;
@@ -174,7 +190,10 @@ pub struct Backend {
     pool_lines: Vec<VirtAddr>,
     /// How far `pool_lines` has been scanned for each selection predicate is
     /// not tracked; selection simply skips addresses that are already in use.
-    in_use: std::collections::HashSet<u64>,
+    in_use: HashSet<u64>,
+    /// The scan result of every target selected so far: at most one entry
+    /// per set of the machine.  Cleared when CAT changes the geometry.
+    selections: HashMap<Target, Selection>,
     state: Option<TargetState>,
     repetitions: usize,
     reset: ResetSequence,
@@ -192,7 +211,8 @@ impl Backend {
         let mut backend = Backend {
             cpu,
             pool_lines: Vec::new(),
-            in_use: std::collections::HashSet::new(),
+            in_use: HashSet::new(),
+            selections: HashMap::new(),
             state: None,
             repetitions: 3,
             reset: ResetSequence::default(),
@@ -231,14 +251,15 @@ impl Backend {
     }
 
     /// Applies Intel CAT to restrict the last-level cache to `ways` ways.
-    /// The current target (if any) is re-selected afterwards because the
-    /// effective associativity changed.
+    /// Memoized selections are forgotten and the current target (if any) is
+    /// re-selected afterwards because the effective associativity changed.
     ///
     /// # Errors
     ///
     /// Propagates [`CatError`] and address-selection failures.
     pub fn apply_cat(&mut self, ways: usize) -> Result<(), BackendError> {
         self.cpu.apply_cat(LevelId::L3, ways)?;
+        self.selections.clear();
         if let Some(state) = self.state.take() {
             self.select_target(state.target)?;
         }
@@ -275,6 +296,11 @@ impl Backend {
     /// addresses, builds the filter sets and calibrates the classification
     /// threshold.
     ///
+    /// The addresses are found by a scan on the first selection of `target`
+    /// and restored from the memo on every later one, leaving `in_use` as the
+    /// scan would; calibration runs every time, so the machine sees the same
+    /// loads, flushes and latency draws either way.
+    ///
     /// # Errors
     ///
     /// Returns an error if the target is out of range or address selection
@@ -294,6 +320,39 @@ impl Backend {
             });
         }
         let flat = target.flat_index(geometry);
+        let selection = match self.selections.get(&target) {
+            Some(selection) => {
+                let Selection {
+                    blocks,
+                    l1_filter,
+                    l2_filter,
+                } = selection;
+                let addresses = blocks.iter().chain(l1_filter).chain(l2_filter);
+                self.in_use = addresses.map(|addr| addr.0).collect();
+                selection.clone()
+            }
+            None => {
+                let selection = self.scan(target, flat)?;
+                self.selections.insert(target, selection.clone());
+                selection
+            }
+        };
+        let mut state = TargetState {
+            target,
+            flat,
+            blocks: selection.blocks,
+            l1_filter: selection.l1_filter,
+            l2_filter: selection.l2_filter,
+            hit_threshold: 0,
+        };
+        self.calibrate(&mut state);
+        self.state = Some(state);
+        Ok(())
+    }
+
+    /// Finds the addresses of a first selection of `target` (flat set index
+    /// `flat`), starting from an empty `in_use`.
+    fn scan(&mut self, target: Target, flat: usize) -> Result<Selection, BackendError> {
         self.in_use.clear();
 
         // Bind the abstract blocks to addresses congruent in the target set.
@@ -326,18 +385,11 @@ impl Backend {
         } else {
             Vec::new()
         };
-
-        let mut state = TargetState {
-            target,
-            flat,
+        Ok(Selection {
             blocks,
             l1_filter,
             l2_filter,
-            hit_threshold: 0,
-        };
-        self.calibrate(&mut state);
-        self.state = Some(state);
-        Ok(())
+        })
     }
 
     /// Executes a concrete query **once**: reset, replay, measure, classify.
@@ -769,5 +821,77 @@ mod tests {
         // Block index 59 ("BH") is far beyond the initial binding of 48.
         let outcomes = run_str(&mut e, "BH?");
         assert_eq!(outcomes, vec![HitMiss::Miss]);
+    }
+
+    /// The selection script of the memo tests: every level, each target
+    /// selected, left and selected again, with a query after each selection
+    /// (two of them binding block `BH`, past the 48 initial blocks).
+    fn selection_script() -> [(Target, &'static str); 9] {
+        [
+            (Target::new(LevelId::L1, 0, 0), "(@)? X?"),
+            (Target::new(LevelId::L1, 1, 0), "@ X A?"),
+            (Target::new(LevelId::L1, 0, 0), "@ BH? A?"),
+            (Target::new(LevelId::L2, 3, 0), "(@)?"),
+            (Target::new(LevelId::L2, 4, 0), "@ X A?"),
+            (Target::new(LevelId::L2, 3, 0), "@ X A?"),
+            (Target::new(LevelId::L3, 5, 0), "(@)?"),
+            (Target::new(LevelId::L3, 9, 2), "@ X A?"),
+            (Target::new(LevelId::L3, 5, 0), "@ BH? A?"),
+        ]
+    }
+
+    /// Re-selections restore memoized addresses instead of scanning, and the
+    /// machine must not notice: the answers, the load count and the
+    /// time-stamp counter (the sum of every jittered latency and flush, so
+    /// one extra or missing load, flush or RNG draw moves it) equal the
+    /// values this script produced when every selection scanned.
+    #[test]
+    fn reselection_keeps_every_machine_operation() {
+        let mut e = engine(CpuModel::SkylakeI5_6500);
+        let mut patterns = Vec::new();
+        for (target, query) in selection_script() {
+            e.backend_mut().select_target(target).unwrap();
+            patterns.push(crate::encode_pattern(&run_str(&mut e, query)));
+        }
+        assert_eq!(
+            patterns.join(" "),
+            "HHHHHHHHM M MM HHHH M M HHHHHHHHHHHH M MM"
+        );
+        assert_eq!(e.backend().selections.len(), 6);
+        assert_eq!(e.backend().cpu().load_count(), 45_240);
+        assert_eq!(e.backend().cpu().rdtsc(), 1_753_160);
+    }
+
+    #[test]
+    fn a_restored_selection_equals_a_rescan() {
+        let mut restored = Backend::new(SimulatedCpu::new(CpuModel::SkylakeI5_6500, 99));
+        for (target, _) in &selection_script()[..5] {
+            restored.select_target(*target).unwrap();
+        }
+        let mut rescanned = restored.clone();
+        rescanned.selections.clear();
+        let target = Target::new(LevelId::L2, 3, 0);
+        restored.select_target(target).unwrap();
+        rescanned.select_target(target).unwrap();
+        let (a, b) = (restored.state.unwrap(), rescanned.state.unwrap());
+        assert_eq!(a.blocks, b.blocks);
+        assert_eq!(a.l1_filter, b.l1_filter);
+        assert_eq!(a.l2_filter, b.l2_filter);
+        assert_eq!(a.hit_threshold, b.hit_threshold);
+        assert_eq!(restored.in_use, rescanned.in_use);
+        assert_eq!(restored.cpu.rdtsc(), rescanned.cpu.rdtsc());
+    }
+
+    #[test]
+    fn cat_forgets_memoized_selections() {
+        let mut b = Backend::new(SimulatedCpu::new(CpuModel::SkylakeI5_6500, 99));
+        b.select_target(Target::new(LevelId::L1, 0, 0)).unwrap();
+        b.select_target(Target::new(LevelId::L3, 0, 0)).unwrap();
+        assert_eq!(b.selections.len(), 2);
+        b.apply_cat(4).unwrap();
+        // Only the current target, re-selected under the new geometry, is
+        // memoized.
+        let memoized: Vec<Target> = b.selections.keys().copied().collect();
+        assert_eq!(memoized, [Target::new(LevelId::L3, 0, 0)]);
     }
 }

@@ -23,7 +23,7 @@
 //!   (and the same learning pipeline) runs against a remote machine.
 //!
 //! Engines that should share answers share one [`QueryStore`] behind an
-//! [`Arc`]: the `cqd` daemon gives its sessions, worker pool *and* learning
+//! [`Arc`]: the `cqd` daemon gives its sessions, backend pool *and* learning
 //! jobs one store, so a multi-second learning campaign fills the same trie
 //! that interactive sessions are served from.
 //!

@@ -4,7 +4,7 @@
 //! Since the engine refactor this type holds **no cache of its own**: the
 //! single memoization layer is the engine's [`QueryStore`], which can be
 //! private to one tool instance ([`CacheQuery::new`]) or shared with other
-//! engines — other tools, the `cqd` daemon's worker pool, learning jobs —
+//! engines — other tools, the `cqd` daemon's backend pool, learning jobs —
 //! through [`CacheQuery::with_store`].
 
 use std::sync::Arc;

@@ -1,8 +1,10 @@
 //! Standalone `cqd` daemon.
 //!
-//! Usage: `cqd [--addr HOST:PORT] [--workers N] [--queue-depth N]
-//! [--trace-log PATH] [--store-dir DIR] [--store-max-entries N]
-//! [--store-evict POLICY[@WAYS]]`
+//! Usage: `cqd [--addr HOST:PORT] [--workers N] [--trace-log PATH]
+//! [--store-dir DIR] [--store-max-entries N] [--store-evict POLICY[@WAYS]]`
+//!
+//! `--workers` caps how many sessions execute store misses on the
+//! simulated machines at once (default 4); the others wait for a slot.
 //!
 //! With `--store-dir`, the shared query store is durable: answers append to
 //! a record log in DIR, are compacted into snapshots, and replay on the next
@@ -33,9 +35,6 @@ fn main() {
     }
     if let Some(workers) = value_of(&args, "--workers").and_then(|v| v.parse().ok()) {
         config.workers = workers;
-    }
-    if let Some(depth) = value_of(&args, "--queue-depth").and_then(|v| v.parse().ok()) {
-        config.queue_depth = depth;
     }
     if let Some(path) = value_of(&args, "--trace-log") {
         config.trace_log = Some(path.into());

@@ -9,36 +9,35 @@
 //!   configuration) and answers what it can without touching a backend:
 //!   protocol chatter, configuration changes, and — crucially — every
 //!   concrete query already memoized in the shared [`QueryStore`];
-//! * store misses are routed to a fixed **worker pool** through a *bounded*
-//!   channel: when all workers are busy and the queue is full, sessions
-//!   block on `send`, which is the daemon's backpressure (clients see
-//!   latency, the backend pool never sees unbounded queues);
-//! * workers own the **backend pool** — one [`QueryEngine`] per backend
-//!   identity (CPU model × seed × CAT restriction, or simulated policy),
-//!   created lazily
-//!   and serialized by a mutex, all sharing the daemon's one store: the
-//!   engine *is* the concurrent implementation of the memoization layer,
-//!   and the "scarce hardware" it multiplexes;
+//! * a session serves its store misses itself, on the **backend pool** —
+//!   one [`QueryEngine`] per backend identity (CPU model × seed × CAT
+//!   restriction, or simulated policy), created lazily and serialized by a
+//!   mutex, all sharing the daemon's one store: the engine *is* the
+//!   concurrent implementation of the memoization layer, and the "scarce
+//!   hardware" it multiplexes;
+//! * a **miss gate** admits at most [`CqdConfig::workers`] sessions to the
+//!   backend pool at once; the others wait for a slot, which is the
+//!   daemon's backpressure (clients see latency, the pool never sees more
+//!   concurrent work than the cap);
 //! * `learn` requests spawn asynchronous [`polca::LearnJob`]s whose oracle
 //!   runs through an engine over the **same shared store** — campaign
 //!   answers land in the trie sessions are served from (and vice versa);
-//!   sessions poll or stream live job progress without occupying a worker.
+//!   sessions poll or stream live job progress without taking a miss slot.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use cache::{HitMiss, LevelId};
 use cachequery::{
     encode_pattern, parse_command, Backend, Command, NoiseSpec, PolicyEvictor, QueryBackend,
-    QueryConfig, QueryEngine, QueryStore, ResetSequence, StoreOptions, StoreSpace, Target,
-    DEFAULT_NOISY_REPS, HELP_TEXT,
+    QueryConfig, QueryEngine, QueryOutcome, QueryStore, ResetSequence, StoreOptions, StoreSpace,
+    Target, DEFAULT_NOISY_REPS, HELP_TEXT,
 };
 use hardware::{CpuModel, SimulatedCpu};
 use mbl::{expand_query, render_query, Query};
@@ -63,11 +62,9 @@ use crate::proto::{
 pub struct CqdConfig {
     /// Address to bind (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Size of the backend worker pool.
+    /// How many sessions may execute store misses on the backend pool at
+    /// once (at least 1); the others wait for a slot (backpressure).
     pub workers: usize,
-    /// Capacity of the bounded work queue; once full, sessions block
-    /// (backpressure).
-    pub queue_depth: usize,
     /// When set, the daemon appends structured span events (one JSON object
     /// per line) covering request handling, engine batches and learning
     /// campaigns to this file.
@@ -90,7 +87,6 @@ impl Default for CqdConfig {
         CqdConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
-            queue_depth: 64,
             trace_log: None,
             store_dir: None,
             store_max_entries: None,
@@ -129,7 +125,8 @@ const MAX_EXPANSIONS: usize = 4096;
 /// executes a voted query `reps` times per round and escalates over at most
 /// `VoteConfig::max_rounds` rounds, so the cap bounds one query at
 /// `MAX_REPS · 2^(max_rounds − 1)` executions; unbounded, a single `target`
-/// line could pin a worker (and its machine's pooled backend) indefinitely.
+/// line could hold a miss slot (and its machine's pooled backend)
+/// indefinitely.
 const MAX_REPS: usize = 99;
 
 /// The backend half of a resolved session spec: which scarce oracle answers
@@ -175,8 +172,8 @@ impl ResolvedSpec {
     /// an identically-configured backend.  For hardware specs this renders
     /// byte-identically to `Backend`'s own
     /// [`QueryBackend::config`](cachequery::QueryBackend::config), which is
-    /// what makes session-side store lookups and worker-side engine
-    /// recordings meet in one namespace.
+    /// what makes session-side store lookups and pooled-engine recordings
+    /// meet in one namespace.
     pub(crate) fn config(&self) -> QueryConfig {
         match &self.backend {
             ResolvedBackend::Hardware { model, seed, cat } => QueryConfig {
@@ -533,8 +530,8 @@ impl BackendPool {
             },
         };
         // The engine shares the daemon-wide store: one memoization layer,
-        // one source of hit-rate truth, across sessions, workers and learn
-        // jobs alike.
+        // one source of hit-rate truth, across sessions and learn jobs
+        // alike.
         let mut engine = QueryEngine::with_store(backend, Arc::clone(store));
         engine.set_recorder(recorder.clone());
         let instance = Arc::new(Mutex::new(PooledBackend {
@@ -550,26 +547,45 @@ impl BackendPool {
     }
 }
 
-/// A unit of backend work: concrete queries that missed the shared store,
-/// tagged with their position in the session's result vector.
-struct WorkItem {
-    spec: ResolvedSpec,
-    queries: Vec<(usize, Query)>,
-    reply: mpsc::Sender<Result<Vec<(usize, WireOutcome)>, String>>,
+/// Caps the sessions executing store misses at once at
+/// [`CqdConfig::workers`]: the daemon's backpressure.  The number of taken
+/// slots is the `busy_workers` gauge.
+#[derive(Debug, Default)]
+struct MissGate {
+    taken: Mutex<usize>,
+    freed: Condvar,
 }
 
-/// State shared by the accept loop, sessions and workers.
+/// One taken slot of the [`MissGate`], given back on drop (also when the
+/// holder unwinds).
+struct MissSlot<'a> {
+    shared: &'a Shared,
+}
+
+impl Drop for MissSlot<'_> {
+    fn drop(&mut self) {
+        let shared = self.shared;
+        *lock_unpoisoned(&shared.gate.taken, &shared.metrics.lock_poisoned) -= 1;
+        shared.metrics.busy_workers.dec();
+        shared.gate.freed.notify_one();
+    }
+}
+
+/// State shared by the accept loop and the sessions.
 #[derive(Debug)]
 struct Shared {
     config: CqdConfig,
     store: Arc<QueryStore>,
     metrics: ServerMetrics,
     /// Structured span tracing, present only when the daemon was configured
-    /// with a trace log.  Every query path (sessions, workers, learning
-    /// campaigns) hangs its spans off this one recorder.
+    /// with a trace log.  Every query path (sessions, learning campaigns)
+    /// hangs its spans off this one recorder.
     recorder: Option<Arc<Recorder>>,
     started: Instant,
+    /// The spec every session starts with, resolved once at startup.
+    default_spec: ResolvedSpec,
     pool: BackendPool,
+    gate: MissGate,
     jobs: Mutex<HashMap<u64, LearnJob>>,
     next_job_id: AtomicU64,
     shutdown: AtomicBool,
@@ -577,6 +593,22 @@ struct Shared {
 }
 
 impl Shared {
+    /// Waits until fewer than `workers` sessions execute misses, then takes
+    /// a slot.
+    fn enter_gate(&self) -> MissSlot<'_> {
+        let gate = &self.gate;
+        let mut taken = lock_unpoisoned(&gate.taken, &self.metrics.lock_poisoned);
+        while *taken >= self.config.workers.max(1) {
+            taken = gate.freed.wait(taken).unwrap_or_else(|e| {
+                self.metrics.lock_poisoned.inc();
+                e.into_inner()
+            });
+        }
+        *taken += 1;
+        self.metrics.busy_workers.inc();
+        MissSlot { shared: self }
+    }
+
     fn global_stats(&self) -> WireStats {
         let jobs = lock_unpoisoned(&self.jobs, &self.metrics.lock_poisoned);
         let jobs_finished = jobs.values().filter(|j| j.status().is_terminal()).count() as u64;
@@ -680,8 +712,6 @@ pub struct CqdHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept_handle: Option<thread::JoinHandle<()>>,
-    worker_handles: Vec<thread::JoinHandle<()>>,
-    work_tx: Option<SyncSender<WorkItem>>,
 }
 
 impl CqdHandle {
@@ -700,8 +730,8 @@ impl CqdHandle {
         self.shared.pool.len(&self.shared.metrics.lock_poisoned)
     }
 
-    /// Stops accepting connections, drains sessions, joins the worker pool
-    /// and all learning jobs.
+    /// Stops accepting connections, drains sessions and joins all learning
+    /// jobs.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -731,11 +761,6 @@ impl CqdHandle {
             guard.drain(..).collect()
         };
         for handle in sessions {
-            let _ = handle.join();
-        }
-        // Closing the work channel terminates the workers.
-        self.work_tx = None;
-        for handle in self.worker_handles.drain(..) {
             let _ = handle.join();
         }
         // Join outstanding learning jobs so no thread outlives the daemon.
@@ -769,13 +794,13 @@ impl Drop for CqdHandle {
 /// # Errors
 ///
 /// Propagates the bind error if the configured address is unavailable, an
-/// I/O error from opening/replaying the durable store, and an invalid
-/// `store_evict` spec.
+/// I/O error from opening/replaying the durable store, an invalid
+/// `store_evict` spec, and the error of spawning the accept thread.
 pub fn spawn(config: CqdConfig) -> std::io::Result<CqdHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    let (work_tx, work_rx) = mpsc::sync_channel::<WorkItem>(config.queue_depth.max(1));
-    let work_rx = Arc::new(Mutex::new(work_rx));
+    let default_spec = resolve(&SessionSpec::default())
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
     let recorder = match &config.trace_log {
         None => None,
         Some(path) => {
@@ -800,58 +825,37 @@ pub fn spawn(config: CqdConfig) -> std::io::Result<CqdHandle> {
         metrics: ServerMetrics::default(),
         recorder,
         started: Instant::now(),
+        default_spec,
         pool: BackendPool::default(),
+        gate: MissGate::default(),
         jobs: Mutex::new(HashMap::new()),
         next_job_id: AtomicU64::new(1),
         shutdown: AtomicBool::new(false),
         sessions: Mutex::new(Vec::new()),
     });
 
-    let mut worker_handles = Vec::with_capacity(config.workers);
-    for worker in 0..config.workers.max(1) {
-        let shared = Arc::clone(&shared);
-        let work_rx = Arc::clone(&work_rx);
-        worker_handles.push(
-            thread::Builder::new()
-                .name(format!("cqd-worker-{worker}"))
-                .spawn(move || worker_loop(&shared, &work_rx))
-                .expect("spawning a worker thread cannot fail"),
-        );
-    }
-
     let accept_shared = Arc::clone(&shared);
-    let accept_tx = work_tx.clone();
     let accept_handle = thread::Builder::new()
         .name("cqd-accept".to_string())
-        .spawn(move || accept_loop(listener, &accept_shared, &accept_tx))
-        .expect("spawning the accept thread cannot fail");
+        .spawn(move || accept_loop(listener, &accept_shared))?;
 
     Ok(CqdHandle {
         addr,
         shared,
         accept_handle: Some(accept_handle),
-        worker_handles,
-        work_tx: Some(work_tx),
     })
 }
 
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, work_tx: &SyncSender<WorkItem>) {
+fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        shared.metrics.sessions_total.inc();
-        shared.metrics.sessions_active.inc();
-        let session_shared = Arc::clone(shared);
-        let session_tx = work_tx.clone();
-        let handle = thread::Builder::new()
-            .name("cqd-session".to_string())
-            .spawn(move || {
-                session_loop(stream, &session_shared, &session_tx);
-                session_shared.metrics.sessions_active.dec();
-            })
-            .expect("spawning a session thread cannot fail");
+        let builder = thread::Builder::new().name("cqd-session".to_string());
+        let Some(handle) = start_session(builder, stream, shared) else {
+            continue;
+        };
         let mut sessions = lock_unpoisoned(&shared.sessions, &shared.metrics.lock_poisoned);
         // Reap finished sessions so a long-running daemon does not accumulate
         // one JoinHandle per connection it ever served.
@@ -860,51 +864,49 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, work_tx: &SyncSender
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>, work_rx: &Arc<Mutex<Receiver<WorkItem>>>) {
-    loop {
-        let item = {
-            let receiver = lock_unpoisoned(work_rx, &shared.metrics.lock_poisoned);
-            receiver.recv()
-        };
-        let Ok(item) = item else { break };
-        shared.metrics.busy_workers.inc();
-        let outcome = execute_item(shared, &item);
-        shared.metrics.busy_workers.dec();
-        // A dropped receiver just means the session went away mid-request.
-        let _ = item.reply.send(outcome);
+/// Runs a session for `stream` on a thread spawned by `builder`.  When the
+/// thread cannot be spawned, the connection gets one `error` line and is
+/// closed, and the daemon keeps accepting.
+fn start_session(
+    builder: thread::Builder,
+    stream: TcpStream,
+    shared: &Arc<Shared>,
+) -> Option<thread::JoinHandle<()>> {
+    shared.metrics.sessions_total.inc();
+    shared.metrics.sessions_active.inc();
+    // A second handle on the socket, to refuse the connection if the session
+    // thread (which owns `stream`) never starts.
+    let refusal = stream.try_clone();
+    let session_shared = Arc::clone(shared);
+    let spawned = builder.spawn(move || {
+        session_loop(stream, &session_shared);
+        session_shared.metrics.sessions_active.dec();
+    });
+    match spawned {
+        Ok(handle) => Some(handle),
+        Err(e) => {
+            shared.metrics.sessions_active.dec();
+            if let Ok(mut writer) = refusal {
+                let message = format!("cannot start a session: {e}");
+                let _ = write_response(&mut writer, &Response::Error { message });
+            }
+            None
+        }
     }
 }
 
-fn execute_item(
-    shared: &Arc<Shared>,
-    item: &WorkItem,
-) -> Result<Vec<(usize, WireOutcome)>, String> {
-    // Another session may have answered these queries while the item sat in
-    // the queue; the store is the cheaper oracle, ask it again first — and
-    // only lock (or lazily create, or re-target + re-calibrate) the scarce
-    // pooled backend if something is still missing.
-    let space = shared.store.space(&item.spec.config().to_string());
-    let mut results = Vec::with_capacity(item.queries.len());
-    let mut missing: Vec<(usize, Query)> = Vec::new();
-    for (index, query) in &item.queries {
-        match space.lookup(query) {
-            Some(outcomes) => results.push((
-                *index,
-                WireOutcome {
-                    query: render_query(query),
-                    pattern: encode_pattern(&outcomes),
-                    consistent: true,
-                    cached: true,
-                },
-            )),
-            None => missing.push((*index, query.clone())),
-        }
-    }
-    if missing.is_empty() {
-        return Ok(results);
-    }
+/// Runs the queries of `spec` that missed the session's store lookup on its
+/// machine's pooled engine, once the miss gate admits this session.  The
+/// engine re-checks the store under the machine's lock (another session may
+/// have answered a query in the meantime) and records fresh answers.
+fn execute_misses(
+    shared: &Shared,
+    spec: &ResolvedSpec,
+    queries: &[Query],
+) -> Result<Vec<QueryOutcome>, String> {
+    let _slot = shared.enter_gate();
     let instance = shared.pool.instance(
-        &item.spec,
+        spec,
         &shared.store,
         &shared.recorder,
         &shared.metrics.lock_poisoned,
@@ -918,30 +920,8 @@ fn execute_item(
             poisoned.into_inner()
         }
     };
-    backend.configure(&item.spec)?;
-    // The engine re-checks the store before executing (a query may have been
-    // answered while this worker waited on the mutex) and records fresh
-    // answers — the standard unified path.
-    let queries: Vec<Query> = missing.iter().map(|(_, q)| q.clone()).collect();
-    let outcomes = backend
-        .engine
-        .run_many(&queries)
-        .map_err(|e| e.to_string())?;
-    for ((index, _), outcome) in missing.iter().zip(outcomes) {
-        if !outcome.from_cache {
-            shared.metrics.backend_queries.inc();
-        }
-        results.push((
-            *index,
-            WireOutcome {
-                query: outcome.rendered,
-                pattern: encode_pattern(&outcome.outcomes),
-                consistent: outcome.consistent,
-                cached: outcome.from_cache,
-            },
-        ));
-    }
-    Ok(results)
+    backend.configure(spec)?;
+    backend.engine.run_many(queries).map_err(|e| e.to_string())
 }
 
 /// Per-session mutable state.
@@ -961,7 +941,7 @@ impl Session {
     }
 }
 
-fn session_loop(stream: TcpStream, shared: &Arc<Shared>, work_tx: &SyncSender<WorkItem>) {
+fn session_loop(stream: TcpStream, shared: &Arc<Shared>) {
     let Ok(read_stream) = stream.try_clone() else {
         return;
     };
@@ -970,11 +950,10 @@ fn session_loop(stream: TcpStream, shared: &Arc<Shared>, work_tx: &SyncSender<Wo
     }
     let mut reader = BufReader::new(read_stream);
     let mut writer = stream;
-    let wire_spec = SessionSpec::default();
-    let spec = resolve(&wire_spec).expect("the default session spec is valid");
+    let spec = shared.default_spec.clone();
     let space = shared.store.space(&spec.config().to_string());
     let mut session = Session {
-        wire_spec,
+        wire_spec: SessionSpec::default(),
         spec,
         space,
         stats: WireSessionStats::default(),
@@ -988,7 +967,7 @@ fn session_loop(stream: TcpStream, shared: &Arc<Shared>, work_tx: &SyncSender<Wo
         match read_line_bounded(&mut reader, &mut buf, MAX_REQUEST_BYTES) {
             Ok(LineRead::Eof) => break,
             Ok(LineRead::TooLong) => {
-                // Every other daemon resource is bounded (queue depth,
+                // Every other daemon resource is bounded (miss slots,
                 // expansions, the mbl crate's own expansion guard); the
                 // request line must be too.
                 let _ = write_response(
@@ -1016,8 +995,7 @@ fn session_loop(stream: TcpStream, shared: &Arc<Shared>, work_tx: &SyncSender<Wo
                             span.set("cmd", request.tag());
                         }
                         let started = Instant::now();
-                        let ok =
-                            handle_request(shared, work_tx, &mut session, &request, &mut writer);
+                        let ok = handle_request(shared, &mut session, &request, &mut writer);
                         shared
                             .metrics
                             .request_ns
@@ -1109,7 +1087,6 @@ fn read_line_bounded(
 /// Handles one request; returns `false` when the connection should close.
 fn handle_request(
     shared: &Arc<Shared>,
-    work_tx: &SyncSender<WorkItem>,
     session: &mut Session,
     request: &Request,
     writer: &mut TcpStream,
@@ -1140,7 +1117,7 @@ fn handle_request(
             }
             Err(message) => Response::Error { message },
         },
-        Request::Query { mbl } => match run_mbl(shared, work_tx, session, mbl) {
+        Request::Query { mbl } => match run_mbl(shared, session, mbl) {
             Ok(results) => Response::Outcomes { results },
             Err(message) => Response::Error { message },
         },
@@ -1148,7 +1125,7 @@ fn handle_request(
             let mut groups = Vec::with_capacity(exprs.len());
             let mut error = None;
             for expr in exprs {
-                match run_mbl(shared, work_tx, session, expr) {
+                match run_mbl(shared, session, expr) {
                     Ok(results) => groups.push(results),
                     Err(message) => {
                         error = Some(message);
@@ -1161,7 +1138,7 @@ fn handle_request(
                 Some(message) => Response::Error { message },
             }
         }
-        Request::Repl { line } => handle_repl(shared, work_tx, session, line),
+        Request::Repl { line } => handle_repl(shared, session, line),
         Request::Learn { spec } => handle_learn(shared, spec),
         Request::Replay {
             spec,
@@ -1206,11 +1183,10 @@ fn handle_request(
     write_response(writer, &response).is_ok()
 }
 
-/// Expands one MBL expression, serves what the store knows, routes the rest
-/// through the worker pool, and reassembles the results in expansion order.
+/// Expands one MBL expression, serves what the store knows, executes the
+/// rest on the session's machine, and answers in expansion order.
 fn run_mbl(
     shared: &Arc<Shared>,
-    work_tx: &SyncSender<WorkItem>,
     session: &mut Session,
     mbl: &str,
 ) -> Result<Vec<WireOutcome>, String> {
@@ -1221,41 +1197,39 @@ fn run_mbl(
             queries.len()
         ));
     }
-    let mut results: Vec<Option<WireOutcome>> = vec![None; queries.len()];
+    let mut results = Vec::with_capacity(queries.len());
+    let mut slots = Vec::new();
     let mut misses = Vec::new();
-    for (index, query) in queries.into_iter().enumerate() {
+    for query in queries {
         match session.space.lookup(&query) {
-            Some(outcomes) => {
-                results[index] = Some(WireOutcome {
-                    query: render_query(&query),
-                    pattern: encode_pattern(&outcomes),
-                    consistent: true,
-                    cached: true,
-                });
+            Some(outcomes) => results.push(WireOutcome {
+                query: render_query(&query),
+                pattern: encode_pattern(&outcomes),
+                consistent: true,
+                cached: true,
+            }),
+            None => {
+                // The slot is overwritten with the executed answer below.
+                slots.push(results.len());
+                results.push(WireOutcome::default());
+                misses.push(query);
             }
-            None => misses.push((index, query)),
         }
     }
     if !misses.is_empty() {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        work_tx
-            .send(WorkItem {
-                spec: session.spec.clone(),
-                queries: misses,
-                reply: reply_tx,
-            })
-            .map_err(|_| "server is shutting down".to_string())?;
-        let worker_results = reply_rx
-            .recv()
-            .map_err(|_| "backend worker disappeared".to_string())??;
-        for (index, outcome) in worker_results {
-            results[index] = Some(outcome);
+        let outcomes = execute_misses(shared, &session.spec, &misses)?;
+        for (slot, outcome) in slots.into_iter().zip(outcomes) {
+            if !outcome.from_cache {
+                shared.metrics.backend_queries.inc();
+            }
+            results[slot] = WireOutcome {
+                query: outcome.rendered,
+                pattern: encode_pattern(&outcome.outcomes),
+                consistent: outcome.consistent,
+                cached: outcome.from_cache,
+            };
         }
     }
-    let results: Vec<WireOutcome> = results
-        .into_iter()
-        .map(|r| r.expect("every expansion index is answered"))
-        .collect();
     let hits = results.iter().filter(|r| r.cached).count() as u64;
     session.stats.queries += results.len() as u64;
     session.stats.store_hits += hits;
@@ -1266,13 +1240,8 @@ fn run_mbl(
 
 /// Maps one line of the shared REPL command language onto the session: the
 /// same [`Command`] values `mbl_repl` executes in-process reconfigure this
-/// session's spec or run queries through the store/worker path.
-fn handle_repl(
-    shared: &Arc<Shared>,
-    work_tx: &SyncSender<WorkItem>,
-    session: &mut Session,
-    line: &str,
-) -> Response {
+/// session's spec or run queries through the store/backend path.
+fn handle_repl(shared: &Arc<Shared>, session: &mut Session, line: &str) -> Response {
     let Some(command) = parse_command(line) else {
         return Response::Done {
             message: String::new(),
@@ -1322,7 +1291,7 @@ fn handle_repl(
             session.stats.queries, session.stats.store_hits
         )),
         Command::Query(mbl) => {
-            return match run_mbl(shared, work_tx, session, mbl) {
+            return match run_mbl(shared, session, mbl) {
                 Ok(results) => Response::Outcomes { results },
                 Err(message) => Response::Error { message },
             };
@@ -1816,6 +1785,34 @@ fn stream_wait(shared: &Arc<Shared>, id: u64, writer: &mut TcpStream) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_session_thread_that_cannot_start_refuses_its_connection() {
+        let daemon = spawn(CqdConfig::default()).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        // No stack this large can be mapped, so the spawn fails at once
+        // without starting a thread.
+        let builder = thread::Builder::new().stack_size(1 << 60);
+        assert!(start_session(builder, accepted, &daemon.shared).is_none());
+        let mut reader = BufReader::new(client);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.starts_with(r#"{"resp":"error""#), "{line}");
+        assert!(line.contains("cannot start a session"), "{line}");
+        // One error line, then the connection is closed.
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0);
+        let metrics = &daemon.shared.metrics;
+        assert_eq!(metrics.sessions_total.get(), 1);
+        assert_eq!(metrics.sessions_active.get(), 0);
+        // The daemon still serves new connections.
+        let mut session = crate::Client::connect(daemon.addr()).unwrap();
+        assert_eq!(session.hello().unwrap().server, "cqd");
+        session.quit().unwrap();
+        daemon.shutdown();
+    }
 
     #[test]
     fn specs_resolve_and_validate() {

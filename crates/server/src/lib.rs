@@ -11,9 +11,10 @@
 //!   session with its own backend/target configuration — a simulated
 //!   machine, or a bare simulated replacement policy (`policy: POLICY@ASSOC`);
 //! * sessions are multiplexed onto a pool of
-//!   [`cachequery::QueryEngine`]-wrapped backends (one per backend identity)
-//!   through a bounded worker queue — full queue means blocked senders,
-//!   which is the backpressure;
+//!   [`cachequery::QueryEngine`]-wrapped backends (one per backend identity):
+//!   a session runs its store misses itself, and at most
+//!   [`CqdConfig::workers`] sessions do so at once — the others wait for a
+//!   slot, which is the backpressure;
 //! * every engine of the pool shares the daemon's one [`QueryStore`] (the
 //!   prefix-trie memoization layer of the unified query path), so identical
 //!   (or prefix-overlapping) MBL expansions from different clients are

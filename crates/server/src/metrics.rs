@@ -1,9 +1,9 @@
-//! Global daemon metrics, shared by every session and worker.
+//! Global daemon metrics, shared by every session.
 //!
 //! Every instrument lives in one [`obs::Registry`], so the `metrics` command
 //! renders the entire daemon state in one pass; the typed handles below keep
 //! the hot paths free of name lookups.  Counters are monotonic; the two
-//! up/down quantities (active sessions, busy workers) are saturating
+//! up/down quantities (active sessions, taken miss slots) are saturating
 //! [`Gauge`]s, so an unpaired decrement clamps at zero instead of wrapping.
 
 use std::sync::Arc;
@@ -28,10 +28,10 @@ pub struct ServerMetrics {
     pub backend_queries: Arc<Counter>,
     /// Learning jobs spawned.
     pub jobs_spawned: Arc<Counter>,
-    /// Workers currently executing backend work.
+    /// Sessions currently executing store misses (taken miss slots).
     pub busy_workers: Arc<Gauge>,
-    /// Poisoned locks recovered on the request path: a session or worker
-    /// panicked mid-operation and the daemon degraded to an error response
+    /// Poisoned locks recovered on the request path: a session panicked
+    /// mid-operation and the daemon degraded to an error response
     /// instead of letting the poison cascade.
     pub lock_poisoned: Arc<Counter>,
     /// Wall-clock nanoseconds spent handling each protocol request.

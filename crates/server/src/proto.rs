@@ -491,14 +491,15 @@ wire_struct! {
         pub server: String,
         /// Protocol version.
         pub proto: u64,
-        /// Worker-pool size.
+        /// How many sessions may execute store misses at once
+        /// ([`CqdConfig::workers`](crate::CqdConfig::workers)).
         pub workers: u64,
     }
 }
 
 wire_struct! {
     /// One executed concrete query, as sent over the wire.
-    #[derive(Debug, Clone, PartialEq, Eq)]
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct WireOutcome {
         /// The rendered concrete query (after MBL expansion).
         pub query: String,
@@ -611,9 +612,10 @@ wire_struct! {
         pub jobs_spawned: u64,
         /// Learning jobs in a terminal state.
         pub jobs_finished: u64,
-        /// Workers currently executing backend work (backend occupancy).
+        /// Sessions currently executing store misses on the backend pool
+        /// (backend occupancy).
         pub busy_workers: u64,
-        /// Size of the worker pool.
+        /// How many sessions may execute store misses at once.
         pub workers: u64,
         /// Store recordings dropped because they contradicted an earlier answer
         /// or were malformed (the nondeterminism signal of §7.1).
@@ -635,8 +637,8 @@ wire_struct! {
         pub persist_snapshots: u64,
         /// Records replayed from disk when the store opened.
         pub persist_replayed: u64,
-        /// Poisoned locks recovered on the request path (a worker or session
-        /// panicked mid-operation; the daemon degrades instead of dying).
+        /// Poisoned locks recovered on the request path (a session panicked
+        /// mid-operation; the daemon degrades instead of dying).
         pub lock_poisoned: u64,
         /// Queries that went through the engine's repetition/majority vote —
         /// session backends and learning campaigns alike (the tally lives on the

@@ -3,6 +3,7 @@
 //! `CacheQuery`, while the shared cross-session store absorbs the overlap.
 
 use std::collections::BTreeMap;
+use std::net::SocketAddr;
 use std::thread;
 
 use cache::LevelId;
@@ -25,16 +26,17 @@ const EXPRESSIONS: &[&str] = &[
 const SETS: &[u64] = &[3, 9];
 const CLIENTS: usize = 8;
 
-fn spec_for(set: u64) -> SessionSpec {
+fn spec_for(seed: u64, set: u64) -> SessionSpec {
     SessionSpec {
+        seed,
         set,
         ..SessionSpec::default()
     }
 }
 
-/// (set, expression) → the answers as `query -> pattern/consistent` lines —
-/// the byte-level form the equality assertions compare.
-type Answers = BTreeMap<(u64, String), Vec<String>>;
+/// (seed, set, expression) → the answers as `query -> pattern/consistent`
+/// lines — the byte-level form the equality assertions compare.
+type Answers = BTreeMap<(u64, u64, String), Vec<String>>;
 
 fn render_answers(results: &[server::WireOutcome]) -> Vec<String> {
     results
@@ -43,33 +45,30 @@ fn render_answers(results: &[server::WireOutcome]) -> Vec<String> {
         .collect()
 }
 
-#[test]
-fn concurrent_sessions_agree_with_the_direct_oracle() {
-    let daemon = spawn(CqdConfig {
-        workers: 4,
-        // A small queue so the test also exercises the backpressure path.
-        queue_depth: 4,
-        ..CqdConfig::default()
-    })
-    .expect("ephemeral port is always bindable");
-    let addr = daemon.addr();
-
-    // 8 concurrent clients, each covering every (set, expression) pair in a
-    // client-specific order so the overlap arrives interleaved.
-    let answers: Vec<Answers> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..CLIENTS)
+/// Runs `clients` concurrent sessions, each covering every (seed, set,
+/// expression) triple in a client-specific order so the overlap arrives
+/// interleaved, and returns what each one was answered.
+fn run_clients(addr: SocketAddr, clients: usize, seeds: &[u64]) -> Vec<Answers> {
+    let targets: Vec<(u64, u64)> = seeds
+        .iter()
+        .flat_map(|&seed| SETS.iter().map(move |&set| (seed, set)))
+        .collect();
+    let steps = EXPRESSIONS.len() * targets.len();
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
             .map(|client_index| {
+                let targets = &targets;
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).expect("daemon accepts connections");
                     assert_eq!(client.hello().unwrap().server, "cqd");
                     let mut collected: Answers = BTreeMap::new();
-                    for step in 0..EXPRESSIONS.len() * SETS.len() {
-                        let rotated = (step + client_index) % (EXPRESSIONS.len() * SETS.len());
-                        let set = SETS[rotated % SETS.len()];
-                        let expr = EXPRESSIONS[rotated / SETS.len()];
-                        client.target(&spec_for(set)).unwrap();
+                    for step in 0..steps {
+                        let rotated = (step + client_index) % steps;
+                        let (seed, set) = targets[rotated % targets.len()];
+                        let expr = EXPRESSIONS[rotated / targets.len()];
+                        client.target(&spec_for(seed, set)).unwrap();
                         let results = client.query(expr).unwrap();
-                        collected.insert((set, expr.to_string()), render_answers(&results));
+                        collected.insert((seed, set, expr.to_string()), render_answers(&results));
                     }
                     client.quit().unwrap();
                     collected
@@ -77,32 +76,51 @@ fn concurrent_sessions_agree_with_the_direct_oracle() {
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    })
+}
 
-    // The in-process oracle: the same simulated machine, driven directly.
-    let mut oracle = CacheQuery::new(SimulatedCpu::new(CpuModel::SkylakeI5_6500, 7));
+/// The in-process oracle: the same simulated machines, driven directly.
+fn direct_answers(seeds: &[u64]) -> Answers {
     let mut expected: Answers = BTreeMap::new();
-    for &set in SETS {
-        oracle
-            .set_target(Target::new(LevelId::L1, set as usize, 0))
-            .unwrap();
-        for &expr in EXPRESSIONS {
-            let results = oracle.query(expr).unwrap();
-            let rendered: Vec<String> = results
-                .iter()
-                .map(|r| {
-                    let pattern: String = r
-                        .outcomes
-                        .iter()
-                        .map(|o| if *o == cache::HitMiss::Hit { 'H' } else { 'M' })
-                        .collect();
-                    format!("{} -> {} ({})", r.rendered, pattern, r.consistent)
-                })
-                .collect();
-            expected.insert((set, expr.to_string()), rendered);
+    for &seed in seeds {
+        let mut oracle = CacheQuery::new(SimulatedCpu::new(CpuModel::SkylakeI5_6500, seed));
+        for &set in SETS {
+            oracle
+                .set_target(Target::new(LevelId::L1, set as usize, 0))
+                .unwrap();
+            for &expr in EXPRESSIONS {
+                let results = oracle.query(expr).unwrap();
+                let rendered: Vec<String> = results
+                    .iter()
+                    .map(|r| {
+                        let pattern: String = r
+                            .outcomes
+                            .iter()
+                            .map(|o| if *o == cache::HitMiss::Hit { 'H' } else { 'M' })
+                            .collect();
+                        format!("{} -> {} ({})", r.rendered, pattern, r.consistent)
+                    })
+                    .collect();
+                expected.insert((seed, set, expr.to_string()), rendered);
+            }
         }
     }
+    expected
+}
 
+#[test]
+fn concurrent_sessions_agree_with_the_direct_oracle() {
+    let daemon = spawn(CqdConfig {
+        // Two miss slots for eight clients, so the test also exercises the
+        // backpressure path: sessions wait for a slot.
+        workers: 2,
+        ..CqdConfig::default()
+    })
+    .expect("ephemeral port is always bindable");
+
+    // 8 concurrent clients on the default machine (seed 7).
+    let answers = run_clients(daemon.addr(), CLIENTS, &[7]);
+    let expected = direct_answers(&[7]);
     for (client_index, collected) in answers.iter().enumerate() {
         assert_eq!(
             collected, &expected,
@@ -119,6 +137,36 @@ fn concurrent_sessions_agree_with_the_direct_oracle() {
     );
     // Only one backend configuration was used.
     assert_eq!(daemon.backend_instances(), 1);
+    daemon.shutdown();
+}
+
+#[test]
+fn two_machines_take_turns_on_one_miss_slot() {
+    // With a single slot, the misses of sessions on two machines (seeds 7
+    // and 8) execute one at a time, each session re-targeting its machine;
+    // the answers must still be each machine's own.
+    let daemon = spawn(CqdConfig {
+        workers: 1,
+        ..CqdConfig::default()
+    })
+    .unwrap();
+    let answers = run_clients(daemon.addr(), 4, &[7, 8]);
+    let expected = direct_answers(&[7, 8]);
+    for (client_index, collected) in answers.iter().enumerate() {
+        assert_eq!(
+            collected, &expected,
+            "client {client_index} diverged from the direct CacheQuery oracles"
+        );
+    }
+    assert_eq!(daemon.backend_instances(), 2);
+
+    // Every slot was given back.
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    let global = client.stats().unwrap().global;
+    assert_eq!(global.workers, 1);
+    assert_eq!(global.busy_workers, 0);
+    assert!(global.backend_queries > 0);
+    client.quit().unwrap();
     daemon.shutdown();
 }
 
