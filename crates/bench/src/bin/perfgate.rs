@@ -44,10 +44,11 @@
 //! The persist counters are gated exactly: the gate fails unless the store
 //! dropped no append and appended one record per store miss (604,205 for
 //! `new1_4` on an empty directory); the snapshot count is printed.  After
-//! the campaigns the store is closed and `DIR` reopened: the gate fails
-//! unless the reopened store holds exactly the entries the store closed with
-//! (937,681 for `new1_4` on an empty directory).  The reopen time is printed,
-//! not gated.
+//! the campaigns the store is exported, closed and `DIR` reopened: the gate
+//! fails unless the reopened store holds exactly the entries the store
+//! closed with (937,681 for `new1_4` on an empty directory) and exports
+//! byte-identical text.  The export's FNV-1a and the reopen time are
+//! printed; the time is not gated.
 //!
 //! `--workloads LIST` (comma-separated names) restricts the run to a subset
 //! of the pinned workloads — CI uses it to keep the store-mode count pin
@@ -57,7 +58,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bench::{merge_report, Args, TextTable};
-use cachequery::{QueryEngine, QueryStore};
+use cachequery::{persist, QueryEngine, QueryStore};
 use polca::{learn_policy, learn_simulated_policy, CacheQueryOracle, LearnSetup, PolicySimBackend};
 use policies::PolicyKind;
 use server::Json;
@@ -293,13 +294,15 @@ fn main() {
         .map(|w| measure(w, store.as_ref()))
         .collect();
     // Dropping the store is the durability barrier; the reopened directory
-    // must hold exactly what the store held.
+    // must hold exactly what the store held, entry for entry and byte for
+    // byte of its export.
     let reopen = store.map(|store| {
         let dir = args
             .value_of("store-dir")
             .expect("a store comes from --store-dir");
         let store = Arc::try_unwrap(store).expect("no engine outlives its campaign");
         let closed = store.entries();
+        let exported = store.export();
         let (persist, misses) = (store.persist_stats(), store.misses());
         println!(
             "perfgate: {} appends for {misses} store misses, {} dropped, {} snapshots",
@@ -310,11 +313,16 @@ fn main() {
         let reopened =
             QueryStore::open(dir).unwrap_or_else(|e| panic!("reopening store {dir}: {e}"));
         let open_s = started.elapsed().as_secs_f64();
+        let same_export = reopened.export() == exported;
         println!(
-            "perfgate: reopened {dir} in {open_s:.2} s: {} of {closed} entries",
-            reopened.entries()
+            "perfgate: reopened {dir} in {open_s:.2} s: {} of {closed} entries, export \
+             FNV-1a {:08x} ({} bytes) {}",
+            reopened.entries(),
+            persist::checksum(exported.as_bytes()),
+            exported.len(),
+            if same_export { "unchanged" } else { "CHANGED" }
         );
-        (closed, reopened.entries(), persist, misses)
+        (closed, reopened.entries(), same_export, persist, misses)
     });
 
     let mut table = TextTable::new(&[
@@ -382,11 +390,14 @@ fn main() {
     };
 
     let mut violations: Vec<String> = Vec::new();
-    if let Some((closed, reopened, persist, misses)) = reopen {
+    if let Some((closed, reopened, same_export, persist, misses)) = reopen {
         if reopened != closed {
             violations.push(format!(
                 "the reopened store holds {reopened} entries, {closed} when it closed"
             ));
+        }
+        if !same_export {
+            violations.push("the reopened store exports other bytes than it closed with".into());
         }
         if persist.dropped != 0 {
             violations.push(format!("the store dropped {} appends", persist.dropped));

@@ -202,7 +202,9 @@ impl CacheQuery {
     }
 
     /// Restores store entries exported by [`CacheQuery::export_cache`].
-    /// Malformed lines are ignored.
+    /// Malformed lines are ignored, and a line whose query is not in the
+    /// rendered form of [`mbl::parse_rendered`] is malformed, even when it
+    /// is MBL that expands to one query (see [`QueryStore::import`]).
     pub fn import_cache(&mut self, text: &str) {
         self.engine.store().import(text);
     }

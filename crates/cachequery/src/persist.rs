@@ -75,7 +75,8 @@ pub fn encode_record_into(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-/// Decodes a log image into its valid record payloads.
+/// Decodes a log image into its valid record payloads, borrowed from
+/// `bytes`.
 ///
 /// Returns `(payloads, valid_end)` where `valid_end` is the byte offset just
 /// past the last intact record: the prefix `bytes[..valid_end]` is exactly
@@ -83,7 +84,7 @@ pub fn encode_record_into(out: &mut Vec<u8>, payload: &[u8]) {
 /// to it before appending again.  Decoding stops — never panics — at the
 /// first truncated header, truncated payload, oversized length, checksum
 /// mismatch or non-UTF-8 payload.
-pub fn decode_log(bytes: &[u8]) -> (Vec<String>, usize) {
+pub fn decode_log(bytes: &[u8]) -> (Vec<&str>, usize) {
     let mut payloads = Vec::new();
     let mut offset = 0usize;
     loop {
@@ -107,7 +108,7 @@ pub fn decode_log(bytes: &[u8]) -> (Vec<String>, usize) {
         let Ok(text) = std::str::from_utf8(payload) else {
             break;
         };
-        payloads.push(text.to_string());
+        payloads.push(text);
         offset += 8 + len;
     }
     (payloads, offset)
@@ -123,21 +124,21 @@ pub fn snapshot_path(dir: &Path) -> PathBuf {
     dir.join(SNAP_FILE)
 }
 
-/// Reads and decodes the record log of `dir`.
+/// Reads the record log of `dir` into `bytes` and decodes it.
 ///
-/// Returns the recovered payloads and the valid byte length (see
-/// [`decode_log`]); a missing log reads as empty.
+/// Returns the recovered payloads, borrowed from `bytes`, and the valid
+/// byte length (see [`decode_log`]); a missing log reads as empty.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors other than the log not existing.
-pub fn read_log(dir: &Path) -> io::Result<(Vec<String>, u64)> {
-    let bytes = match fs::read(log_path(dir)) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
+pub fn read_log<'a>(dir: &Path, bytes: &'a mut Vec<u8>) -> io::Result<(Vec<&'a str>, u64)> {
+    *bytes = match fs::read(log_path(dir)) {
+        Ok(read) => read,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(e),
     };
-    let (payloads, valid_end) = decode_log(&bytes);
+    let (payloads, valid_end) = decode_log(bytes);
     Ok((payloads, valid_end as u64))
 }
 
@@ -285,7 +286,8 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = fs::remove_dir_all(&dir);
-        assert_eq!(read_log(&dir).unwrap(), (Vec::new(), 0));
+        let mut bytes = Vec::new();
+        assert_eq!(read_log(&dir, &mut bytes).unwrap(), (Vec::new(), 0));
         truncate_log(&dir, 0).unwrap();
 
         let mut log = open_log_for_append(&dir).unwrap();
@@ -296,7 +298,7 @@ mod tests {
         log.sync_data().unwrap();
         drop(log);
 
-        let (records, valid) = read_log(&dir).unwrap();
+        let (records, valid) = read_log(&dir, &mut bytes).unwrap();
         assert_eq!(records, vec!["ns\tH\tA?", "ns\tM\tB?"]);
         truncate_log(&dir, valid).unwrap();
 
@@ -304,7 +306,7 @@ mod tests {
         let mut log = open_log_for_append(&dir).unwrap();
         log.write_all(&encode_record(b"ns\tM\tC?")).unwrap();
         drop(log);
-        let (records, _) = read_log(&dir).unwrap();
+        let (records, _) = read_log(&dir, &mut bytes).unwrap();
         assert_eq!(records, vec!["ns\tH\tA?", "ns\tM\tB?", "ns\tM\tC?"]);
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -73,7 +73,7 @@ use std::time::{Duration, Instant};
 
 use cache::HitMiss;
 use learning::{QueryCache, TrieCursor};
-use mbl::{expand_query, render_query_into, MemOp, Query, Tag};
+use mbl::{parse_rendered, render_query_into, MemOp, Query, Tag};
 use policies::{KeyedPolicy, PolicyError, PolicyKind, ReplacementPolicy};
 
 use crate::persist;
@@ -270,14 +270,46 @@ pub fn encode_pattern(outcomes: &[HitMiss]) -> String {
 /// Names the first character other than `H` or `M`: a corrupted pattern
 /// must be rejected, never coerced into plausible-looking answers.
 pub fn decode_pattern(pattern: &str) -> Result<Vec<HitMiss>, String> {
-    pattern
-        .chars()
-        .map(|letter| match letter {
-            'H' => Ok(HitMiss::Hit),
-            'M' => Ok(HitMiss::Miss),
-            other => Err(format!("pattern letter '{other}' is neither H nor M")),
-        })
-        .collect()
+    let mut outcomes = Vec::with_capacity(pattern.len());
+    decode_pattern_into(pattern, &mut outcomes)?;
+    Ok(outcomes)
+}
+
+/// [`decode_pattern`] into `outcomes`, replacing its contents.
+fn decode_pattern_into(pattern: &str, outcomes: &mut Vec<HitMiss>) -> Result<(), String> {
+    outcomes.clear();
+    for letter in pattern.chars() {
+        outcomes.push(match letter {
+            'H' => HitMiss::Hit,
+            'M' => HitMiss::Miss,
+            other => return Err(format!("pattern letter '{other}' is neither H nor M")),
+        });
+    }
+    Ok(())
+}
+
+/// Spreads the profiled `outcomes` of `query` over its operations into
+/// `outputs`, replacing its contents (`None` for unprofiled and
+/// invalidating operations); `false` when the outcomes do not line up with
+/// the query's profiled accesses.
+fn spread_outcomes(
+    query: &[MemOp],
+    outcomes: &[HitMiss],
+    outputs: &mut Vec<Option<HitMiss>>,
+) -> bool {
+    outputs.clear();
+    let mut profiled = outcomes.iter();
+    for op in query {
+        outputs.push(if op.tag == Some(Tag::Profile) {
+            let Some(&outcome) = profiled.next() else {
+                return false;
+            };
+            Some(outcome)
+        } else {
+            None
+        });
+    }
+    profiled.next().is_none()
 }
 
 /// Appends one store line — `namespace \t pattern \t query`, the one format
@@ -318,8 +350,10 @@ pub struct ImportReport {
     /// Lines stored (possibly re-recording already-known answers).
     pub imported: u64,
     /// Lines rejected before touching the store: missing fields, pattern
-    /// characters other than `H`/`M`, unparseable queries, or a pattern
-    /// whose length mismatches the query's profiled-access count.
+    /// characters other than `H`/`M`, a query not in the rendered form of
+    /// [`mbl::parse_rendered`] (other MBL, even a single-query expression,
+    /// included), or a pattern whose length mismatches the query's
+    /// profiled-access count.
     pub malformed: u64,
     /// Well-formed lines dropped because they contradicted the current
     /// contents (also counted in [`QueryStore::conflicts`]).
@@ -436,28 +470,40 @@ impl StoreSpace {
         if !consistent {
             return false;
         }
-        let profiled_ops = query
-            .iter()
-            .filter(|op| op.tag == Some(Tag::Profile))
-            .count();
-        if profiled_ops != outcomes.len() {
+        let mut outputs = Vec::with_capacity(query.len());
+        if !spread_outcomes(query, outcomes, &mut outputs) {
             // The outcome vector does not line up with the query's profiled
             // accesses; refusing to store is safer than storing garbage.
             self.inner.conflicts.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        let mut profiled = outcomes.iter();
-        let outputs: Vec<Option<HitMiss>> = query
-            .iter()
-            .map(|op| {
-                if op.tag == Some(Tag::Profile) {
-                    profiled.next().copied()
-                } else {
-                    None
-                }
-            })
-            .collect();
-        match insert(&self.trie, &outputs) {
+        self.settle(query, outcomes, insert(&self.trie, &outputs))
+    }
+
+    /// [`record_resumed`](Self::record_resumed) of a consistent answer whose
+    /// `outcomes` the caller has already checked against `query` and spread
+    /// over its operations as `outputs` (the importer's buffers).
+    fn record_outputs_resumed(
+        &self,
+        query: &Query,
+        outcomes: &[HitMiss],
+        outputs: &[Option<HitMiss>],
+        lcp: usize,
+        cursor: &mut TrieCursor,
+    ) -> bool {
+        let inserted = self.trie.record_resumed(query, outputs, lcp, cursor);
+        self.settle(query, outcomes, inserted)
+    }
+
+    /// Counts, logs, taps and touches one trie insert's result; returns
+    /// whether the answer was stored.
+    fn settle(
+        &self,
+        query: &Query,
+        outcomes: &[HitMiss],
+        inserted: Result<usize, learning::OracleError>,
+    ) -> bool {
+        match inserted {
             Ok(fresh) => {
                 if fresh > 0 {
                     self.inner
@@ -933,9 +979,11 @@ impl QueryStore {
     /// memory, and a writer thread that commits records in batches and
     /// compacts once the log outgrows both 4 MiB and the last snapshot.
     /// Recording never drops an append: when 16 MiB of records wait for the
-    /// writer, the recording thread waits too.  Replay costs one MBL parse
-    /// and one trie insert per snapshot line and log record.  Call
-    /// [`flush`](Self::flush), or drop the store, to make everything
+    /// writer, the recording thread waits too.  Replay is one pass over the
+    /// snapshot's lines and then the log's records: each line's query is
+    /// read back with [`mbl::parse_rendered`], and its trie insert resumes
+    /// where the previous line's left off (see [`QueryStore::import`]).
+    /// Call [`flush`](Self::flush), or drop the store, to make everything
     /// recorded so far durable.
     ///
     /// # Errors
@@ -983,16 +1031,18 @@ impl QueryStore {
         };
 
         std::fs::create_dir_all(&dir)?;
-        let mut replayed = 0u64;
+        let mut importer = Importer::new(&store);
         let mut snapshot_bytes = 0u64;
         if let Some(snapshot) = persist::read_snapshot(&dir)? {
-            replayed += store.import(&snapshot).imported;
+            importer.text(&snapshot);
             snapshot_bytes = snapshot.len() as u64;
         }
-        let (records, valid_len) = persist::read_log(&dir)?;
-        for line in &records {
-            replayed += store.import(line).imported;
+        let mut log_bytes = Vec::new();
+        let (records, valid_len) = persist::read_log(&dir, &mut log_bytes)?;
+        for record in records {
+            importer.text(record);
         }
+        let replayed = importer.report.imported;
         persist::truncate_log(&dir, valid_len)?;
 
         // Open the log eagerly so open-time I/O errors surface here, and so
@@ -1269,62 +1319,21 @@ impl QueryStore {
     /// Restores entries exported by [`QueryStore::export`] (also the replay
     /// path of [`QueryStore::open`]), reporting what happened to every line.
     ///
-    /// Lines are *validated* before they touch the store: a pattern with any
-    /// character other than `H`/`M`, or whose length does not match the
-    /// query's profiled-access count, is rejected as malformed rather than
-    /// silently coerced (a corrupted export must not become plausible-looking
-    /// wrong answers).  Well-formed entries contradicting the current
-    /// contents are dropped and counted as conflicts.
+    /// Lines are *validated* before they touch the store: the query must be
+    /// in the rendered form [`mbl::parse_rendered`] reads (any other MBL,
+    /// even one that expands to a single query, is malformed), and a pattern
+    /// with any character other than `H`/`M`, or whose length does not match
+    /// the query's profiled-access count, is rejected as malformed rather
+    /// than silently coerced (a corrupted export must not become
+    /// plausible-looking wrong answers).  Well-formed entries contradicting
+    /// the current contents are dropped and counted as conflicts.
+    ///
+    /// Each line is recorded from where the line before it left the trie:
+    /// the operations and outputs the two lines share are not walked again.
     pub fn import(&self, text: &str) -> ImportReport {
-        let mut report = ImportReport::default();
-        // Snapshot lines are sorted, so each namespace's lines are
-        // contiguous and one handle serves them all.
-        let mut space: Option<StoreSpace> = None;
-        for line in text.lines() {
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.splitn(3, '\t');
-            let (Some(namespace), Some(pattern), Some(rendered)) =
-                (parts.next(), parts.next(), parts.next())
-            else {
-                report.malformed += 1;
-                continue;
-            };
-            let Ok(outcomes) = decode_pattern(pattern) else {
-                report.malformed += 1;
-                continue;
-            };
-            // A rendered concrete query contains no macros, so it expands to
-            // itself at any associativity.
-            let Ok(mut queries) = expand_query(rendered, 1) else {
-                report.malformed += 1;
-                continue;
-            };
-            if queries.len() != 1 {
-                report.malformed += 1;
-                continue;
-            }
-            let query = queries.pop().expect("length checked");
-            let profiled_ops = query
-                .iter()
-                .filter(|op| op.tag == Some(Tag::Profile))
-                .count();
-            if profiled_ops != outcomes.len() {
-                report.malformed += 1;
-                continue;
-            }
-            let space = match &mut space {
-                Some(space) if &*space.name == namespace => space,
-                slot => slot.insert(self.space(namespace)),
-            };
-            if space.record(&query, &outcomes, true) {
-                report.imported += 1;
-            } else {
-                report.conflicted += 1;
-            }
-        }
-        report
+        let mut importer = Importer::new(self);
+        importer.text(text);
+        importer.report
     }
 
     fn fold(&self, per_space: impl Fn(&Space) -> u64) -> u64 {
@@ -1335,6 +1344,112 @@ impl QueryStore {
             .values()
             .map(|s| per_space(s))
             .sum()
+    }
+}
+
+/// The one loop that restores store lines, behind both
+/// [`QueryStore::import`] and the replay of a durable store's snapshot and
+/// log.
+///
+/// Snapshot lines are sorted and log records follow a campaign's probe
+/// sessions, so consecutive lines share most of their operations.  Each line
+/// is therefore recorded as by [`StoreSpace::record_resumed`] at its longest
+/// common prefix with the line before, compared as (operation, output)
+/// pairs: a line that contradicts the one before it still walks the part
+/// where they differ against the trie, and is counted as a conflict.  A
+/// cursor left stale by an eviction walks from the root.
+struct Importer<'a> {
+    store: &'a QueryStore,
+    report: ImportReport,
+    /// The namespace of the last line, and the cursor on its trie.
+    space: Option<StoreSpace>,
+    cursor: TrieCursor,
+    /// The operations and per-operation outputs of the last imported line,
+    /// where the cursor stands.  A conflict or a namespace change empties
+    /// them: the next line then shares no prefix, and its insert starts at
+    /// the root.
+    previous: Query,
+    previous_outputs: Vec<Option<HitMiss>>,
+    /// The line being imported.
+    query: Query,
+    outputs: Vec<Option<HitMiss>>,
+    outcomes: Vec<HitMiss>,
+}
+
+impl<'a> Importer<'a> {
+    fn new(store: &'a QueryStore) -> Self {
+        Importer {
+            store,
+            report: ImportReport::default(),
+            space: None,
+            cursor: TrieCursor::new(),
+            previous: Vec::new(),
+            previous_outputs: Vec::new(),
+            query: Vec::new(),
+            outputs: Vec::new(),
+            outcomes: Vec::new(),
+        }
+    }
+
+    /// Imports every line of `text`.
+    fn text(&mut self, text: &str) {
+        for line in text.lines() {
+            if !line.is_empty() {
+                self.line(line);
+            }
+        }
+    }
+
+    /// Imports one store line, counting it in the report.
+    fn line(&mut self, line: &str) {
+        let mut parts = line.splitn(3, '\t');
+        let (Some(namespace), Some(pattern), Some(rendered)) =
+            (parts.next(), parts.next(), parts.next())
+        else {
+            self.report.malformed += 1;
+            return;
+        };
+        if !self.parse(pattern, rendered) {
+            self.report.malformed += 1;
+            return;
+        }
+        let space = match &mut self.space {
+            Some(space) if &*space.name == namespace => space,
+            slot => {
+                self.previous.clear();
+                slot.insert(self.store.space(namespace))
+            }
+        };
+        let lcp = self
+            .previous
+            .iter()
+            .zip(&self.previous_outputs)
+            .zip(self.query.iter().zip(&self.outputs))
+            .take_while(|(previous, current)| previous == current)
+            .count();
+        if space.record_outputs_resumed(
+            &self.query,
+            &self.outcomes,
+            &self.outputs,
+            lcp,
+            &mut self.cursor,
+        ) {
+            self.report.imported += 1;
+            std::mem::swap(&mut self.previous, &mut self.query);
+            std::mem::swap(&mut self.previous_outputs, &mut self.outputs);
+        } else {
+            self.report.conflicted += 1;
+            self.previous.clear();
+        }
+    }
+
+    /// Reads a line's pattern and query into the line buffers; `false` when
+    /// either is malformed or the pattern does not cover exactly the
+    /// query's profiled accesses.
+    fn parse(&mut self, pattern: &str, rendered: &str) -> bool {
+        decode_pattern_into(pattern, &mut self.outcomes).is_ok()
+            && parse_rendered(rendered, &mut self.query).is_ok()
+            && spread_outcomes(&self.query, &self.outcomes, &mut self.outputs)
     }
 }
 
@@ -1513,6 +1628,7 @@ fn writer_loop(queue: &LogQueue, mut log: Log, store: &Weak<StoreInner>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbl::expand_query;
 
     fn concrete(mbl: &str) -> Query {
         let mut queries = expand_query(mbl, 8).unwrap();
@@ -1650,6 +1766,23 @@ mod tests {
     }
 
     #[test]
+    fn only_the_rendered_form_imports() {
+        // Each of these expands to one query under the general MBL parser,
+        // but none is how a store line renders it.
+        let store = QueryStore::new();
+        let lines = [
+            "(A B) C?", "A  B?", "A B? ", " A B?", "A\tB?", "(A)2 B?", "a B?", "",
+        ];
+        let text: Vec<String> = lines
+            .iter()
+            .map(|query| format!("{NS}\tH\t{query}"))
+            .collect();
+        let report = store.import(&text.join("\n"));
+        assert_eq!(report.malformed, lines.len() as u64);
+        assert_eq!((report.imported, store.entries()), (0, 0));
+    }
+
+    #[test]
     fn corrupted_patterns_are_malformed_not_coerced() {
         // Regression test: a corrupted export line whose pattern contains a
         // non-H/M character used to be silently recorded with the garbage
@@ -1699,6 +1832,114 @@ mod tests {
         assert_eq!(report.malformed, 1);
         assert_eq!(store.entries(), 0);
         assert_eq!(store.conflicts(), 0, "rejected before touching the trie");
+    }
+
+    /// Records each line of `text` on its own, from the trie root: the
+    /// reference the resumed importer must match.
+    fn record_line_by_line(store: &QueryStore, text: &str) {
+        for line in text.lines() {
+            let mut parts = line.splitn(3, '\t');
+            let (Some(namespace), Some(pattern), Some(rendered)) =
+                (parts.next(), parts.next(), parts.next())
+            else {
+                panic!("not a store line: {line}");
+            };
+            let outcomes = decode_pattern(pattern).unwrap();
+            store.record(namespace, &concrete(rendered), &outcomes, true);
+        }
+    }
+
+    #[test]
+    fn a_line_contradicting_the_previous_one_on_their_shared_prefix_conflicts() {
+        // The two lines share `A B?`, but not its outcome: resuming at the
+        // shared operations alone would skip the contradiction.
+        let store = QueryStore::new();
+        let report = store.import(&format!(
+            "{NS}\tHM\tA B? C?\n{NS}\tMH\tA B? D?\n{NS}\tHH\tA B? D?"
+        ));
+        assert_eq!(report.conflicted, 1);
+        assert_eq!(store.conflicts(), 1);
+        assert_eq!(
+            store.lookup(NS, &concrete("A B? C?")),
+            Some(vec![HitMiss::Hit, HitMiss::Miss]),
+            "the first answer stays"
+        );
+        // The good line after the conflict imports.
+        assert_eq!((report.imported, report.malformed), (2, 0));
+        assert_eq!(
+            store.lookup(NS, &concrete("A B? D?")),
+            Some(vec![HitMiss::Hit, HitMiss::Hit])
+        );
+    }
+
+    #[test]
+    fn a_line_after_a_conflict_resumes_on_its_own_prefix() {
+        // The conflicting third line walks `A D?` before it fails at `E?`.
+        // The fourth shares `A B?` with the last imported line, and must
+        // not resume below the `D?` the conflict walked.
+        let text =
+            format!("{NS}\tHH\tA D? E?\n{NS}\tH\tA B?\n{NS}\tHM\tA D? E?\n{NS}\tHM\tA B? C?");
+        let store = QueryStore::new();
+        let report = store.import(&text);
+        assert_eq!((report.imported, report.conflicted), (3, 1));
+        let reference = QueryStore::new();
+        record_line_by_line(&reference, &text);
+        assert_eq!(store.export(), reference.export());
+        assert_eq!(
+            store.lookup(NS, &concrete("A B? C?")),
+            Some(vec![HitMiss::Hit, HitMiss::Miss])
+        );
+    }
+
+    #[test]
+    fn interleaved_namespaces_import_as_recorded_line_by_line() {
+        // Each namespace change restarts the cursor: an arena position of
+        // one namespace's trie means nothing in another's.
+        let text = format!(
+            "{NS}\tM\tX Y Z?\n{NS}\tH\tA B?\n{NS2}\tM\tA C?\n{NS}\tH\tA C?\n\
+             {NS2}\tMH\tA C? D?\n{NS}\tHM\tA C? D?"
+        );
+        let store = QueryStore::new();
+        let report = store.import(&text);
+        assert_eq!(
+            (report.imported, report.conflicted, report.malformed),
+            (6, 0, 0)
+        );
+        let reference = QueryStore::new();
+        record_line_by_line(&reference, &text);
+        assert_eq!(store.export(), reference.export());
+        assert_eq!(store.entries(), reference.entries());
+        assert_eq!(
+            store.lookup(NS2, &concrete("A C? D?")),
+            Some(vec![HitMiss::Miss, HitMiss::Hit])
+        );
+    }
+
+    #[test]
+    fn a_namespace_evicted_mid_import_matches_line_by_line_recording() {
+        // The cap is below one namespace's lines: the store clears the
+        // namespace it is importing into, and the next line's cursor is
+        // stale and walks from the root.
+        let bounded = || {
+            QueryStore::with_options(StoreOptions {
+                max_entries: Some(5),
+                ..StoreOptions::default()
+            })
+            .unwrap()
+        };
+        let text = format!(
+            "{NS2}\tM\tX?\n{NS}\tM\tA B C D?\n{NS}\tH\tA B C E?\n{NS}\tM\tA B F?\n\
+             {NS}\tH\tA B G?\n{NS}\tHM\tA B G? H?\n{NS2}\tH\tX? Y\n{NS}\tH\tA B G?"
+        );
+        let store = bounded();
+        let report = store.import(&text);
+        let reference = bounded();
+        record_line_by_line(&reference, &text);
+        assert!(store.evictions() >= 2, "{} evictions", store.evictions());
+        assert_eq!(report.imported, 8);
+        assert_eq!(store.evictions(), reference.evictions());
+        assert_eq!(store.entries(), reference.entries());
+        assert_eq!(store.export(), reference.export());
     }
 
     #[test]

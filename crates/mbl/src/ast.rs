@@ -110,7 +110,10 @@ pub fn block_name(block: BlockId) -> String {
 }
 
 /// Appends the alphabetic name of `block` to `out` (bijective base 26: at
-/// most seven letters, `MWLQKWV` for `u32::MAX`).
+/// most seven letters, `MWLQKWV` for `u32::MAX`).  Inlined so that
+/// [`render_query_into`](crate::render_query_into), which renders every
+/// durable log record, makes no call per block.
+#[inline]
 pub(crate) fn push_block_name(out: &mut String, block: BlockId) {
     let mut letters = [0u8; 7];
     let mut rest = u64::from(block.0) + 1;
@@ -134,20 +137,28 @@ pub(crate) fn push_block_name(out: &mut String, block: BlockId) {
 /// Returns `None` if the string is not a non-empty sequence of ASCII uppercase
 /// letters, or names a block past `u32::MAX` (`MWLQKWV`).
 pub fn parse_block_name(name: &str) -> Option<BlockId> {
-    if name.is_empty() {
-        return None;
+    match read_block_name(name.as_bytes()) {
+        Some((block, len)) if len == name.len() => Some(block),
+        _ => None,
     }
+}
+
+/// Reads the block name at the start of `bytes` (its uppercase letters up
+/// to the first other byte): the block and the name's length, or `None`
+/// when `bytes` does not start with a letter or the name goes past
+/// `u32::MAX` (`MWLQKWV`).
+#[inline]
+pub(crate) fn read_block_name(bytes: &[u8]) -> Option<(BlockId, usize)> {
     let mut value: u64 = 0;
-    for b in name.bytes() {
-        if !b.is_ascii_uppercase() {
-            return None;
-        }
-        value = value * 26 + u64::from(b - b'A') + 1;
+    let mut len = 0;
+    while let Some(&letter) = bytes.get(len).filter(|b| b.is_ascii_uppercase()) {
+        value = value * 26 + u64::from(letter - b'A') + 1;
         if value > u64::from(u32::MAX) + 1 {
             return None;
         }
+        len += 1;
     }
-    Some(BlockId((value - 1) as u32))
+    (len > 0).then(|| (BlockId((value - 1) as u32), len))
 }
 
 #[cfg(test)]

@@ -1,7 +1,11 @@
 //! Property-based tests for MemBlockLang expansion (Appendix A laws).
 
-use mbl::{block_name, expand_query, parse_block_name, render_query, BlockId};
+use mbl::{
+    block_name, expand_query, parse_block_name, parse_rendered, render_query, BlockId, MemOp,
+    Query, Tag,
+};
 use proptest::prelude::*;
+use proptest::sample::select;
 
 /// A strategy for small, well-formed MBL expressions rendered as strings:
 /// one- and multi-letter block names (up to the last `u32` block), tags,
@@ -16,6 +20,44 @@ fn mbl_expression() -> impl Strategy<Value = String> {
         .prop_map(|alternatives| format!("{{{}}}", alternatives.join(", ")));
     let atom = prop_oneof![tagged, Just("@".to_string()), Just("_".to_string()), set,];
     proptest::collection::vec(atom, 1..6).prop_map(|parts| parts.join(" "))
+}
+
+/// A strategy for concrete queries: blocks over all of `u32` (with short
+/// names favoured) and every tag.
+fn concrete_query() -> impl Strategy<Value = Query> {
+    let block = prop_oneof![0u32..30, 0u32..=u32::MAX].prop_map(BlockId);
+    let tag = select(vec![None, Some(Tag::Profile), Some(Tag::Invalidate)]);
+    proptest::collection::vec(
+        (block, tag).prop_map(|(block, tag)| MemOp { block, tag }),
+        1..12,
+    )
+}
+
+/// A strategy for strings near the rendered form: tokens that mostly are
+/// block names with a tag, mostly joined by one space, with other MBL,
+/// doubled tags and other gaps mixed in.
+fn near_rendered() -> impl Strategy<Value = String> {
+    let valid_name = select(vec!["A", "Z", "AB", "MWLQKWV"]);
+    let other_name = select(vec!["MWLQKWW", "a", "@", "(A)2", "{A, B}", ""]);
+    let name = prop_oneof![
+        valid_name.clone(),
+        valid_name.clone(),
+        valid_name,
+        other_name
+    ];
+    let tag = select(vec!["", "?", "!", "", "?", "?!"]);
+    let gap = select(vec![" ", " ", " ", " ", "", "  ", "\t"]);
+    proptest::collection::vec((gap, name, tag), 1..5).prop_map(|tokens| {
+        let mut text = String::new();
+        for (index, (gap, name, tag)) in tokens.into_iter().enumerate() {
+            if index > 0 {
+                text.push_str(gap);
+            }
+            text.push_str(name);
+            text.push_str(tag);
+        }
+        text
+    })
 }
 
 proptest! {
@@ -79,5 +121,23 @@ proptest! {
         let wild = expand_query("_", assoc).unwrap();
         prop_assert_eq!(wild.len(), assoc);
         prop_assert!(wild.iter().all(|q| q.len() == 1));
+    }
+
+    /// Parsing a rendered query gives back exactly the query.
+    #[test]
+    fn rendered_queries_parse_back_to_themselves(query in concrete_query()) {
+        let mut parsed = vec![MemOp::access(BlockId(7))];
+        prop_assert!(parse_rendered(&render_query(&query), &mut parsed).is_ok());
+        prop_assert_eq!(parsed, query);
+    }
+
+    /// Whatever the rendered-form parser accepts, the general expander
+    /// reads as exactly that one query.
+    #[test]
+    fn accepted_rendered_strings_expand_to_the_same_query(text in near_rendered()) {
+        let mut parsed = Vec::new();
+        if parse_rendered(&text, &mut parsed).is_ok() {
+            prop_assert_eq!(expand_query(&text, 1).unwrap(), vec![parsed]);
+        }
     }
 }

@@ -14,6 +14,7 @@
 //! engine-backed campaigns — the hit rate of the query-store namespace the
 //! campaign fills, so an operator can watch the shared store absorb the run.
 
+use std::io;
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -167,7 +168,8 @@ impl LearnJob {
     }
 
     /// A job that is already terminal with `error` — what spawners return
-    /// when the oracle cannot even be constructed.
+    /// when the oracle cannot even be constructed or the job's thread
+    /// cannot start.
     fn failed(error: String) -> LearnJob {
         LearnJob {
             state: Arc::new(JobState {
@@ -190,12 +192,37 @@ impl LearnJob {
 /// learned.  For engine-backed oracles, pass the campaign's
 /// [`StoreSpace`] as `store` so running status lines can report the
 /// namespace's live hit rate.
+///
+/// # Errors
+///
+/// Returns the error of starting the job's thread (the process is out of
+/// threads or memory).
 pub fn spawn_learn_job<C>(
     cache: C,
     candidates: Vec<PolicyKind>,
     setup: LearnSetup,
     store: Option<StoreSpace>,
-) -> LearnJob
+) -> io::Result<LearnJob>
+where
+    C: CacheOracle + Clone + Send + 'static,
+{
+    let builder = thread::Builder::new().name(format!("learn-{}", cache.associativity()));
+    spawn_learn_job_on(builder, cache, candidates, setup, store)
+}
+
+/// [`spawn_learn_job`] on a thread made by `builder`, which sets its name
+/// and stack size.
+///
+/// # Errors
+///
+/// Returns the error of `builder`'s spawn.
+pub fn spawn_learn_job_on<C>(
+    builder: thread::Builder,
+    cache: C,
+    candidates: Vec<PolicyKind>,
+    setup: LearnSetup,
+    store: Option<StoreSpace>,
+) -> io::Result<LearnJob>
 where
     C: CacheOracle + Clone + Send + 'static,
 {
@@ -216,37 +243,34 @@ where
     let associativity = cache.associativity();
     let thread_state = Arc::clone(&state);
     let recorder = setup.recorder.clone();
-    let handle = thread::Builder::new()
-        .name(format!("learn-{associativity}"))
-        .spawn(move || {
-            let result = learn_policy(cache, &setup)
-                .map(|outcome| {
-                    let identify_span = obs::maybe_span(recorder.as_deref(), "polca.identify");
-                    let identified =
-                        crate::identify_policy(&outcome.machine, associativity, &candidates)
-                            .map(|(found, _)| found.to_string());
-                    drop(identify_span);
-                    let summary = JobResult {
-                        states: outcome.machine.num_states(),
-                        membership_queries: outcome.stats.membership_queries,
-                        cache_hit_rate: outcome.stats.cache_hit_rate(),
-                        identified,
-                        profile: outcome.profile.clone(),
-                    };
-                    (outcome, summary)
-                })
-                .map_err(|e| e.to_string());
-            let elapsed = thread_state.started.elapsed();
-            *thread_state
-                .outcome
-                .lock()
-                .expect("job state lock poisoned") = Some((result, elapsed));
-        })
-        .expect("spawning a learning thread cannot fail");
-    LearnJob {
+    let handle = builder.spawn(move || {
+        let result = learn_policy(cache, &setup)
+            .map(|outcome| {
+                let identify_span = obs::maybe_span(recorder.as_deref(), "polca.identify");
+                let identified =
+                    crate::identify_policy(&outcome.machine, associativity, &candidates)
+                        .map(|(found, _)| found.to_string());
+                drop(identify_span);
+                let summary = JobResult {
+                    states: outcome.machine.num_states(),
+                    membership_queries: outcome.stats.membership_queries,
+                    cache_hit_rate: outcome.stats.cache_hit_rate(),
+                    identified,
+                    profile: outcome.profile.clone(),
+                };
+                (outcome, summary)
+            })
+            .map_err(|e| e.to_string());
+        let elapsed = thread_state.started.elapsed();
+        *thread_state
+            .outcome
+            .lock()
+            .expect("job state lock poisoned") = Some((result, elapsed));
+    })?;
+    Ok(LearnJob {
         state,
         handle: Some(handle),
-    }
+    })
 }
 
 /// Spawns a background job learning `kind` at `associativity` from a
@@ -258,7 +282,8 @@ pub fn spawn_simulated_learn_job(
     setup: LearnSetup,
 ) -> LearnJob {
     match SimulatedCacheOracle::new(kind, associativity) {
-        Ok(cache) => spawn_learn_job(cache, vec![kind], setup, None),
+        Ok(cache) => spawn_learn_job(cache, vec![kind], setup, None)
+            .unwrap_or_else(|e| LearnJob::failed(format!("cannot start a learning job: {e}"))),
         Err(e) => LearnJob::failed(e.to_string()),
     }
 }
@@ -332,6 +357,22 @@ mod tests {
     }
 
     #[test]
+    fn a_job_thread_that_cannot_start_is_an_error() {
+        let cache = SimulatedCacheOracle::new(PolicyKind::Lru, 2).unwrap();
+        // No stack this large can be mapped, so the spawn fails at once
+        // without starting a thread.
+        let builder = thread::Builder::new().stack_size(1 << 60);
+        let spawned = spawn_learn_job_on(
+            builder,
+            cache,
+            vec![PolicyKind::Lru],
+            LearnSetup::default(),
+            None,
+        );
+        assert!(spawned.is_err());
+    }
+
+    #[test]
     fn unsupported_associativities_fail_immediately() {
         let job = spawn_simulated_learn_job(PolicyKind::Plru, 3, LearnSetup::default());
         assert!(job.status().is_terminal());
@@ -353,7 +394,8 @@ mod tests {
                 ..LearnSetup::default()
             },
             Some(store.clone()),
-        );
+        )
+        .unwrap();
         let outcome = job.join().unwrap();
         assert_eq!(outcome.machine.num_states(), 2);
         // The campaign filled the engine's store namespace, and the replayed

@@ -84,7 +84,9 @@ pub use conformance::{
 };
 pub use hierarchy_backend::HierarchyBackend;
 pub use identify::{identify_policy, LinePermutation};
-pub use job::{spawn_learn_job, spawn_simulated_learn_job, JobResult, JobStatus, LearnJob};
+pub use job::{
+    spawn_learn_job, spawn_learn_job_on, spawn_simulated_learn_job, JobResult, JobStatus, LearnJob,
+};
 pub use membership::PolcaOracle;
 pub use pipeline::{
     learn_hardware_policy, learn_hierarchy_policy, learn_noisy_policy, learn_policy,

@@ -1139,7 +1139,10 @@ fn handle_request(
             }
         }
         Request::Repl { line } => handle_repl(shared, session, line),
-        Request::Learn { spec } => handle_learn(shared, spec),
+        Request::Learn { spec } => {
+            let builder = thread::Builder::new().name("cqd-learn".to_string());
+            handle_learn(shared, spec, builder)
+        }
         Request::Replay {
             spec,
             generator,
@@ -1313,13 +1316,17 @@ fn handle_repl(shared: &Arc<Shared>, session: &mut Session, line: &str) -> Respo
     }
 }
 
-fn handle_learn(shared: &Arc<Shared>, spec: &str) -> Response {
+/// Starts the `learn` campaign `spec` on a thread made by `builder`.  A
+/// thread that cannot start is an `error` answer, and the daemon keeps
+/// serving.
+fn handle_learn(shared: &Arc<Shared>, spec: &str, builder: thread::Builder) -> Response {
     // The campaign's oracle runs through an engine over the daemon's shared
     // store: every concrete query it issues lands in the same namespace
     // `policy:` sessions (with the same noise spec) are served from.  Noisy
     // campaigns vote: only settled majorities reach the store.
     fn spawn_campaign<B>(
         shared: &Arc<Shared>,
+        builder: thread::Builder,
         backend: B,
         namespace: &str,
         kind: PolicyKind,
@@ -1336,12 +1343,8 @@ fn handle_learn(shared: &Arc<Shared>, spec: &str) -> Response {
             recorder: shared.recorder.clone(),
             ..LearnSetup::default()
         };
-        Ok(polca::spawn_learn_job(
-            oracle,
-            vec![kind],
-            setup,
-            Some(space),
-        ))
+        polca::spawn_learn_job_on(builder, oracle, vec![kind], setup, Some(space))
+            .map_err(|e| format!("cannot start a learning job: {e}"))
     }
 
     match parse_policy_spec(spec, MAX_LEARN_ASSOC) {
@@ -1351,14 +1354,15 @@ fn handle_learn(shared: &Arc<Shared>, spec: &str) -> Response {
                     .map_err(|e| e.to_string())
                     .and_then(|backend| {
                         let namespace = PolicySimBackend::config_for(kind, assoc).to_string();
-                        spawn_campaign(shared, backend, &namespace, kind)
+                        spawn_campaign(shared, builder, backend, &namespace, kind)
                     }),
                 Some((noise_spec, reps)) => noisy_sim_backend(kind, assoc, *noise_spec)
                     .map_err(|e| e.to_string())
                     .and_then(|backend| {
                         let namespace =
                             noisy_sim_config_for(kind, assoc, noise_spec, *reps).to_string();
-                        spawn_campaign(shared, backend.with_repetitions(*reps), &namespace, kind)
+                        let backend = backend.with_repetitions(*reps);
+                        spawn_campaign(shared, builder, backend, &namespace, kind)
                     }),
             };
             let job = match job {
@@ -1810,6 +1814,28 @@ mod tests {
         // The daemon still serves new connections.
         let mut session = crate::Client::connect(daemon.addr()).unwrap();
         assert_eq!(session.hello().unwrap().server, "cqd");
+        session.quit().unwrap();
+        daemon.shutdown();
+    }
+
+    #[test]
+    fn a_learn_job_that_cannot_start_is_an_error_and_the_daemon_keeps_serving() {
+        let daemon = spawn(CqdConfig::default()).unwrap();
+        // No stack this large can be mapped, so the spawn fails at once
+        // without starting a thread.
+        let builder = thread::Builder::new().stack_size(1 << 60);
+        match handle_learn(&daemon.shared, "LRU@2", builder) {
+            Response::Error { message } => {
+                assert!(message.contains("cannot start a learning job"), "{message}");
+            }
+            other => panic!("expected an error, got {other:?}"),
+        }
+        assert_eq!(daemon.shared.metrics.jobs_spawned.get(), 0);
+        // The daemon still serves, and still learns.
+        let mut session = crate::Client::connect(daemon.addr()).unwrap();
+        let id = session.learn("LRU@2").unwrap();
+        let status = session.wait(id).unwrap();
+        assert_eq!((status.state.as_str(), status.states), ("done", 2));
         session.quit().unwrap();
         daemon.shutdown();
     }
