@@ -1,12 +1,10 @@
 //! Ablation benches for the design choices called out in ARCHITECTURE.md's
-//! query-efficiency section:
-//! Wp-method vs W-method conformance suites, conformance depth, the
-//! membership-query cache, and the conformance worker count.
+//! query-efficiency section: Wp-method vs W-method conformance suites, and
+//! the conformance depth.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use learning::{learn_mealy, LearnOptions, MealyOracle, WMethodOracle, WpMethodOracle};
-use polca::{PolcaOracle, SimulatedCacheOracle};
-use policies::{policy_alphabet, policy_to_mealy, PolicyKind};
+use policies::{policy_to_mealy, PolicyKind};
 
 /// Wp vs W method on the same target (MRU at associativity 4, 14 states).
 fn bench_conformance_method(c: &mut Criterion) {
@@ -46,35 +44,6 @@ fn bench_conformance_method(c: &mut Criterion) {
     group.finish();
 }
 
-/// Learning with and without the prefix-trie membership-query cache in front
-/// of Polca.
-fn bench_query_cache(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_query_cache");
-    group.sample_size(10);
-    for memoize in [true, false] {
-        group.bench_with_input(
-            BenchmarkId::new("polca_lru4", if memoize { "cached" } else { "uncached" }),
-            &memoize,
-            |b, &memoize| {
-                b.iter(|| {
-                    let oracle = SimulatedCacheOracle::new(PolicyKind::Lru, 4).unwrap();
-                    let factory = move || PolcaOracle::new(oracle.clone());
-                    let mut eq = WpMethodOracle::new(1);
-                    let options = LearnOptions {
-                        memoize,
-                        ..LearnOptions::default()
-                    };
-                    learn_mealy(policy_alphabet(4), &factory, &mut eq, options)
-                        .expect("learns")
-                        .0
-                        .num_states()
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 /// Conformance depth k: cost of the stronger completeness guarantee.
 fn bench_conformance_depth(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_depth");
@@ -101,41 +70,5 @@ fn bench_conformance_depth(c: &mut Criterion) {
     group.finish();
 }
 
-/// Worker-pool sharding of the conformance suite (1 = sequential).  On a
-/// single-core host the counts coincide; on multicore the suite of the final
-/// equivalence query dominates and shards near-linearly.
-fn bench_workers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_workers");
-    group.sample_size(10);
-    for workers in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("polca_mru4", workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| {
-                    let oracle = SimulatedCacheOracle::new(PolicyKind::Mru, 4).unwrap();
-                    let factory = move || PolcaOracle::new(oracle.clone());
-                    let mut eq = WpMethodOracle::new(1);
-                    let options = LearnOptions {
-                        workers,
-                        ..LearnOptions::default()
-                    };
-                    learn_mealy(policy_alphabet(4), &factory, &mut eq, options)
-                        .expect("learns")
-                        .0
-                        .num_states()
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_conformance_method,
-    bench_query_cache,
-    bench_conformance_depth,
-    bench_workers
-);
+criterion_group!(benches, bench_conformance_method, bench_conformance_depth);
 criterion_main!(benches);

@@ -65,10 +65,6 @@ fn main() -> ExitCode {
     // with a huge automaton) fails the gate instead of hanging it.
     config.setup.max_states = 4096;
     config.setup.time_budget = Some(Duration::from_secs(learn_budget));
-    // One worker keeps the alternate-group campaign deterministic: the
-    // planted thrash-resistant policy draws from a per-set RNG, and a fixed
-    // query order pins which draws each query sees.
-    config.setup.workers = 1;
     if !supports_cat {
         println!("note: {model} does not support CAT; learning at full associativity");
     }

@@ -93,10 +93,7 @@ fn run_learn_remote(args: &Args) {
     let (name, assoc) = policy.split_once('@').expect("policy spec is POLICY@ASSOC");
     let kind: PolicyKind = name.parse().expect("known policy");
     let assoc: usize = assoc.parse().expect("numeric associativity");
-    let setup = LearnSetup {
-        workers: 1,
-        ..LearnSetup::default()
-    };
+    let setup = LearnSetup::default();
 
     println!("loadgen: mode learn-remote, campaign {kind}@{assoc}");
     let started = Instant::now();

@@ -365,16 +365,12 @@ fn measure_learn(trials: usize) -> TwoWay {
         on: u64::MAX,
     };
     for _ in 0..trials.max(1) {
-        let setup = LearnSetup {
-            workers: 1,
-            ..LearnSetup::default()
-        };
+        let setup = LearnSetup::default();
         let bare = time_ns(|| {
             black_box(learn_simulated_policy(PolicyKind::Lru, 3, &setup).expect("lru@3 learns"));
         });
 
         let setup = LearnSetup {
-            workers: 1,
             recorder: Some(Arc::new(Recorder::new(Arc::new(RingSink::new(8_192))))),
             ..LearnSetup::default()
         };

@@ -132,13 +132,8 @@ struct Measured {
 }
 
 fn measure(workload: &Workload, store: Option<&Arc<QueryStore>>) -> Measured {
-    // One worker pins the membership-query count (parallel workers split
-    // conformance chunks non-deterministically); everything else is the
-    // default learning configuration the pinned numbers were taken with.
-    let setup = LearnSetup {
-        workers: 1,
-        ..LearnSetup::default()
-    };
+    // The default learning configuration the pinned numbers were taken with.
+    let setup = LearnSetup::default();
     let mut units = Vec::new();
     let started = Instant::now();
     for &(kind, assoc) in &workload.units {

@@ -106,10 +106,7 @@ fn capture(kinds: &[PolicyKind], assoc: usize) -> (Vec<Event>, Vec<String>, u64)
         })
         .expect("a memory-only store performs no I/O"),
     );
-    let setup = LearnSetup {
-        workers: 1,
-        ..LearnSetup::default()
-    };
+    let setup = LearnSetup::default();
     for &kind in kinds {
         let backend =
             PolicySimBackend::new(kind, assoc).unwrap_or_else(|e| panic!("{kind}@{assoc}: {e}"));
@@ -280,10 +277,7 @@ struct DurablePin {
 fn durable_pin(assoc: usize) -> DurablePin {
     let dir = std::env::temp_dir().join(format!("cq_storebench_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let setup = LearnSetup {
-        workers: 1,
-        ..LearnSetup::default()
-    };
+    let setup = LearnSetup::default();
     let campaign = |store: &Arc<QueryStore>| {
         let backend = PolicySimBackend::new(PolicyKind::Lru, assoc).expect("LRU supports assoc");
         let engine = QueryEngine::with_store(backend, Arc::clone(store));

@@ -3,11 +3,13 @@
 //! For every policy and associativity the harness runs the full Polca + L* +
 //! Wp-method pipeline against a noiseless simulated cache, reports the number
 //! of states of the learned automaton and the learning time, and checks the
-//! learned machine against the executable ground-truth policy.
+//! learned machine against the executable ground-truth policy.  Each row is
+//! also printed to stderr as soon as it finishes (states, membership queries,
+//! probes, ground-truth verdict, or the error), so a run that is killed
+//! keeps the rows it finished.
 //!
 //! Usage:
 //!   table2 [--full] [--max-assoc N] [--depth K] [--policy NAME] [--time-budget SECS]
-//!          [--workers N]
 //!
 //! The default configuration covers the associativities where every policy
 //! learns within seconds to a few minutes; `--full` selects the paper's full
@@ -82,7 +84,6 @@ fn main() {
         conformance_depth: depth,
         max_states: 1 << 17,
         time_budget: (time_budget > 0).then(|| Duration::from_secs(time_budget)),
-        workers: args.value_or("workers", 0usize),
         ..LearnSetup::default()
     };
 
@@ -119,6 +120,7 @@ fn main() {
                     let reference =
                         policy_to_mealy(row.policy.build(assoc).unwrap().as_ref(), 1 << 20);
                     let matches = check_equivalence(&outcome.machine, &reference).is_none();
+                    let verdict = if matches { "yes" } else { "NO" };
                     table.add_row(&[
                         row.policy.name().to_string(),
                         assoc.to_string(),
@@ -127,16 +129,20 @@ fn main() {
                         outcome.stats.membership_queries.to_string(),
                         format!("{:.1}%", outcome.stats.cache_hit_rate() * 100.0),
                         outcome.cache_probes.to_string(),
-                        if matches { "yes" } else { "NO" }.to_string(),
+                        verdict.to_string(),
                     ]);
                     eprintln!(
-                        "learned {} at associativity {assoc}: {} states in {}",
+                        "learned {} at associativity {assoc}: {} states, {} MQ, {} probes, \
+                         matches ground truth: {verdict}, in {}",
                         row.policy,
                         outcome.machine.num_states(),
+                        outcome.stats.membership_queries,
+                        outcome.cache_probes,
                         format_duration(outcome.stats.duration)
                     );
                 }
                 Err(e) => {
+                    eprintln!("failed {} at associativity {assoc}: {e}", row.policy);
                     table.add_row(&[
                         row.policy.name().to_string(),
                         assoc.to_string(),

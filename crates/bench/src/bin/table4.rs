@@ -138,7 +138,6 @@ fn main() {
         conformance_depth: depth,
         max_states: 4096,
         time_budget: Some(Duration::from_secs(time_budget)),
-        workers: args.value_or("workers", 0usize),
         ..LearnSetup::default()
     };
 

@@ -60,8 +60,8 @@
 //!
 //! One [`QueryStore`] instance sits behind every [`QueryEngine`]
 //! (crate::QueryEngine); engines that should share answers (the `cqd`
-//! daemon's sessions, workers and learn jobs; the per-worker oracle clones of
-//! a parallel learning run) share one store through an [`Arc`].
+//! daemon's sessions and learn jobs; the clones of a `CacheQueryOracle`)
+//! share one store through an [`Arc`].
 
 use std::collections::HashMap;
 use std::io::{self, Write};

@@ -9,14 +9,14 @@
 //! query family in space proportional to the number of distinct symbols seen,
 //! where a per-word map would store every prefix as a separate key.
 //!
-//! [`QueryCache`] is the shared trie: nodes live in one contiguous arena (an
+//! [`QueryCache`] is the trie: nodes live in one contiguous arena (an
 //! index-linked `Vec`, which keeps lookups cache-friendly), lookups take a
 //! read lock, insertions a write lock, and the hit/miss counters are atomics,
-//! so one cache instance can sit behind every worker of a
-//! [`QueryPool`](crate::QueryPool) at once.  It is also the *central* query
-//! counter of a learning run — membership statistics are derived from the
-//! cache layer instead of trusting every oracle implementation to count for
-//! itself.
+//! so one instance can be shared across threads (the query engine's store
+//! shares one across `cqd` sessions).  Behind a
+//! [`QueryPool`](crate::QueryPool) it is also the *central* query counter of
+//! a learning run — membership statistics are derived from the cache layer
+//! instead of trusting every oracle implementation to count for itself.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock};
@@ -798,16 +798,19 @@ mod tests {
     fn cache_is_shareable_across_threads() {
         use std::sync::Arc;
         let cache: Arc<QueryCache<u8, u8>> = Arc::new(QueryCache::new());
-        std::thread::scope(|scope| {
-            for t in 0..4u8 {
+        let writers: Vec<_> = (0..4u8)
+            .map(|t| {
                 let cache = Arc::clone(&cache);
-                scope.spawn(move || {
+                std::thread::spawn(move || {
                     for i in 0..16u8 {
                         cache.record(&[t, i], &[t, i.wrapping_mul(2)]).unwrap();
                     }
-                });
-            }
-        });
+                })
+            })
+            .collect();
+        for writer in writers {
+            writer.join().unwrap();
+        }
         for t in 0..4u8 {
             for i in 0..16u8 {
                 assert_eq!(cache.lookup(&[t, i]), Some(vec![t, i.wrapping_mul(2)]));

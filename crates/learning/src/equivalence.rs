@@ -1,11 +1,10 @@
 //! Equivalence oracles: conformance testing (W/Wp-method) and random walks.
 //!
-//! The conformance oracles no longer execute their suites one word at a time:
-//! they hand the whole generated suite to [`QueryPool::run_tests`], which
-//! memoizes every word in the shared prefix trie and shards execution across
-//! the pool's worker threads with counterexample short-circuiting (§3.3 —
-//! the test suite is *exponentially* large in the suite depth, which makes
-//! it the natural parallelization target of the whole pipeline).
+//! The conformance oracles hand their lazily generated suite to
+//! [`QueryPool::run_tests`], which answers each word from the prefix trie
+//! where it can and stops at the first failing test (§3.3 — the test suite
+//! is *exponentially* large in the suite depth, so a refuted hypothesis must
+//! not generate the rest of it).
 
 use std::fmt;
 use std::hash::Hash;
@@ -24,33 +23,24 @@ use crate::wmethod::{w_method_suite_iter, wp_method_suite_iter};
 #[derive(Debug, Clone)]
 pub struct WpMethodOracle {
     depth: usize,
-    tests_run: u64,
 }
 
 impl WpMethodOracle {
     /// Creates the oracle with extra depth `depth`.
     pub fn new(depth: usize) -> Self {
-        WpMethodOracle {
-            depth,
-            tests_run: 0,
-        }
+        WpMethodOracle { depth }
     }
 
     /// The extra depth `k`.
     pub fn depth(&self) -> usize {
         self.depth
     }
-
-    /// Number of conformance tests executed so far.
-    pub fn tests_run(&self) -> u64 {
-        self.tests_run
-    }
 }
 
 impl<I, O> EquivalenceOracle<I, O> for WpMethodOracle
 where
-    I: Clone + Eq + Hash + fmt::Debug + Send + Sync,
-    O: Clone + Eq + Hash + fmt::Debug + Send + Sync,
+    I: Clone + Eq + Hash + fmt::Debug,
+    O: Clone + Eq + Hash + fmt::Debug,
 {
     fn find_counterexample(
         &mut self,
@@ -58,7 +48,6 @@ where
         hypothesis: &Mealy<I, O>,
     ) -> Result<Option<Vec<I>>, OracleError> {
         let outcome = pool.run_tests(hypothesis, wp_method_suite_iter(hypothesis, self.depth))?;
-        self.tests_run += outcome.tests_executed;
         Ok(outcome.counterexample)
     }
 }
@@ -68,28 +57,19 @@ where
 #[derive(Debug, Clone)]
 pub struct WMethodOracle {
     depth: usize,
-    tests_run: u64,
 }
 
 impl WMethodOracle {
     /// Creates the oracle with extra depth `depth`.
     pub fn new(depth: usize) -> Self {
-        WMethodOracle {
-            depth,
-            tests_run: 0,
-        }
-    }
-
-    /// Number of conformance tests executed so far.
-    pub fn tests_run(&self) -> u64 {
-        self.tests_run
+        WMethodOracle { depth }
     }
 }
 
 impl<I, O> EquivalenceOracle<I, O> for WMethodOracle
 where
-    I: Clone + Eq + Hash + fmt::Debug + Send + Sync,
-    O: Clone + Eq + Hash + fmt::Debug + Send + Sync,
+    I: Clone + Eq + Hash + fmt::Debug,
+    O: Clone + Eq + Hash + fmt::Debug,
 {
     fn find_counterexample(
         &mut self,
@@ -97,7 +77,6 @@ where
         hypothesis: &Mealy<I, O>,
     ) -> Result<Option<Vec<I>>, OracleError> {
         let outcome = pool.run_tests(hypothesis, w_method_suite_iter(hypothesis, self.depth))?;
-        self.tests_run += outcome.tests_executed;
         Ok(outcome.counterexample)
     }
 }
@@ -106,8 +85,7 @@ where
 ///
 /// This is the "random walk" alternative the paper mentions in §6 as enabling
 /// faster hypothesis refinement at the cost of the completeness guarantee of
-/// Theorem 3.3.  Walks are generated and executed sequentially so that a
-/// given seed explores the same words regardless of the worker count.
+/// Theorem 3.3.  A given seed always explores the same words.
 #[derive(Debug, Clone)]
 pub struct RandomWalkOracle {
     walks: usize,
@@ -129,8 +107,8 @@ impl RandomWalkOracle {
 
 impl<I, O> EquivalenceOracle<I, O> for RandomWalkOracle
 where
-    I: Clone + Eq + Hash + fmt::Debug + Send + Sync,
-    O: Clone + Eq + fmt::Debug + Send + Sync,
+    I: Clone + Eq + Hash + fmt::Debug,
+    O: Clone + Eq + fmt::Debug,
 {
     fn find_counterexample(
         &mut self,
@@ -182,10 +160,10 @@ mod tests {
     fn equivalent_machines_yield_no_counterexample() {
         let target = counter(3);
         let factory = factory_for(&target);
-        let mut pool = QueryPool::new(&factory, 1, true);
+        let mut pool = QueryPool::new(&factory);
         let mut wp = WpMethodOracle::new(1);
         assert_eq!(wp.find_counterexample(&mut pool, &target).unwrap(), None);
-        assert!(wp.tests_run() > 0);
+        assert!(pool.tests_run() > 0);
     }
 
     #[test]
@@ -194,7 +172,7 @@ mod tests {
         // difference needs 1 extra state, so depth 1 must find it.
         let factory = factory_for(&counter(3));
         let hypothesis = counter(2);
-        let mut pool = QueryPool::new(&factory, 1, true);
+        let mut pool = QueryPool::new(&factory);
         let mut wp = WpMethodOracle::new(1);
         let cex = wp
             .find_counterexample(&mut pool, &hypothesis)
@@ -212,7 +190,7 @@ mod tests {
     fn w_method_also_finds_the_counterexample() {
         let factory = factory_for(&counter(4));
         let hypothesis = counter(2);
-        let mut pool = QueryPool::new(&factory, 1, true);
+        let mut pool = QueryPool::new(&factory);
         let mut w = WMethodOracle::new(2);
         assert!(w
             .find_counterexample(&mut pool, &hypothesis)
@@ -225,7 +203,7 @@ mod tests {
         let system = counter(3);
         let factory = factory_for(&system);
         let hypothesis = counter(2);
-        let mut pool = QueryPool::new(&factory, 1, true);
+        let mut pool = QueryPool::new(&factory);
         let mut wp = WpMethodOracle::new(1);
         let cex = wp
             .find_counterexample(&mut pool, &hypothesis)
@@ -241,27 +219,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_conformance_agree() {
-        let factory = factory_for(&counter(5));
-        let hypothesis = counter(3);
-        let mut found = Vec::new();
-        for workers in [1usize, 4] {
-            let mut pool = QueryPool::new(&factory, workers, true);
-            let mut wp = WpMethodOracle::new(2);
-            found.push(
-                wp.find_counterexample(&mut pool, &hypothesis)
-                    .unwrap()
-                    .expect("counterexample exists"),
-            );
-        }
-        assert_eq!(found[0], found[1]);
-    }
-
-    #[test]
     fn random_walks_eventually_find_large_differences() {
         let factory = factory_for(&counter(3));
         let hypothesis = counter(2);
-        let mut pool = QueryPool::new(&factory, 1, true);
+        let mut pool = QueryPool::new(&factory);
         let mut rw = RandomWalkOracle::new(200, 10, 42);
         assert!(rw
             .find_counterexample(&mut pool, &hypothesis)

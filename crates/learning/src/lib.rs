@@ -8,20 +8,18 @@
 //!
 //! * [`MembershipOracle`] / [`EquivalenceOracle`] — the teacher interface of
 //!   the student–teacher paradigm (§3.1);
-//! * [`OracleFactory`] / [`QueryPool`] — the factory abstraction minting
-//!   independent per-worker oracles, and the shared query engine that
-//!   memoizes every membership query in a prefix trie and shards conformance
-//!   suites across a `std::thread` worker pool;
-//! * [`QueryCache`] — the thread-safe prefix-trie memoization layer itself
-//!   (exploiting the prefix-closedness of deterministic output words);
+//! * [`OracleFactory`] / [`QueryPool`] — the factory that makes the
+//!   learner's oracle, and the query engine that puts that one oracle behind
+//!   a prefix trie, answering every membership query and conformance test of
+//!   a run one at a time;
+//! * [`QueryCache`] — the prefix-trie memoization layer itself (exploiting
+//!   the prefix-closedness of deterministic output words);
 //! * [`learn_mealy`] — L* for Mealy machines with an observation table,
 //!   batched row filling, and Rivest–Schapire counterexample processing;
 //! * [`WpMethodOracle`] / [`WMethodOracle`] — `(|H| + k)`-complete conformance
 //!   test suites (§3.3, Theorem 3.3) used as the equivalence oracle;
 //! * [`RandomWalkOracle`] — the cheaper randomized alternative mentioned in
 //!   §6 as a possible optimization;
-//! * [`CachedOracle`] — a single-oracle adapter over the query cache,
-//!   mirroring LearnLib's query cache;
 //! * [`MealyOracle`] — a simulated teacher backed by a known machine, used in
 //!   tests and for the ablation benchmarks.
 //!
@@ -43,7 +41,7 @@
 //! b.add_transition(cs1, "Evct", cs0, "1");
 //! let target = b.build(cs0).unwrap();
 //!
-//! // Any closure producing independent teachers is an `OracleFactory`.
+//! // Any closure producing a teacher is an `OracleFactory`.
 //! let teacher = target.clone();
 //! let factory = move || MealyOracle::new(teacher.clone());
 //! let mut equivalence = WpMethodOracle::new(1);
@@ -80,10 +78,8 @@ pub use lstar::{
     learn_mealy, LearnError, LearnOptions, LearnPhase, LearnPhases, LearnProgress, LearnStats,
     PhaseStats,
 };
-pub use oracle::{
-    CachedOracle, EquivalenceOracle, MealyOracle, MembershipOracle, NonDeterminism, OracleError,
-};
-pub use pool::{OracleFactory, QueryPool, SuiteOutcome, WORKERS_ENV};
+pub use oracle::{EquivalenceOracle, MealyOracle, MembershipOracle, NonDeterminism, OracleError};
+pub use pool::{OracleFactory, QueryPool, SuiteOutcome};
 pub use wmethod::{
     characterization_set, state_cover, transition_cover, w_method_suite, w_method_suite_iter,
     wp_method_suite, wp_method_suite_iter, WMethodSuite, WpMethodSuite,

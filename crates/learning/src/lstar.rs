@@ -54,15 +54,9 @@ pub struct LearnOptions {
     pub max_states: usize,
     /// Abort if learning exceeds this wall-clock budget (`None` = unlimited).
     pub time_budget: Option<Duration>,
-    /// Worker threads for parallel conformance testing and batched table
-    /// filling.  `0` (the default) resolves the count from the
-    /// `CACHEQUERY_WORKERS` environment variable, falling back to the
-    /// machine's available parallelism.
+    /// Has no effect: the learner runs one query at a time.  Kept so that
+    /// callers which still set it compile.
     pub workers: usize,
-    /// Whether to memoize membership queries in the shared prefix-trie
-    /// [`QueryCache`](crate::QueryCache) (default `true`; the ablation
-    /// benchmarks turn it off).
-    pub memoize: bool,
     /// Optional live progress counters, updated once per hypothesis round
     /// (table closure / equivalence query).  `None` (the default) costs
     /// nothing.
@@ -80,7 +74,6 @@ impl Default for LearnOptions {
             max_states: 1 << 20,
             time_budget: None,
             workers: 0,
-            memoize: true,
             progress: None,
             recorder: None,
         }
@@ -247,8 +240,6 @@ pub struct LearnStats {
     pub equivalence_queries: u64,
     /// Conformance tests executed across all equivalence queries.
     pub conformance_tests: u64,
-    /// Worker shards used across all equivalence queries.
-    pub equivalence_shards: u64,
     /// Counterexamples processed.
     pub counterexamples: u64,
     /// Number of states of the final hypothesis.
@@ -264,7 +255,7 @@ pub struct LearnStats {
 
 impl LearnStats {
     /// Fraction of membership queries served from the query cache (`0.0`
-    /// when no queries were asked or memoization was disabled).
+    /// when no queries were asked).
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
@@ -333,11 +324,9 @@ impl From<OracleError> for LearnError {
 /// and an equivalence oracle (Angluin's L* adapted to Mealy machines, with
 /// Rivest–Schapire counterexample processing).
 ///
-/// The factory is used to build the learner's [`QueryPool`]: one local oracle
-/// answers sequential queries, per-worker oracles answer sharded conformance
-/// suites and batched table fills, and every answer is memoized in a shared
-/// prefix-trie cache (see [`LearnOptions::workers`] and
-/// [`LearnOptions::memoize`]).
+/// The factory makes the one oracle of the learner's [`QueryPool`], which
+/// answers every membership query of the run, one at a time, through a
+/// prefix-trie cache.
 ///
 /// # Errors
 ///
@@ -349,12 +338,12 @@ pub fn learn_mealy<I, O>(
     options: LearnOptions,
 ) -> Result<(Mealy<I, O>, LearnStats), LearnError>
 where
-    I: Clone + Eq + Hash + fmt::Debug + Send + Sync,
-    O: Clone + Eq + Hash + fmt::Debug + Send + Sync,
+    I: Clone + Eq + Hash + fmt::Debug,
+    O: Clone + Eq + Hash + fmt::Debug,
 {
     let start = Instant::now();
     let mut stats = LearnStats::default();
-    let mut pool = QueryPool::new(factory, options.workers, options.memoize);
+    let mut pool = QueryPool::new(factory);
     let mut table = ObservationTable::new(inputs);
     let recorder = options.recorder.as_deref();
     let root = recorder.map(|r| r.span("lstar.learn"));
@@ -492,7 +481,6 @@ where
     stats.cache_hits = pool.cache_hits();
     stats.cache_misses = pool.cache_misses();
     stats.conformance_tests = pool.tests_run();
-    stats.equivalence_shards = pool.shards_run();
     stats.states = result.num_states();
     stats.suffixes = table.suffixes().len();
     stats.duration = start.elapsed();
@@ -513,8 +501,8 @@ fn find_distinguishing_suffix<I, O>(
     counterexample: &[I],
 ) -> Result<Vec<I>, OracleError>
 where
-    I: Clone + Eq + Hash + fmt::Debug + Send + Sync,
-    O: Clone + Eq + fmt::Debug + Send + Sync,
+    I: Clone + Eq + Hash + fmt::Debug,
+    O: Clone + Eq + fmt::Debug,
 {
     let expected = hypothesis
         .output_word(counterexample.iter())
@@ -682,7 +670,6 @@ mod tests {
         );
         assert!(stats.cache_hit_rate() > 0.0 && stats.cache_hit_rate() < 1.0);
         assert!(stats.conformance_tests > 0);
-        assert!(stats.equivalence_shards >= stats.equivalence_queries);
         // The phase regions partition the loop: per-phase query counts sum
         // exactly to the central total, and every phase did real work on a
         // multi-round learn.
@@ -737,31 +724,5 @@ mod tests {
             .iter()
             .any(|l| l.contains("\"fields\":{\"queries\":") && !l.contains("\"queries\":0}")));
         assert!(stats.phases.total_queries() > 0);
-    }
-
-    #[test]
-    fn multi_worker_learning_matches_single_worker() {
-        let target = counter(6);
-        let teacher = target.clone();
-        let factory = move || MealyOracle::new(teacher.clone());
-        let mut machines = Vec::new();
-        for workers in [1usize, 4] {
-            let mut eq = WpMethodOracle::new(6);
-            let (learned, stats) = learn_mealy(
-                target.inputs().to_vec(),
-                &factory,
-                &mut eq,
-                LearnOptions {
-                    workers,
-                    ..LearnOptions::default()
-                },
-            )
-            .unwrap();
-            assert!(equivalent(&learned, &target));
-            assert_eq!(stats.states, 6);
-            machines.push(learned);
-        }
-        // Deterministic short-circuiting: both runs learn the same machine.
-        assert!(equivalent(&machines[0], &machines[1]));
     }
 }

@@ -1,65 +1,33 @@
-//! Oracle factories and the shared query pool: memoized, parallel membership
-//! queries for the learner.
+//! The learner's query pool: one membership oracle behind one prefix-trie
+//! cache.
 //!
 //! The paper's learning runs are query-bound (§3.1, §6): every improvement to
 //! how membership queries are answered translates directly into wall-clock
-//! time.  This module attacks the dominant term twice:
-//!
-//! * **Memoization** — every query is routed through one shared
-//!   [`QueryCache`] prefix trie, so repeated words (and prefixes of longer
-//!   words) never reach the underlying system again;
-//! * **Parallelism** — the [`OracleFactory`] abstraction mints independent
-//!   per-worker oracles, which lets [`QueryPool::run_tests`] shard a
-//!   W/Wp-method conformance suite across a `std::thread` worker pool with
-//!   counterexample short-circuiting.
-//!
-//! The worker count defaults to the machine's available parallelism and can
-//! be pinned with the [`WORKERS_ENV`] (`CACHEQUERY_WORKERS`) environment
-//! variable or the `workers` field of
-//! [`LearnOptions`](crate::LearnOptions).
+//! time.  Every query of a run — observation-table filling, Rivest–Schapire
+//! analysis, conformance testing — goes through one [`QueryCache`], so
+//! repeated words (and prefixes of longer words) never reach the system under
+//! learning again.  Queries run one at a time, as on real silicon, where there
+//! is only one cache set to probe; a run's membership-query count therefore
+//! depends on nothing but the system and the learner.
 
 use std::fmt;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 use automata::Mealy;
 
 use crate::cache::{CacheVerdict, QueryCache, TrieCursor};
 use crate::oracle::{MembershipOracle, OracleError};
 
-/// Environment variable overriding the default worker count of a
-/// [`QueryPool`] (`0` or unset means "use the available parallelism").
-pub const WORKERS_ENV: &str = "CACHEQUERY_WORKERS";
-
-/// Below this many outstanding words a parallel stage falls back to the
-/// sequential path: thread hand-off costs more than the queries themselves.
-const MIN_PARALLEL_ITEMS: usize = 32;
-
-/// First chunk pulled from a lazy conformance suite.  Small, because most
-/// equivalence queries during learning fail within the first few tests.
-const FIRST_CHUNK: usize = 64;
-
-/// Chunk growth factor: amortizes chunking overhead for the final, fully
-/// passing equivalence query without giving up early short-circuiting.
-const CHUNK_GROWTH: usize = 4;
-
-/// Upper bound on the chunk size.
-const MAX_CHUNK: usize = 16_384;
-
-/// A factory of independent membership oracles over the same system under
-/// learning.
+/// A factory of membership oracles over the system under learning.
 ///
-/// This is the cloneable abstraction the parallel conformance tester is built
-/// on: each worker thread drives its *own* oracle instance (`Send`, created
-/// by the factory), so oracles never need internal locking.  Every closure
+/// [`learn_mealy`](crate::learn_mealy) takes a factory rather than an oracle
+/// and makes the one oracle its [`QueryPool`] drives.  Every closure
 /// `Fn() -> M` producing an oracle is a factory, which keeps call sites
 /// short.
 ///
 /// For replacement-policy learning the factory contract is exactly the
 /// `probeCache` contract of Algorithm 1: every instance must answer from the
-/// same fixed initial cache state, so instances are interchangeable and their
-/// answers can be memoized in one shared [`QueryCache`].
+/// same fixed initial cache state, so instances are interchangeable.
 ///
 /// # Example
 ///
@@ -83,15 +51,15 @@ const MAX_CHUNK: usize = 16_384;
 /// ```
 pub trait OracleFactory<I, O> {
     /// Creates a fresh, independent oracle for the system under learning.
-    fn make_oracle(&self) -> Box<dyn MembershipOracle<I, O> + Send>;
+    fn make_oracle(&self) -> Box<dyn MembershipOracle<I, O>>;
 }
 
 impl<I, O, M, F> OracleFactory<I, O> for F
 where
     F: Fn() -> M,
-    M: MembershipOracle<I, O> + Send + 'static,
+    M: MembershipOracle<I, O> + 'static,
 {
-    fn make_oracle(&self) -> Box<dyn MembershipOracle<I, O> + Send> {
+    fn make_oracle(&self) -> Box<dyn MembershipOracle<I, O>> {
         Box::new(self())
     }
 }
@@ -100,20 +68,16 @@ where
 /// [`QueryPool::run_tests`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SuiteOutcome<I> {
-    /// The counterexample with the smallest suite index, truncated to its
-    /// shortest failing prefix — or `None` if the whole suite passed.
+    /// The first failing test of the suite, truncated to its shortest failing
+    /// prefix — or `None` if the whole suite passed.
     pub counterexample: Option<Vec<I>>,
-    /// Number of test words actually executed (short-circuiting makes this
-    /// smaller than the suite for failing hypotheses).
+    /// Number of test words executed, which is also the number pulled from
+    /// the suite: a failing test ends the run.
     pub tests_executed: u64,
-    /// Number of worker shards the suite was split into (1 for the
-    /// sequential path).
-    pub shards: u64,
 }
 
-/// The shared query engine of a learning run: one prefix-trie cache, one
-/// local oracle for sequential queries, and a set of per-worker oracles for
-/// parallel stages.
+/// The query engine of a learning run: one oracle, made once by the
+/// factory, in front of one prefix-trie cache.
 ///
 /// The pool is the single entry point for every membership query of the
 /// learner — observation-table filling, Rivest–Schapire analysis, and
@@ -135,49 +99,24 @@ pub struct SuiteOutcome<I> {
 /// let machine = b.build(s).unwrap();
 ///
 /// let factory = move || MealyOracle::new(machine.clone());
-/// let mut pool = QueryPool::new(&factory, 1, true);
+/// let mut pool = QueryPool::new(&factory);
 /// assert_eq!(pool.query_word(&['t', 't']).unwrap(), vec![1, 1]);
-/// // The repeat is served from the shared prefix trie.
+/// // The repeat is served from the prefix trie.
 /// assert_eq!(pool.query_word(&['t', 't']).unwrap(), vec![1, 1]);
 /// assert_eq!((pool.cache_hits(), pool.cache_misses()), (1, 1));
 /// ```
 pub struct QueryPool<'f, I, O> {
-    factory: &'f dyn OracleFactory<I, O>,
-    cache: Option<Arc<QueryCache<I, O>>>,
-    local: Box<dyn MembershipOracle<I, O> + Send>,
-    workers: Vec<Box<dyn MembershipOracle<I, O> + Send>>,
-    worker_target: usize,
-    uncached_queries: u64,
+    oracle: Box<dyn MembershipOracle<I, O> + 'f>,
+    cache: QueryCache<I, O>,
     tests_run: u64,
-    shards_run: u64,
 }
 
 impl<I, O> fmt::Debug for QueryPool<'_, I, O> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("QueryPool")
-            .field("memoized", &self.cache.is_some())
-            .field("workers", &self.worker_target)
             .field("tests_run", &self.tests_run)
             .finish_non_exhaustive()
     }
-}
-
-/// Resolves a requested worker count: explicit values win, then
-/// [`WORKERS_ENV`], then the machine's available parallelism.
-fn resolve_workers(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    if let Some(n) = std::env::var(WORKERS_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 /// Queries `oracle` for `word` and enforces the one-output-per-symbol
@@ -194,29 +133,6 @@ fn query_validated<I, O>(
             outputs.len(),
             word.len()
         )));
-    }
-    Ok(outputs)
-}
-
-/// Answers one word through the cache (when present) or the given oracle,
-/// recording fresh answers.  Shared by the sequential and worker paths.
-fn query_via<I, O>(
-    cache: Option<&QueryCache<I, O>>,
-    oracle: &mut dyn MembershipOracle<I, O>,
-    word: &[I],
-) -> Result<Vec<O>, OracleError>
-where
-    I: Clone + Eq,
-    O: Clone + PartialEq,
-{
-    if let Some(cache) = cache {
-        if let Some(outputs) = cache.lookup(word) {
-            return Ok(outputs);
-        }
-    }
-    let outputs = query_validated(oracle, word)?;
-    if let Some(cache) = cache {
-        cache.record(word, &outputs)?;
     }
     Ok(outputs)
 }
@@ -240,7 +156,7 @@ where
     None
 }
 
-/// Per-walker resume state for a run of conformance tests against one fixed
+/// Resume state for a run of conformance tests against one fixed
 /// hypothesis.
 ///
 /// Suite words arrive in `prefix · middle · suffix` product order, so
@@ -251,10 +167,10 @@ where
 ///
 /// Soundness of resuming: every retained prefix was checked to *agree* with
 /// the hypothesis prediction (a disagreeing position would have produced a
-/// counterexample and ended the walker's run), predictions on a shared
-/// prefix are identical because the hypothesis is deterministic, and trie
-/// nodes are append-only.  Cache hit/miss counting is per test, exactly as
-/// before, so resuming never changes membership-query statistics.
+/// counterexample and ended the run), predictions on a shared prefix are
+/// identical because the hypothesis is deterministic, and trie nodes are
+/// append-only.  Cache hit/miss counting is per test, exactly as without
+/// resuming, so resuming never changes membership-query statistics.
 struct TestCursor<I, O> {
     /// The previous test word.
     word: Vec<I>,
@@ -283,109 +199,34 @@ fn common_prefix_len<I: Eq>(a: &[I], b: &[I]) -> usize {
     a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
-/// Executes one conformance test: decides it from the cache where possible
-/// (without cloning outputs), otherwise queries the oracle and records the
-/// answer.  Returns the shortest failing prefix, if any.
-///
-/// `cursor` carries the walker's resume state (see [`TestCursor`]); the
-/// hypothesis prediction and the trie check both restart from the longest
-/// prefix shared with the previous test word.
-fn run_one_test<I, O>(
-    cache: Option<&QueryCache<I, O>>,
-    oracle: &mut dyn MembershipOracle<I, O>,
-    hypothesis: &Mealy<I, O>,
-    word: &[I],
-    cursor: &mut TestCursor<I, O>,
-) -> Result<Option<Vec<I>>, OracleError>
-where
-    I: Clone + Eq + Hash + fmt::Debug,
-    O: Clone + Eq + fmt::Debug,
-{
-    let lcp = common_prefix_len(&cursor.word, word);
-    cursor.states.truncate(lcp + 1);
-    cursor.predicted.truncate(lcp);
-    let mut state = *cursor
-        .states
-        .last()
-        .expect("cursor keeps the initial state");
-    for input in &word[lcp..] {
-        let ii = hypothesis
-            .input_position(input)
-            .unwrap_or_else(|| panic!("input {input:?} is not in the alphabet"));
-        let (next, output) = hypothesis.step_by_index(state, ii);
-        cursor.predicted.push(output.clone());
-        cursor.states.push(next);
-        state = next;
-    }
-    cursor.word.clear();
-    cursor.word.extend_from_slice(word);
-    if let Some(cache) = cache {
-        match cache.check_against_resumed(word, &cursor.predicted, lcp, &mut cursor.trie) {
-            CacheVerdict::Match => return Ok(None),
-            CacheVerdict::Mismatch(i) => return Ok(Some(word[..=i].to_vec())),
-            CacheVerdict::Unknown => {}
-        }
-        let actual = query_validated(oracle, word)?;
-        cache.record(word, &actual)?;
-        return Ok(shortest_failing_prefix(word, &actual, &cursor.predicted));
-    }
-    let actual = query_validated(oracle, word)?;
-    Ok(shortest_failing_prefix(word, &actual, &cursor.predicted))
-}
-
 impl<'f, I, O> QueryPool<'f, I, O>
 where
     I: Clone + Eq + Hash + fmt::Debug,
     O: Clone + Eq + fmt::Debug,
 {
-    /// Creates a pool over `factory`.
-    ///
-    /// `workers == 0` resolves the worker count from [`WORKERS_ENV`] or the
-    /// available parallelism; `memoize == false` disables the shared cache
-    /// (used by the ablation benchmarks).
-    pub fn new(factory: &'f dyn OracleFactory<I, O>, workers: usize, memoize: bool) -> Self {
+    /// Creates a pool over the one oracle `factory` makes, with an empty
+    /// cache.
+    pub fn new(factory: &'f dyn OracleFactory<I, O>) -> Self {
         QueryPool {
-            factory,
-            cache: memoize.then(|| Arc::new(QueryCache::new())),
-            local: factory.make_oracle(),
-            workers: Vec::new(),
-            worker_target: resolve_workers(workers).max(1),
-            uncached_queries: 0,
+            oracle: factory.make_oracle(),
+            cache: QueryCache::new(),
             tests_run: 0,
-            shards_run: 0,
         }
-    }
-
-    /// The resolved number of worker threads parallel stages may use.
-    pub fn workers(&self) -> usize {
-        self.worker_target
-    }
-
-    /// The shared prefix-trie cache, if memoization is enabled.
-    pub fn cache(&self) -> Option<&Arc<QueryCache<I, O>>> {
-        self.cache.as_ref()
     }
 
     /// Membership queries answered so far (cache hits included).
     pub fn queries_answered(&self) -> u64 {
-        match &self.cache {
-            Some(cache) => cache.total_lookups(),
-            None => self.uncached_queries,
-        }
+        self.cache.total_lookups()
     }
 
-    /// Cache hits so far (0 when memoization is disabled).
+    /// Cache hits so far.
     pub fn cache_hits(&self) -> u64 {
-        self.cache.as_ref().map_or(0, |c| c.hits())
+        self.cache.hits()
     }
 
-    /// Cache misses so far; equals [`Self::queries_answered`] when
-    /// memoization is disabled.
+    /// Cache misses so far: the queries the oracle had to answer.
     pub fn cache_misses(&self) -> u64 {
-        match &self.cache {
-            Some(cache) => cache.misses(),
-            None => self.uncached_queries,
-        }
+        self.cache.misses()
     }
 
     /// Conformance tests executed so far across all [`Self::run_tests`]
@@ -394,65 +235,40 @@ where
         self.tests_run
     }
 
-    /// Total number of worker shards used across all [`Self::run_tests`]
-    /// calls.
-    pub fn shards_run(&self) -> u64 {
-        self.shards_run
-    }
-
-    /// Answers a single membership query through the cache and the local
-    /// oracle.
+    /// Answers a single membership query through the cache and the oracle.
     ///
     /// # Errors
     ///
     /// Propagates oracle failures and cache-consistency violations.
     pub fn query_word(&mut self, word: &[I]) -> Result<Vec<O>, OracleError> {
-        if self.cache.is_none() {
-            self.uncached_queries += 1;
+        if let Some(outputs) = self.cache.lookup(word) {
+            return Ok(outputs);
         }
-        query_via(self.cache.as_deref(), &mut self.local, word)
+        let outputs = query_validated(&mut self.oracle, word)?;
+        self.cache.record(word, &outputs)?;
+        Ok(outputs)
     }
 
-    /// Lazily creates the per-worker oracles.
-    fn ensure_workers(&mut self) {
-        while self.workers.len() < self.worker_target {
-            self.workers.push(self.factory.make_oracle());
-        }
-    }
-}
-
-impl<I, O> QueryPool<'_, I, O>
-where
-    I: Clone + Eq + Hash + fmt::Debug + Send + Sync,
-    O: Clone + Eq + fmt::Debug + Send + Sync,
-{
-    /// Answers a batch of membership queries, sharding cache misses across
-    /// the worker pool.  Results are returned in input order.
+    /// Answers a batch of membership queries.  Results are returned in input
+    /// order.
     ///
     /// This is the batched table-filling primitive of L*: the observation
     /// table collects every missing cell of a refinement step and issues them
-    /// as one batch instead of one oracle round-trip per cell.
+    /// as one batch.  Every word is looked up in the cache before any is
+    /// sent to the oracle, and each distinct missing word is sent once.
     ///
     /// # Errors
     ///
-    /// Propagates the first oracle failure of any worker.
+    /// Propagates the first oracle failure.
     pub fn query_batch(&mut self, words: &[Vec<I>]) -> Result<Vec<Vec<O>>, OracleError> {
-        let mut results: Vec<Option<Vec<O>>> = match &self.cache {
-            Some(cache) => words.iter().map(|w| cache.lookup(w)).collect(),
-            None => {
-                self.uncached_queries += words.len() as u64;
-                vec![None; words.len()]
-            }
-        };
-        // Deduplicate outstanding words before touching any oracle: the same
+        let mut results: Vec<Option<Vec<O>>> = words.iter().map(|w| self.cache.lookup(w)).collect();
+        // Deduplicate outstanding words before touching the oracle: the same
         // word can appear under several batch indices (e.g. two observation
         // table cells with `p1·e1 == p2·e2`), and each oracle execution can
-        // be an expensive hardware probe.  `missing` keeps one representative
-        // index per distinct word; `duplicates` maps the rest back to it.
+        // be an expensive hardware probe.  `representative` keeps the first
+        // index of each distinct missing word.
         let mut representative: automata::fxhash::FxHashMap<&[I], usize> =
             automata::fxhash::FxHashMap::default();
-        let mut missing: Vec<usize> = Vec::new();
-        let mut duplicates: Vec<(usize, usize)> = Vec::new(); // (index, representative)
         for index in 0..words.len() {
             if results[index].is_some() {
                 continue;
@@ -460,71 +276,16 @@ where
             match representative.entry(words[index].as_slice()) {
                 std::collections::hash_map::Entry::Vacant(slot) => {
                     slot.insert(index);
-                    missing.push(index);
-                }
-                std::collections::hash_map::Entry::Occupied(slot) => {
-                    duplicates.push((index, *slot.get()));
-                }
-            }
-        }
-
-        if self.worker_target <= 1 || missing.len() < MIN_PARALLEL_ITEMS {
-            for index in missing {
-                // Cache lookups already counted this batch; query the oracle
-                // directly and record, skipping the double-counting lookup.
-                let outputs = query_validated(&mut self.local, &words[index])?;
-                if let Some(cache) = &self.cache {
-                    cache.record(&words[index], &outputs)?;
-                }
-                results[index] = Some(outputs);
-            }
-        } else {
-            self.ensure_workers();
-            let shards = self.worker_target.min(missing.len());
-            let cache = self.cache.clone();
-            // Per-worker result: the (input index, outputs) pairs it answered.
-            type ShardAnswers<O> = Result<Vec<(usize, Vec<O>)>, OracleError>;
-            let mut answered: Vec<ShardAnswers<O>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .workers
-                    .iter_mut()
-                    .take(shards)
-                    .enumerate()
-                    .map(|(worker, oracle)| {
-                        let shard: Vec<usize> = missing
-                            .iter()
-                            .copied()
-                            .skip(worker)
-                            .step_by(shards)
-                            .collect();
-                        let cache = cache.clone();
-                        let words = &words;
-                        scope.spawn(move || {
-                            let mut out = Vec::with_capacity(shard.len());
-                            for index in shard {
-                                let outputs = query_validated(oracle, &words[index])?;
-                                if let Some(cache) = &cache {
-                                    cache.record(&words[index], &outputs)?;
-                                }
-                                out.push((index, outputs));
-                            }
-                            Ok(out)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("query worker panicked"))
-                    .collect()
-            });
-            for shard_result in answered.drain(..) {
-                for (index, outputs) in shard_result? {
+                    // The lookups above already counted this word; query the
+                    // oracle directly and record.
+                    let outputs = query_validated(&mut self.oracle, &words[index])?;
+                    self.cache.record(&words[index], &outputs)?;
                     results[index] = Some(outputs);
                 }
+                std::collections::hash_map::Entry::Occupied(slot) => {
+                    results[index] = results[*slot.get()].clone();
+                }
             }
-        }
-        for (index, source) in duplicates {
-            results[index] = results[source].clone();
         }
         Ok(results
             .into_iter()
@@ -532,183 +293,84 @@ where
             .collect())
     }
 
-    /// Runs a conformance test suite against `hypothesis`, sharding it across
-    /// the worker pool, and returns the outcome.
+    /// Runs a conformance test suite against `hypothesis` and returns the
+    /// outcome.
     ///
-    /// The suite is consumed lazily in geometrically growing chunks, so a
-    /// hypothesis refuted by an early test never materializes the
-    /// (exponentially large) tail of the suite — pair this with
+    /// The suite is pulled one word at a time and the run stops at the first
+    /// failing test, so a hypothesis refuted by an early test never
+    /// generates the (exponentially large) tail of the suite — pair this with
     /// [`wp_method_suite_iter`](crate::wp_method_suite_iter).  Fully cached
     /// tests are decided by walking the prefix trie against the hypothesis
     /// prediction without cloning outputs or touching the oracle (and a
     /// cached *prefix* that already diverges refutes a test all by itself).
     ///
-    /// Workers short-circuit through a shared atomic best-index: as soon as a
-    /// failing test is found, every worker abandons test words with a larger
-    /// suite index.  All indices *smaller* than the best failure are still
-    /// executed, so the returned counterexample is exactly the one the
-    /// sequential path would find — parallelism changes how many tests are
-    /// *executed*, never which counterexample is *returned*.
-    ///
     /// # Errors
     ///
-    /// Propagates the first oracle failure of any worker.
+    /// Propagates the first oracle failure.
     pub fn run_tests(
         &mut self,
         hypothesis: &Mealy<I, O>,
         suite: impl IntoIterator<Item = Vec<I>>,
     ) -> Result<SuiteOutcome<I>, OracleError> {
-        let mut suite = suite.into_iter();
-        let mut chunk_size = FIRST_CHUNK;
-        let mut executed = 0u64;
-        let mut shards = 0u64;
-        let mut counterexample = None;
-        // The sequential walker's resume state survives chunk boundaries —
-        // the suite order (and hence the prefix sharing) is continuous.
         let mut cursor = TestCursor::new(hypothesis.initial());
-        loop {
-            let chunk: Vec<Vec<I>> = suite.by_ref().take(chunk_size).collect();
-            if chunk.is_empty() {
+        let mut executed = 0;
+        let mut counterexample = None;
+        for word in suite {
+            executed += 1;
+            counterexample = self.run_one_test(hypothesis, &word, &mut cursor)?;
+            if counterexample.is_some() {
                 break;
             }
-            let outcome = if self.worker_target <= 1 || chunk.len() < MIN_PARALLEL_ITEMS {
-                self.run_chunk_sequential(hypothesis, &chunk, &mut cursor)?
-            } else {
-                self.run_chunk_parallel(hypothesis, &chunk)?
-            };
-            executed += outcome.tests_executed;
-            shards += outcome.shards;
-            if outcome.counterexample.is_some() {
-                counterexample = outcome.counterexample;
-                break;
-            }
-            chunk_size = (chunk_size * CHUNK_GROWTH).min(MAX_CHUNK);
-        }
-        if self.cache.is_none() {
-            self.uncached_queries += executed;
         }
         self.tests_run += executed;
-        self.shards_run += shards;
         Ok(SuiteOutcome {
             counterexample,
             tests_executed: executed,
-            shards,
         })
     }
 
-    fn run_chunk_sequential(
+    /// Executes one conformance test: decides it from the cache where
+    /// possible (without cloning outputs), otherwise queries the oracle and
+    /// records the answer.  Returns the shortest failing prefix, if any.
+    ///
+    /// `cursor` carries the run's resume state (see [`TestCursor`]); the
+    /// hypothesis prediction and the trie check both restart from the
+    /// longest prefix shared with the previous test word.
+    fn run_one_test(
         &mut self,
         hypothesis: &Mealy<I, O>,
-        chunk: &[Vec<I>],
+        word: &[I],
         cursor: &mut TestCursor<I, O>,
-    ) -> Result<SuiteOutcome<I>, OracleError> {
-        let mut executed = 0;
-        for word in chunk {
-            executed += 1;
-            // Query counting happens in `run_tests` from `tests_executed`.
-            if let Some(cex) = run_one_test(
-                self.cache.as_deref(),
-                &mut self.local,
-                hypothesis,
-                word,
-                cursor,
-            )? {
-                return Ok(SuiteOutcome {
-                    counterexample: Some(cex),
-                    tests_executed: executed,
-                    shards: 1,
-                });
-            }
+    ) -> Result<Option<Vec<I>>, OracleError> {
+        let lcp = common_prefix_len(&cursor.word, word);
+        cursor.states.truncate(lcp + 1);
+        cursor.predicted.truncate(lcp);
+        let mut state = *cursor
+            .states
+            .last()
+            .expect("cursor keeps the initial state");
+        for input in &word[lcp..] {
+            let ii = hypothesis
+                .input_position(input)
+                .unwrap_or_else(|| panic!("input {input:?} is not in the alphabet"));
+            let (next, output) = hypothesis.step_by_index(state, ii);
+            cursor.predicted.push(output.clone());
+            cursor.states.push(next);
+            state = next;
         }
-        Ok(SuiteOutcome {
-            counterexample: None,
-            tests_executed: executed,
-            shards: 1,
-        })
-    }
-
-    fn run_chunk_parallel(
-        &mut self,
-        hypothesis: &Mealy<I, O>,
-        chunk: &[Vec<I>],
-    ) -> Result<SuiteOutcome<I>, OracleError> {
-        self.ensure_workers();
-        let shards = self.worker_target.min(chunk.len());
-        let cache = self.cache.clone();
-        // Index of the best (smallest) failing test found so far; workers
-        // stop once their next index cannot beat it.
-        let best = AtomicUsize::new(usize::MAX);
-        let abort = AtomicBool::new(false);
-        let found: Mutex<Option<(usize, Vec<I>)>> = Mutex::new(None);
-
-        let worker_results: Vec<Result<u64, OracleError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .workers
-                .iter_mut()
-                .take(shards)
-                .enumerate()
-                .map(|(worker, oracle)| {
-                    let cache = cache.clone();
-                    let (best, abort, found) = (&best, &abort, &found);
-                    scope.spawn(move || {
-                        let mut executed = 0u64;
-                        // Strided shards still share prefixes between their
-                        // consecutive words (the suite's prefix blocks are
-                        // much longer than the stride), so each worker gets
-                        // its own resume cursor.
-                        let mut cursor = TestCursor::new(hypothesis.initial());
-                        for index in (worker..chunk.len()).step_by(shards) {
-                            if abort.load(Ordering::Relaxed)
-                                || index >= best.load(Ordering::Relaxed)
-                            {
-                                break;
-                            }
-                            let word = &chunk[index];
-                            executed += 1;
-                            match run_one_test(
-                                cache.as_deref(),
-                                oracle,
-                                hypothesis,
-                                word,
-                                &mut cursor,
-                            ) {
-                                Ok(None) => {}
-                                Ok(Some(cex)) => {
-                                    best.fetch_min(index, Ordering::Relaxed);
-                                    let mut slot = found.lock().expect("result lock poisoned");
-                                    if slot.as_ref().is_none_or(|(i, _)| *i > index) {
-                                        *slot = Some((index, cex));
-                                    }
-                                }
-                                Err(e) => {
-                                    abort.store(true, Ordering::Relaxed);
-                                    return Err(e);
-                                }
-                            }
-                        }
-                        Ok(executed)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("conformance worker panicked"))
-                .collect()
-        });
-
-        let mut executed = 0;
-        for result in worker_results {
-            executed += result?;
+        cursor.word.clear();
+        cursor.word.extend_from_slice(word);
+        match self
+            .cache
+            .check_against_resumed(word, &cursor.predicted, lcp, &mut cursor.trie)
+        {
+            CacheVerdict::Match => return Ok(None),
+            CacheVerdict::Mismatch(i) => return Ok(Some(word[..=i].to_vec())),
+            CacheVerdict::Unknown => {}
         }
-        let counterexample = found
-            .into_inner()
-            .expect("result lock poisoned")
-            .map(|(_, cex)| cex);
-        Ok(SuiteOutcome {
-            counterexample,
-            tests_executed: executed,
-            shards: shards as u64,
-        })
+        let actual = query_validated(&mut self.oracle, word)?;
+        self.cache.record(word, &actual)?;
+        Ok(shortest_failing_prefix(word, &actual, &cursor.predicted))
     }
 }
 
@@ -747,7 +409,7 @@ mod tests {
     fn pool_memoizes_repeated_queries() {
         let target = counter(3);
         let factory = move || MealyOracle::new(target.clone());
-        let mut pool = QueryPool::new(&factory, 1, true);
+        let mut pool = QueryPool::new(&factory);
         let first = pool.query_word(&["t", "t", "t"]).unwrap();
         let second = pool.query_word(&["t", "t", "t"]).unwrap();
         assert_eq!(first, second);
@@ -756,34 +418,21 @@ mod tests {
     }
 
     #[test]
-    fn disabled_memoization_still_counts_queries() {
-        let target = counter(3);
-        let factory = move || MealyOracle::new(target.clone());
-        let mut pool = QueryPool::new(&factory, 1, false);
-        pool.query_word(&["t"]).unwrap();
-        pool.query_word(&["t"]).unwrap();
-        assert_eq!(pool.cache_hits(), 0);
-        assert_eq!(pool.queries_answered(), 2);
-    }
-
-    #[test]
     fn batches_answer_in_input_order() {
         let target = counter(4);
         let reference = target.clone();
         let factory = move || MealyOracle::new(target.clone());
-        for workers in [1, 4] {
-            let mut pool = QueryPool::new(&factory, workers, true);
-            let words: Vec<Vec<&str>> = (1..=40)
-                .map(|len| {
-                    (0..len)
-                        .map(|i| if i % 5 == 0 { "r" } else { "t" })
-                        .collect()
-                })
-                .collect();
-            let answers = pool.query_batch(&words).unwrap();
-            for (word, answer) in words.iter().zip(&answers) {
-                assert_eq!(*answer, reference.output_word(word.iter()));
-            }
+        let mut pool = QueryPool::new(&factory);
+        let words: Vec<Vec<&str>> = (1..=40)
+            .map(|len| {
+                (0..len)
+                    .map(|i| if i % 5 == 0 { "r" } else { "t" })
+                    .collect()
+            })
+            .collect();
+        let answers = pool.query_batch(&words).unwrap();
+        for (word, answer) in words.iter().zip(&answers) {
+            assert_eq!(*answer, reference.output_word(word.iter()));
         }
     }
 
@@ -791,9 +440,9 @@ mod tests {
     fn batches_answer_duplicate_words_with_one_oracle_query() {
         let target = counter(3);
         let factory = move || MealyOracle::new(target.clone());
-        // Memoization off, so any duplicate suppression must come from the
-        // batch itself, not the trie.
-        let mut pool = QueryPool::new(&factory, 1, false);
+        let mut pool = QueryPool::new(&factory);
+        // Every word is looked up before any is answered, so the repeats
+        // miss the trie: suppressing them is the batch's own work.
         let words: Vec<Vec<&str>> = vec![
             vec!["t", "t"],
             vec!["t", "r"],
@@ -803,8 +452,9 @@ mod tests {
         let answers = pool.query_batch(&words).unwrap();
         assert_eq!(answers[0], answers[2]);
         assert_eq!(answers[0], answers[3]);
+        assert_eq!(pool.cache_misses(), 4);
         // Two distinct words → exactly two queries reached the oracle.
-        assert_eq!(pool.local.queries_answered(), 2);
+        assert_eq!(pool.oracle.queries_answered(), 2);
     }
 
     #[test]
@@ -812,25 +462,40 @@ mod tests {
         let system = counter(3);
         let hypothesis = counter(2);
         let factory = move || MealyOracle::new(system.clone());
-        // The suite contains two failing words; the smaller index must win on
-        // both the sequential and the parallel path.
+        // The suite contains two failing words; the smaller index wins.
         let mut suite: Vec<Vec<&str>> = (0..40).map(|_| vec!["t", "r"]).collect();
         suite[7] = vec!["t", "t", "t"];
         suite[23] = vec!["r", "t", "t", "t"];
-        let mut expected = None;
-        for workers in [1, 4] {
-            let mut pool = QueryPool::new(&factory, workers, true);
-            let outcome = pool.run_tests(&hypothesis, suite.iter().cloned()).unwrap();
-            let cex = outcome.counterexample.expect("a counterexample exists");
-            // The index-7 word diverges at its second symbol (the 2-counter
-            // wraps, the 3-counter does not), so the shortest failing prefix
-            // of the smallest failing suite index is returned.
-            assert_eq!(cex, vec!["t", "t"]);
-            match &expected {
-                None => expected = Some(cex),
-                Some(prev) => assert_eq!(prev, &cex),
-            }
-        }
+        let mut pool = QueryPool::new(&factory);
+        let outcome = pool.run_tests(&hypothesis, suite.iter().cloned()).unwrap();
+        // The index-7 word diverges at its second symbol (the 2-counter
+        // wraps, the 3-counter does not), so the shortest failing prefix of
+        // the smallest failing suite index is returned.
+        assert_eq!(outcome.counterexample, Some(vec!["t", "t"]));
+        assert_eq!(outcome.tests_executed, 8);
+    }
+
+    #[test]
+    fn run_tests_pulls_only_the_words_it_executes() {
+        let system = counter(3);
+        let hypothesis = counter(2);
+        let factory = move || MealyOracle::new(system.clone());
+        // An endless suite whose 8th word is the first to refute the
+        // hypothesis.
+        let mut pulled = 0u64;
+        let suite = std::iter::from_fn(|| {
+            pulled += 1;
+            Some(if pulled == 8 {
+                vec!["t", "t", "t"]
+            } else {
+                vec!["t", "r"]
+            })
+        });
+        let mut pool = QueryPool::new(&factory);
+        let outcome = pool.run_tests(&hypothesis, suite).unwrap();
+        assert!(outcome.counterexample.is_some());
+        assert_eq!(outcome.tests_executed, 8);
+        assert_eq!(pulled, outcome.tests_executed);
     }
 
     #[test]
@@ -838,7 +503,7 @@ mod tests {
         let system = counter(3);
         let hypothesis = system.clone();
         let factory = move || MealyOracle::new(system.clone());
-        let mut pool = QueryPool::new(&factory, 4, true);
+        let mut pool = QueryPool::new(&factory);
         let suite: Vec<Vec<&str>> = (1..=64)
             .map(|len| {
                 (0..len)
@@ -849,7 +514,6 @@ mod tests {
         let outcome = pool.run_tests(&hypothesis, suite.iter().cloned()).unwrap();
         assert_eq!(outcome.counterexample, None);
         assert_eq!(outcome.tests_executed, 64);
-        assert!(outcome.shards >= 1);
         assert_eq!(pool.tests_run(), 64);
     }
 
@@ -872,15 +536,7 @@ mod tests {
         let factory = || Flaky;
         let hypothesis = counter(2);
         let suite: Vec<Vec<&str>> = (0..64).map(|_| vec!["t", "t", "t"]).collect();
-        let mut pool = QueryPool::new(&factory, 4, false);
+        let mut pool = QueryPool::new(&factory);
         assert!(pool.run_tests(&hypothesis, suite.iter().cloned()).is_err());
-    }
-
-    #[test]
-    fn explicit_worker_counts_override_the_default() {
-        let target = counter(2);
-        let factory = move || MealyOracle::new(target.clone());
-        let pool = QueryPool::new(&factory, 3, true);
-        assert_eq!(pool.workers(), 3);
     }
 }

@@ -25,8 +25,8 @@ pub struct ObservationTable<I, O> {
 
 impl<I, O> ObservationTable<I, O>
 where
-    I: Clone + Eq + Hash + fmt::Debug + Send + Sync,
-    O: Clone + Eq + Hash + fmt::Debug + Send + Sync,
+    I: Clone + Eq + Hash + fmt::Debug,
+    O: Clone + Eq + Hash + fmt::Debug,
 {
     /// Creates a table over `inputs` with `S = {ε}` and one suffix per input
     /// symbol (the canonical initialization for Mealy machines, which makes
@@ -55,8 +55,8 @@ where
     ///
     /// All missing cells of a refinement step are gathered first and issued
     /// as one [`QueryPool::query_batch`], so the cells are answered from the
-    /// shared prefix-trie cache where possible and sharded across the worker
-    /// pool where not.
+    /// prefix-trie cache where possible and each distinct missing word
+    /// reaches the oracle once.
     ///
     /// # Errors
     ///
@@ -243,7 +243,7 @@ mod tests {
     fn closing_the_table_discovers_all_states() {
         let machine = target();
         let factory = move || MealyOracle::new(machine.clone());
-        let mut pool = QueryPool::new(&factory, 1, true);
+        let mut pool = QueryPool::new(&factory);
         let mut table = ObservationTable::new(vec!["a", "b"]);
         table.fill(&mut pool).unwrap();
         // Close the table by promoting unclosed rows until stable.
@@ -270,7 +270,7 @@ mod tests {
     fn rows_store_suffix_outputs_only() {
         let machine = target();
         let factory = move || MealyOracle::new(machine.clone());
-        let mut pool = QueryPool::new(&factory, 1, true);
+        let mut pool = QueryPool::new(&factory);
         let mut table = ObservationTable::new(vec!["a", "b"]);
         table.fill(&mut pool).unwrap();
         // Row of prefix "a" for suffix "a": output of the second "a" only.

@@ -63,8 +63,8 @@ pub trait CacheSession {
 /// `i` in `0..associativity`) occupies line `i`.
 ///
 /// **Contract for `Clone` implementations:** clones must answer identically
-/// to the original (they are the per-worker instances of a parallel learning
-/// run) *and share the [`probes`](CacheOracle::probes) /
+/// to the original (the learner's oracle is a clone) *and share the
+/// [`probes`](CacheOracle::probes) /
 /// [`block_accesses`](CacheOracle::block_accesses) counters* — e.g. behind
 /// `Arc<AtomicU64>`, as [`SimulatedCacheOracle`] and [`CacheQueryOracle`]
 /// do.  [`learn_policy`](crate::learn_policy) reads whole-run statistics
@@ -135,9 +135,8 @@ impl<C: CacheOracle + ?Sized> CacheSession for ReplaySession<'_, C> {
 /// The software-simulated cache of the §6 case study: a [`CacheSet`] driven
 /// by an executable replacement policy, probed without any noise.
 ///
-/// Clones share their probe counters (the clones are the per-worker
-/// instances of a parallel learning run, and statistics are per run, not per
-/// worker).
+/// Clones share their probe counters: the learner drives one clone, and the
+/// run's statistics are read from another.
 #[derive(Debug, Clone)]
 pub struct SimulatedCacheOracle {
     template: CacheSet,
@@ -254,9 +253,8 @@ impl CacheOracle for SimulatedCacheOracle {
 /// `cqd` session (`server::RemoteBackend`) all learn through the same code.
 ///
 /// Clones carry an independent copy of the backend (which must answer
-/// identically — true for deterministic simulations; on real silicon there
-/// is only one cache, so pin `workers = 1`) but share the probe counters and
-/// the engine's store.
+/// identically — true for deterministic simulations) but share the probe
+/// counters and the engine's store.
 #[derive(Debug)]
 pub struct CacheQueryOracle<B = Backend> {
     engine: QueryEngine<B>,

@@ -389,10 +389,7 @@ mod tests {
         let job = spawn_learn_job(
             oracle,
             vec![PolicyKind::Lru],
-            LearnSetup {
-                workers: 1,
-                ..LearnSetup::default()
-            },
+            LearnSetup::default(),
             Some(store.clone()),
         )
         .unwrap();

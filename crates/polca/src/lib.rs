@@ -23,12 +23,12 @@
 //!   sessions replay the whole trace per step, which is the cost model of
 //!   the paper;
 //! * [`PolcaOracle`] — Algorithm 1 as a [`learning::MembershipOracle`];
-//!   cloneable, so `|| PolcaOracle::new(cache.clone())` is an
-//!   [`learning::OracleFactory`] for the parallel learner;
+//!   `|| PolcaOracle::new(cache.clone())` is the [`learning::OracleFactory`]
+//!   the learner makes its oracle with;
 //! * [`learn_policy`], [`learn_simulated_policy`] and
-//!   [`learn_hardware_policy`] — the complete learning loop (L* + Wp-method,
-//!   memoized through the prefix-trie query cache and sharded across the
-//!   worker pool) over either kind of cache;
+//!   [`learn_hardware_policy`] — the complete learning loop (L* + Wp-method
+//!   behind the learner's prefix-trie query cache) over either kind of
+//!   cache;
 //! * [`spawn_simulated_learn_job`] — the job-oriented asynchronous form of
 //!   the pipeline (a background thread plus a pollable [`JobStatus`]), which
 //!   the `cqd` server uses to run learning campaigns without blocking its

@@ -23,10 +23,10 @@ use crate::cache_oracle::{CacheOracle, CacheSession};
 /// [`ReplaySession`](crate::ReplaySession)) the same code degenerates to the
 /// paper's quadratic probe count.
 ///
-/// `PolcaOracle` is `Clone` whenever its cache oracle is: clones are
-/// independent workers answering from the same fixed initial state, which is
-/// what makes a `Fn() -> PolcaOracle<C>` closure an
-/// [`OracleFactory`](learning::OracleFactory) for parallel learning.
+/// `PolcaOracle` is `Clone` whenever its cache oracle is: clones answer from
+/// the same fixed initial state, which is what makes a
+/// `Fn() -> PolcaOracle<C>` closure an
+/// [`OracleFactory`](learning::OracleFactory).
 #[derive(Debug, Clone)]
 pub struct PolcaOracle<C> {
     cache: C,

@@ -28,15 +28,9 @@ pub struct LearnSetup {
     /// Wall-clock budget (the paper's §6 experiments use 36 hours; harness
     /// defaults are much smaller).
     pub time_budget: Option<Duration>,
-    /// Worker threads for parallel conformance testing and batched
-    /// observation-table filling.  `0` (the default) resolves the count from
-    /// the `CACHEQUERY_WORKERS` environment variable or the machine's
-    /// available parallelism.  Learning real (non-simulated) hardware should
-    /// pin this to `1`: there is only one physical cache to probe.
+    /// Has no effect: the learner runs one query at a time.  Kept so that
+    /// callers which still set it compile.
     pub workers: usize,
-    /// Whether to memoize membership queries in the shared prefix-trie query
-    /// cache (default `true`).
-    pub memoize: bool,
     /// Optional live progress counters (hypothesis size, membership queries),
     /// updated once per hypothesis round — the job layer polls these while a
     /// run is in flight.
@@ -55,7 +49,6 @@ impl Default for LearnSetup {
             max_states: 1 << 16,
             time_budget: None,
             workers: 0,
-            memoize: true,
             progress: None,
             recorder: None,
         }
@@ -68,10 +61,9 @@ impl LearnSetup {
         LearnOptions {
             max_states: self.max_states,
             time_budget: self.time_budget,
-            workers: self.workers,
-            memoize: self.memoize,
             progress: self.progress.clone(),
             recorder: self.recorder.clone(),
+            ..LearnOptions::default()
         }
     }
 }
@@ -136,12 +128,12 @@ pub struct LearnOutcome {
     /// The learned (and minimized) policy automaton.
     pub machine: PolicyMealy,
     /// Learner statistics: membership/equivalence queries, cache hit rate,
-    /// conformance shards, counterexamples, wall-clock time.
+    /// conformance tests, counterexamples, wall-clock time.
     pub stats: LearnStats,
-    /// Cache probes issued by Polca across all workers (session steps and
-    /// speculative probes included).
+    /// Cache probes issued by Polca (session steps and speculative probes
+    /// included).
     pub cache_probes: u64,
-    /// Individual block accesses issued by Polca across all workers.
+    /// Individual block accesses issued by Polca.
     pub block_accesses: u64,
     /// Per-phase query/duration breakdown of the run (derived from
     /// [`LearnStats::phases`]; its query counts sum to
@@ -154,9 +146,9 @@ pub struct LearnOutcome {
 /// This is the generic pipeline: Polca provides membership queries, a
 /// Wp-method conformance oracle provides equivalence queries, and the learned
 /// machine is minimized before being returned.  The cache oracle doubles as
-/// the oracle *factory*: each worker of the learner's query pool drives its
-/// own clone, and clones share their probe counters, so [`LearnOutcome`]
-/// reports whole-run statistics.
+/// the oracle *factory*: the learner drives one clone, and clones share their
+/// probe counters, so a retained clone reports the run's statistics in
+/// [`LearnOutcome`].
 ///
 /// # Errors
 ///
@@ -277,10 +269,8 @@ pub struct HardwareTarget {
 /// Learns the replacement policy of one cache set of a simulated CPU through
 /// the full CacheQuery pipeline.
 ///
-/// The simulated CPU is deterministic, so the per-worker clones of the
-/// learner answer identically and parallel conformance testing is sound.  On
-/// real silicon there is only one cache — pin [`LearnSetup::workers`] to 1
-/// there.
+/// The learner probes the one target set a query at a time, as it must on
+/// real silicon, where there is only one cache.
 ///
 /// # Errors
 ///
@@ -386,37 +376,7 @@ mod tests {
         );
         assert!(stats.cache_hits > 0, "learning never hit the query cache");
         assert!(stats.conformance_tests > 0);
-        assert!(stats.equivalence_shards >= stats.equivalence_queries);
         assert!(stats.cache_hit_rate() > 0.0);
-    }
-
-    #[test]
-    fn worker_counts_do_not_change_the_learned_machine() {
-        let reference = policy_to_mealy(PolicyKind::Plru.build(4).unwrap().as_ref(), 1 << 16);
-        for workers in [1usize, 4] {
-            let setup = LearnSetup {
-                workers,
-                ..LearnSetup::default()
-            };
-            let outcome = learn_simulated_policy(PolicyKind::Plru, 4, &setup).unwrap();
-            assert_eq!(outcome.machine.num_states(), 8);
-            assert!(
-                check_equivalence(&outcome.machine, &reference).is_none(),
-                "PLRU mislearned with {workers} workers"
-            );
-        }
-    }
-
-    #[test]
-    fn disabling_memoization_still_learns_correctly() {
-        let setup = LearnSetup {
-            memoize: false,
-            ..LearnSetup::default()
-        };
-        let outcome = learn_simulated_policy(PolicyKind::Plru, 4, &setup).unwrap();
-        assert_eq!(outcome.machine.num_states(), 8);
-        assert_eq!(outcome.stats.cache_hits, 0);
-        assert!(outcome.stats.membership_queries > 0);
     }
 
     #[test]
@@ -440,7 +400,5 @@ mod tests {
         assert_eq!(hw.reset, ResetSequence::FlushRefill);
         assert_eq!(hw.cat_ways, None);
         assert!(LearnSetup::default().time_budget.is_none());
-        assert!(LearnSetup::default().memoize);
-        assert_eq!(LearnSetup::default().workers, 0);
     }
 }

@@ -22,10 +22,7 @@ fn learn_new1_4(name: &str) -> (QueryStore, PathBuf) {
     let backend = PolicySimBackend::new(PolicyKind::New1, 4).expect("New1 supports 4 ways");
     let engine = QueryEngine::with_store(backend, Arc::clone(&store));
     let oracle = CacheQueryOracle::from_engine(engine).expect("simulated backend is configured");
-    let setup = LearnSetup {
-        workers: 1,
-        ..LearnSetup::default()
-    };
+    let setup = LearnSetup::default();
     let outcome = learn_policy(oracle, &setup).expect("learning succeeds");
     assert_eq!(outcome.machine.num_states(), 160);
     assert_eq!(outcome.stats.membership_queries, 353_310);

@@ -3,7 +3,7 @@
 //! cache-consistency invariant of the memoization layer.
 
 use cachequery::QueryEngine;
-use learning::{CachedOracle, MembershipOracle};
+use learning::{MembershipOracle, QueryPool};
 use polca::{
     CacheOracle, CacheQueryOracle, CacheSession, PolcaOracle, PolicySimBackend, ReplaySession,
     SimulatedCacheOracle,
@@ -71,18 +71,18 @@ proptest! {
         prop_assert_eq!(polca.query(&word).unwrap(), first);
     }
 
-    /// Cache-consistency invariant: the memoized oracle returns byte-identical
-    /// outputs to the uncached `PolcaOracle` for arbitrary query sequences —
-    /// including repeats and overlapping words, where answers come from the
-    /// prefix trie instead of the cache simulator.
+    /// Cache-consistency invariant: the learner's `QueryPool` returns
+    /// byte-identical outputs to the uncached `PolcaOracle` for arbitrary
+    /// query sequences — including repeats and overlapping words, where
+    /// answers come from the prefix trie instead of the cache simulator.
     #[test]
     fn memoized_oracle_is_byte_identical_to_the_uncached_oracle(
         (kind, assoc, word) in case_strategy(),
         more in proptest::collection::vec(proptest::collection::vec(0usize..5, 1..20), 1..5),
     ) {
         let mut plain = PolcaOracle::new(SimulatedCacheOracle::new(kind, assoc).unwrap());
-        let mut memoized =
-            CachedOracle::new(PolcaOracle::new(SimulatedCacheOracle::new(kind, assoc).unwrap()));
+        let factory = move || PolcaOracle::new(SimulatedCacheOracle::new(kind, assoc).unwrap());
+        let mut memoized = QueryPool::new(&factory);
         // The generated word, every word derived from it, and each word twice:
         // exercises cold paths, prefix hits, and exact repeats.
         let mut words: Vec<Vec<PolicyInput>> = vec![word.clone()];

@@ -53,13 +53,6 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn setup() -> LearnSetup {
-    LearnSetup {
-        workers: 1,
-        ..LearnSetup::default()
-    }
-}
-
 /// What a campaign leaves behind in its store.
 #[derive(Debug, PartialEq, Eq)]
 struct Traffic {
@@ -79,9 +72,9 @@ fn campaign(kind: PolicyKind, assoc: usize, replay: bool) -> (LearnOutcome, Traf
     let engine = QueryEngine::with_store(backend, Arc::clone(&store));
     let oracle = CacheQueryOracle::from_engine(engine).expect("simulated backend is configured");
     let outcome = if replay {
-        learn_policy(Replayed(oracle), &setup())
+        learn_policy(Replayed(oracle), &LearnSetup::default())
     } else {
-        learn_policy(oracle, &setup())
+        learn_policy(oracle, &LearnSetup::default())
     }
     .expect("learning succeeds");
     store.flush();
@@ -180,7 +173,7 @@ fn a_store_cleared_mid_session_still_learns_lru_4() {
     let backend = PolicySimBackend::new(PolicyKind::Lru, 4).expect("LRU supports 4 ways");
     let engine = QueryEngine::with_store(backend, Arc::clone(&store));
     let oracle = CacheQueryOracle::from_engine(engine).expect("simulated backend is configured");
-    let outcome = learn_policy(oracle, &setup()).expect("learning succeeds");
+    let outcome = learn_policy(oracle, &LearnSetup::default()).expect("learning succeeds");
     assert_eq!(outcome.machine.num_states(), 24);
     assert_eq!(outcome.stats.membership_queries, 7_569);
     assert_eq!(

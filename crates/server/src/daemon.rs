@@ -113,9 +113,6 @@ const POLL_INTERVAL: Duration = Duration::from_millis(50);
 const MAX_REQUEST_BYTES: usize = 1 << 20;
 /// How often `wait` emits a non-final status line.
 const WAIT_STATUS_INTERVAL: Duration = Duration::from_millis(200);
-/// Worker threads each learning job uses: one keeps campaigns from starving
-/// query traffic.
-const LEARN_WORKERS: usize = 1;
 /// Largest associativity accepted by the `learn` command (and by `policy:`
 /// session targets and `map` campaigns).
 const MAX_LEARN_ASSOC: usize = 4;
@@ -1339,7 +1336,6 @@ fn handle_learn(shared: &Arc<Shared>, spec: &str, builder: thread::Builder) -> R
         let space = shared.store.space(namespace);
         let oracle = CacheQueryOracle::from_engine(engine).map_err(|e| e.to_string())?;
         let setup = LearnSetup {
-            workers: LEARN_WORKERS,
             recorder: shared.recorder.clone(),
             ..LearnSetup::default()
         };
@@ -1678,9 +1674,6 @@ fn handle_map(
     config.cat_ways = cat_ways;
     config.setup.max_states = MAP_MAX_STATES;
     config.setup.time_budget = Some(MAP_LEARN_BUDGET);
-    // One worker keeps campaigns over randomized policies deterministic
-    // (fixed query order), and keeps map requests from starving the pool.
-    config.setup.workers = 1;
     config.setup.recorder = shared.recorder.clone();
     match map_cache(&config, Arc::clone(&shared.store)) {
         Ok(map) => Response::Map(wire_map(&map)),

@@ -215,10 +215,7 @@ fn a_killed_campaign_leaves_a_prefix_of_its_records() {
     let backend = PolicySimBackend::new(PolicyKind::New1, 4).expect("New1 supports 4 ways");
     let engine = QueryEngine::with_store(backend, Arc::new(twin));
     let oracle = CacheQueryOracle::from_engine(engine).expect("simulated backend is configured");
-    let setup = LearnSetup {
-        workers: 1,
-        ..LearnSetup::default()
-    };
+    let setup = LearnSetup::default();
     let outcome = learn_policy(oracle, &setup).expect("twin campaign");
     assert_eq!(outcome.machine.num_states(), 160);
 

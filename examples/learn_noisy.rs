@@ -8,21 +8,24 @@
 //!
 //! `FLIP_PERMILLE` is the per-access classification-flip rate in permille
 //! (default 50 = the 5% rate the noise-robustness tests pin); drops and
-//! spurious evictions are demonstrated at small fixed rates.
+//! spurious evictions are demonstrated at small fixed rates.  A missing
+//! argument takes its default (LRU, 4, 50); one that does not parse exits
+//! with status 2.
+
+mod common;
 
 use automata::render_mealy;
 use cachequery::{NoiseSpec, VoteConfig};
+use common::positional;
 use polca::{conformance_walk, learn_noisy_policy, learn_simulated_policy, LearnSetup};
 use policies::PolicyKind;
 
+const USAGE: &str = "usage: learn_noisy [POLICY] [ASSOC] [FLIP_PERMILLE]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let policy: PolicyKind = args
-        .first()
-        .and_then(|p| p.parse().ok())
-        .unwrap_or(PolicyKind::Lru);
-    let assoc: usize = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(4);
-    let flip_permille: u32 = args.get(2).and_then(|f| f.parse().ok()).unwrap_or(50);
+    let policy: PolicyKind = positional(0, PolicyKind::Lru, USAGE);
+    let assoc: usize = positional(1, 4, USAGE);
+    let flip_permille: u32 = positional(2, 50, USAGE);
 
     if !policy.supports_associativity(assoc) {
         eprintln!("{policy} does not support associativity {assoc}");
@@ -34,12 +37,7 @@ fn main() {
         evict_permille: 5,
         seed: 7,
     };
-    // One worker keeps the membership-query count deterministic (the voted
-    // answers themselves are worker-count-independent).
-    let setup = LearnSetup {
-        workers: 1,
-        ..LearnSetup::default()
-    };
+    let setup = LearnSetup::default();
 
     println!("Learning {policy} at associativity {assoc} without noise");
     let clean = learn_simulated_policy(policy, assoc, &setup).expect("noise-free learning");

@@ -32,10 +32,7 @@ fn main() {
         .unwrap_or_else(|| "2".to_string())
         .parse()
         .expect("numeric associativity");
-    let setup = LearnSetup {
-        workers: 1,
-        ..LearnSetup::default()
-    };
+    let setup = LearnSetup::default();
 
     // In production the daemon runs on another machine; an in-process one on
     // an ephemeral port speaks the identical protocol.

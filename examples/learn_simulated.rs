@@ -2,25 +2,25 @@
 //! noiseless software-simulated cache and compare it against the ground
 //! truth.
 //!
-//! Run with: `cargo run --release --example learn_simulated -- [POLICY] [ASSOC] [DEPTH] [WORKERS]`
+//! Run with: `cargo run --release --example learn_simulated -- [POLICY] [ASSOC] [DEPTH]`
 //! e.g.      `cargo run --release --example learn_simulated -- SRRIP-HP 4 1`
 //!
-//! `WORKERS` (default 0 = auto) shards conformance testing across a worker
-//! pool; the `CACHEQUERY_WORKERS` environment variable sets the same knob.
+//! A missing argument takes its default (MRU, 4, 1); one that does not parse
+//! exits with status 2.
+
+mod common;
 
 use automata::check_equivalence;
+use common::positional;
 use polca::{learn_simulated_policy, LearnSetup};
 use policies::{policy_to_mealy, PolicyKind};
 
+const USAGE: &str = "usage: learn_simulated [POLICY] [ASSOC] [DEPTH]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let policy: PolicyKind = args
-        .first()
-        .and_then(|p| p.parse().ok())
-        .unwrap_or(PolicyKind::Mru);
-    let assoc: usize = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(4);
-    let depth: usize = args.get(2).and_then(|d| d.parse().ok()).unwrap_or(1);
-    let workers: usize = args.get(3).and_then(|w| w.parse().ok()).unwrap_or(0);
+    let policy: PolicyKind = positional(0, PolicyKind::Mru, USAGE);
+    let assoc: usize = positional(1, 4, USAGE);
+    let depth: usize = positional(2, 1, USAGE);
 
     if !policy.supports_associativity(assoc) {
         eprintln!("{policy} does not support associativity {assoc}");
@@ -30,7 +30,6 @@ fn main() {
     println!("Learning {policy} at associativity {assoc} from a software-simulated cache");
     let setup = LearnSetup {
         conformance_depth: depth,
-        workers,
         ..LearnSetup::default()
     };
     let outcome = learn_simulated_policy(policy, assoc, &setup).expect("learning succeeds");
@@ -50,8 +49,8 @@ fn main() {
         outcome.stats.equivalence_queries
     );
     println!(
-        "  conformance tests     : {} across {} worker shards",
-        outcome.stats.conformance_tests, outcome.stats.equivalence_shards
+        "  conformance tests     : {}",
+        outcome.stats.conformance_tests
     );
     println!(
         "  counterexamples       : {}",

@@ -6,19 +6,21 @@
 //!
 //! Associativity 4 with the full age range (as in Table 5) can take a few
 //! minutes for the Extended-template policies; associativity 2-3 finishes in
-//! seconds.
+//! seconds.  A missing argument takes its default (New1, 4); one that does
+//! not parse exits with status 2.
 
+mod common;
+
+use common::positional;
 use polca::{learn_simulated_policy, LearnSetup};
 use policies::PolicyKind;
 use synth::{synthesize, SynthesisConfig};
 
+const USAGE: &str = "usage: synthesize_policy [POLICY] [ASSOC]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let policy: PolicyKind = args
-        .first()
-        .and_then(|p| p.parse().ok())
-        .unwrap_or(PolicyKind::New1);
-    let assoc: usize = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(4);
+    let policy: PolicyKind = positional(0, PolicyKind::New1, USAGE);
+    let assoc: usize = positional(1, 4, USAGE);
 
     println!("Step 1: learning {policy} at associativity {assoc} from a simulated cache");
     let outcome =

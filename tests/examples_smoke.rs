@@ -7,12 +7,11 @@
 //! REPL is driven through a scripted stdin session.
 
 use std::io::Write;
-use std::process::{Command, Stdio};
+use std::process::{Command, Output, Stdio};
 
-/// Runs one example with the given arguments (and optional stdin script),
-/// asserting it exits successfully.  Returns captured stdout for content
-/// checks.
-fn run_example(name: &str, args: &[&str], stdin: Option<&str>) -> String {
+/// Runs one example with the given arguments (and optional stdin script) and
+/// returns its exit status and captured output.
+fn spawn_example(name: &str, args: &[&str], stdin: Option<&str>) -> Output {
     let cargo = env!("CARGO");
     let mut command = Command::new(cargo);
     command
@@ -38,9 +37,15 @@ fn run_example(name: &str, args: &[&str], stdin: Option<&str>) -> String {
             .write_all(script.as_bytes())
             .expect("example accepts stdin");
     }
-    let output = child
+    child
         .wait_with_output()
-        .unwrap_or_else(|e| panic!("failed to wait for example {name}: {e}"));
+        .unwrap_or_else(|e| panic!("failed to wait for example {name}: {e}"))
+}
+
+/// Runs one example, asserting it exits successfully.  Returns captured
+/// stdout for content checks.
+fn run_example(name: &str, args: &[&str], stdin: Option<&str>) -> String {
+    let output = spawn_example(name, args, stdin);
     assert!(
         output.status.success(),
         "example {name} {args:?} failed with {:?}\n--- stdout ---\n{}\n--- stderr ---\n{}",
@@ -99,6 +104,15 @@ fn learn_simulated_runs() {
         stdout.contains("learned machine is exactly LRU"),
         "stdout:\n{stdout}"
     );
+}
+
+#[test]
+fn learn_simulated_rejects_a_bad_argument() {
+    // A policy name that does not parse must not fall back to the default.
+    let output = spawn_example("learn_simulated", &["BOGUS", "2"], None);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "stderr:\n{stderr}");
+    assert!(stderr.contains("BOGUS"), "stderr:\n{stderr}");
 }
 
 #[test]

@@ -97,7 +97,6 @@ impl QueryBackend for DuelAgitator {
 
 fn setup() -> LearnSetup {
     LearnSetup {
-        workers: 1,
         max_states: 200,
         time_budget: Some(std::time::Duration::from_secs(120)),
         ..LearnSetup::default()

@@ -13,18 +13,10 @@ use automata::render_mealy;
 use polca::{conformance_walk, learn_hierarchy_policy, learn_simulated_policy, LearnSetup};
 use policies::PolicyKind;
 
-/// Membership-query determinism needs a fixed worker count — same as the
-/// noisy and remote byte-identity suites.
-fn setup() -> LearnSetup {
-    LearnSetup {
-        workers: 1,
-        ..LearnSetup::default()
-    }
-}
-
 fn assert_hierarchy_learning_matches_bare(kind: PolicyKind, assoc: usize, expected_states: usize) {
-    let bare = learn_simulated_policy(kind, assoc, &setup()).expect("bare-policy learning");
-    let filtered = learn_hierarchy_policy(kind, assoc, &setup())
+    let bare =
+        learn_simulated_policy(kind, assoc, &LearnSetup::default()).expect("bare-policy learning");
+    let filtered = learn_hierarchy_policy(kind, assoc, &LearnSetup::default())
         .unwrap_or_else(|e| panic!("{kind}/{assoc} failed to learn through the hierarchy: {e}"));
 
     assert_eq!(

@@ -25,21 +25,17 @@ const FLIP_RATE: NoiseSpec = NoiseSpec {
     seed: 2024,
 };
 
-/// Membership-query determinism needs a fixed worker count — same as the
-/// remote byte-identity suite.  (The voted answers themselves are
-/// worker-count-independent: each query's fault stream depends only on its
-/// own execution index.)
-fn setup() -> LearnSetup {
-    LearnSetup {
-        workers: 1,
-        ..LearnSetup::default()
-    }
-}
-
 fn assert_noisy_learning_matches_clean(kind: PolicyKind, assoc: usize, expected_states: usize) {
-    let clean = learn_simulated_policy(kind, assoc, &setup()).expect("noise-free learning");
-    let noisy = learn_noisy_policy(kind, assoc, FLIP_RATE, VoteConfig::default(), &setup())
-        .unwrap_or_else(|e| panic!("{kind}/{assoc} failed to learn under 5% flips: {e}"));
+    let clean =
+        learn_simulated_policy(kind, assoc, &LearnSetup::default()).expect("noise-free learning");
+    let noisy = learn_noisy_policy(
+        kind,
+        assoc,
+        FLIP_RATE,
+        VoteConfig::default(),
+        &LearnSetup::default(),
+    )
+    .unwrap_or_else(|e| panic!("{kind}/{assoc} failed to learn under 5% flips: {e}"));
 
     assert_eq!(
         noisy.machine.num_states(),
@@ -75,7 +71,6 @@ fn disabling_the_vote_breaks_learning_at_the_same_rate() {
     // found — all oracle errors) or the learner converges on garbage.  A
     // time budget and state cap bound the garbage path.
     let setup = LearnSetup {
-        workers: 1,
         max_states: 200,
         time_budget: Some(std::time::Duration::from_secs(120)),
         ..LearnSetup::default()

@@ -22,12 +22,7 @@ fn assert_remote_matches_in_process(
     expected_states: usize,
     expected_queries: u64,
 ) {
-    // Determinism of the membership-query count needs a fixed worker count;
-    // 1 is also what a real remote campaign against scarce hardware uses.
-    let setup = LearnSetup {
-        workers: 1,
-        ..LearnSetup::default()
-    };
+    let setup = LearnSetup::default();
 
     let local = learn_simulated_policy(kind, assoc, &setup).expect("in-process learning succeeds");
 

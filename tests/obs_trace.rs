@@ -69,7 +69,6 @@ fn a_learning_run_emits_a_nested_jsonl_timeline() {
     let sink = Arc::new(RingSink::new(1 << 16));
     let recorder = Arc::new(Recorder::new(sink.clone() as Arc<dyn obs::EventSink>));
     let setup = LearnSetup {
-        workers: 1,
         recorder: Some(Arc::clone(&recorder)),
         ..LearnSetup::default()
     };
