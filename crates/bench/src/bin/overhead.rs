@@ -29,10 +29,7 @@ fn main() {
     let assoc = args.value_or("assoc", 4usize);
     let repeats = args.value_or("repeats", 100usize);
     let seed = args.value_or("seed", 7u64);
-    let policy: PolicyKind = args
-        .value_of("policy")
-        .and_then(|p| p.parse().ok())
-        .unwrap_or(PolicyKind::New1);
+    let policy = args.value_or("policy", PolicyKind::New1);
 
     println!("§7.2 cost analysis on the simulated hardware");
     println!();

@@ -78,7 +78,7 @@ fn main() {
     let max_assoc = args.value_or("max-assoc", 8usize);
     let depth = args.value_or("depth", 1usize);
     let time_budget = args.value_or("time-budget", 0u64);
-    let only_policy: Option<PolicyKind> = args.value_of("policy").and_then(|p| p.parse().ok());
+    let only_policy: Option<PolicyKind> = args.parsed("policy");
 
     let setup = LearnSetup {
         conformance_depth: depth,

@@ -42,7 +42,7 @@ fn main() {
     let print_programs = args.has_flag("print-programs");
     let from_learned = args.has_flag("from-learned");
     let time_budget = args.value_or("time-budget", 600u64);
-    let only_policy: Option<PolicyKind> = args.value_of("policy").and_then(|p| p.parse().ok());
+    let only_policy: Option<PolicyKind> = args.parsed("policy");
 
     let policies = [
         PolicyKind::Fifo,

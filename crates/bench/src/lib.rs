@@ -141,11 +141,34 @@ impl Args {
             .map(String::as_str)
     }
 
-    /// The value following `--name` parsed as `T`, or `default`.
-    pub fn value_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+    /// The value following `--name` parsed as `T` (`Ok(None)` when the
+    /// flag is absent), or a message naming the flag and the text that does
+    /// not parse.
+    fn try_parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
         self.value_of(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+            .map(|text| {
+                text.parse()
+                    .map_err(|_| format!("cannot parse --{name} `{text}`"))
+            })
+            .transpose()
+    }
+
+    /// The value following `--name` parsed as `T`, if the flag is present.
+    /// A value that does not parse is fatal: the binary prints which flag
+    /// and text and exits with status 2, instead of running with a default
+    /// the caller did not ask for.
+    pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.try_parsed(name).unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2)
+        })
+    }
+
+    /// The value following `--name` parsed as `T`, or `default` when the
+    /// flag is absent (a value that does not parse exits, see
+    /// [`parsed`](Self::parsed)).
+    pub fn value_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        self.parsed(name).unwrap_or(default)
     }
 }
 
@@ -187,5 +210,24 @@ mod tests {
         assert_eq!(args.value_of("max-assoc"), Some("8"));
         assert_eq!(args.value_or("max-assoc", 4usize), 8);
         assert_eq!(args.value_or("missing", 4usize), 4);
+    }
+
+    #[test]
+    fn values_that_do_not_parse_are_errors_naming_flag_and_text() {
+        let args = Args::from_vec(
+            ["--policy", "BOGUS", "--max-assoc", "x", "--depth", "2"]
+                .map(String::from)
+                .to_vec(),
+        );
+        assert_eq!(
+            args.try_parsed::<policies::PolicyKind>("policy"),
+            Err("cannot parse --policy `BOGUS`".to_string())
+        );
+        assert_eq!(
+            args.try_parsed::<usize>("max-assoc"),
+            Err("cannot parse --max-assoc `x`".to_string())
+        );
+        assert_eq!(args.try_parsed::<usize>("depth"), Ok(Some(2)));
+        assert_eq!(args.try_parsed::<usize>("missing"), Ok(None));
     }
 }

@@ -97,11 +97,7 @@ impl<I: Clone + Eq, O: Clone + PartialEq> Trie<I, O> {
         for (offset, (symbol, output)) in word.iter().zip(outputs).enumerate().skip(from) {
             if let Some(existing) = self.child(self.children(position), symbol) {
                 if self.nodes[existing as usize].output != *output {
-                    return Err(OracleError::new(format!(
-                        "inconsistent oracle answers: position {offset} of a \
-                         repeated prefix produced a different output (the system \
-                         under learning is behaving non-deterministically)"
-                    )));
+                    return Err(inconsistent_answer(offset));
                 }
                 position = Some(existing);
                 visit(existing);
@@ -124,6 +120,16 @@ impl<I: Clone + Eq, O: Clone + PartialEq> Trie<I, O> {
         }
         Ok(inserted)
     }
+}
+
+/// The error for an answer whose output at `position` differs from the one
+/// already recorded for the same prefix.
+pub(crate) fn inconsistent_answer(position: usize) -> OracleError {
+    OracleError::new(format!(
+        "inconsistent oracle answers: position {position} of a repeated prefix \
+         produced a different output (the system under learning is behaving \
+         non-deterministically)"
+    ))
 }
 
 /// Resumable trie position for runs of operations over prefix-sharing words.
@@ -153,6 +159,17 @@ impl TrieCursor {
     /// Creates an empty cursor (next call walks from the root).
     pub fn new() -> Self {
         TrieCursor::default()
+    }
+
+    /// Number of symbols of the last word the cursor holds a node for.
+    pub(crate) fn depth(&self) -> usize {
+        self.path.len()
+    }
+
+    /// Arena index of the deepest node the cursor holds (`None` at the
+    /// root).
+    pub(crate) fn node(&self) -> Option<u32> {
+        self.path.last().copied()
     }
 }
 
@@ -269,17 +286,18 @@ where
         CacheVerdict::Match
     }
 
-    /// [`check_against`](Self::check_against) resuming from a cursor: the
-    /// first `lcp` entries of `cursor` must come from a previous call whose
-    /// word shared `lcp` symbols with `word` *and* whose predicted outputs
-    /// agreed on that prefix (true for conformance testing, where a
-    /// disagreeing prefix ends the suite run).  The walk then starts at
-    /// position `min(lcp, cursor depth)` instead of the root — or at the
-    /// root when the cursor is [stale](Self::is_stale).
+    /// [`check_against`](Self::check_against) resuming from a cursor, and
+    /// without counting: the first `lcp` entries of `cursor` must come from
+    /// a previous call whose word shared `lcp` symbols with `word` *and*
+    /// whose predicted outputs agreed on that prefix (true for conformance
+    /// testing, where a disagreeing prefix ends the suite run).  The walk
+    /// then starts at position `min(lcp, cursor depth)` instead of the root
+    /// — or at the root when the cursor is [stale](Self::is_stale) — and
+    /// leaves the cursor on the agreeing part of `word`, so after a `Match`
+    /// it ends on the node of `word` itself.
     ///
-    /// Counting is identical to `check_against` — exactly one hit
-    /// (`Match`/`Mismatch`) or miss (`Unknown`) per call — so resuming never
-    /// changes a run's membership-query statistics, only its wall time.
+    /// The caller decides whether the walk was a lookup and counts it (the
+    /// query pool skips repeats of earlier conformance tests uncounted).
     pub fn check_against_resumed(
         &self,
         word: &[I],
@@ -294,19 +312,23 @@ where
         let mut children = trie.children(cursor.path.last().copied());
         for position in cursor.path.len()..word.len() {
             let Some(index) = trie.child(children, &word[position]) else {
-                self.misses.fetch_add(1, Ordering::Relaxed);
                 return CacheVerdict::Unknown;
             };
             let node = &trie.nodes[index as usize];
             if node.output != predicted[position] {
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 return CacheVerdict::Mismatch(position);
             }
             cursor.path.push(index);
             children = &node.children;
         }
-        self.hits.fetch_add(1, Ordering::Relaxed);
         CacheVerdict::Match
+    }
+
+    /// Counts one lookup the caller answered by an uncounted walk (see
+    /// [`check_against_resumed`](Self::check_against_resumed)).
+    pub(crate) fn count(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// [`lookup`](Self::lookup) resuming from a cursor whose last word shared

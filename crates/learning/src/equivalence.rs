@@ -2,9 +2,9 @@
 //!
 //! The conformance oracles hand their lazily generated suite to
 //! [`QueryPool::run_tests`], which answers each word from the prefix trie
-//! where it can and stops at the first failing test (§3.3 — the test suite
-//! is *exponentially* large in the suite depth, so a refuted hypothesis must
-//! not generate the rest of it).
+//! where it can, skips the suite's repeated words there, and stops at the
+//! first failing test (§3.3 — the test suite is *exponentially* large in the
+//! suite depth, so a refuted hypothesis must not generate the rest of it).
 
 use std::fmt;
 use std::hash::Hash;

@@ -11,13 +11,16 @@
 //! * [`OracleFactory`] / [`QueryPool`] — the factory that makes the
 //!   learner's oracle, and the query engine that puts that one oracle behind
 //!   a prefix trie, answering every membership query and conformance test of
-//!   a run one at a time;
+//!   a run one at a time (and skipping a suite's repeated words on that
+//!   trie);
 //! * [`QueryCache`] — the prefix-trie memoization layer itself (exploiting
 //!   the prefix-closedness of deterministic output words);
-//! * [`learn_mealy`] — L* for Mealy machines with an observation table,
-//!   batched row filling, and Rivest–Schapire counterexample processing;
+//! * [`learn_mealy`] — L* for Mealy machines with an observation table whose
+//!   rows are interned signature ids, batched row filling, and
+//!   Rivest–Schapire counterexample processing;
 //! * [`WpMethodOracle`] / [`WMethodOracle`] — `(|H| + k)`-complete conformance
-//!   test suites (§3.3, Theorem 3.3) used as the equivalence oracle;
+//!   test suites (§3.3, Theorem 3.3), generated lazily, used as the
+//!   equivalence oracle;
 //! * [`RandomWalkOracle`] — the cheaper randomized alternative mentioned in
 //!   §6 as a possible optimization;
 //! * [`MealyOracle`] — a simulated teacher backed by a known machine, used in

@@ -53,6 +53,8 @@ pub struct LearnOptions {
     /// Abort if the hypothesis grows beyond this many states.
     pub max_states: usize,
     /// Abort if learning exceeds this wall-clock budget (`None` = unlimited).
+    /// Checked before every hypothesis round and, inside a conformance run,
+    /// every 1,024 suite words.
     pub time_budget: Option<Duration>,
     /// Has no effect: the learner runs one query at a time.  Kept so that
     /// callers which still set it compile.
@@ -315,6 +317,7 @@ impl From<OracleError> for LearnError {
     fn from(e: OracleError) -> Self {
         match e.non_determinism {
             Some(evidence) => LearnError::NotDeterministic(evidence),
+            None if e.budget_exhausted => LearnError::TimeBudgetExceeded,
             None => LearnError::Oracle(e),
         }
     }
@@ -344,6 +347,7 @@ where
     let start = Instant::now();
     let mut stats = LearnStats::default();
     let mut pool = QueryPool::new(factory);
+    pool.set_deadline(options.time_budget.and_then(|b| start.checked_add(b)));
     let mut table = ObservationTable::new(inputs);
     let recorder = options.recorder.as_deref();
     let root = recorder.map(|r| r.span("lstar.learn"));
@@ -375,7 +379,7 @@ where
         );
         while let Some(witness) = table.find_unclosed() {
             table.promote(witness);
-            if table.short_prefixes().len() > options.max_states {
+            if table.num_short() > options.max_states {
                 return Err(LearnError::StateLimitExceeded(options.max_states));
             }
             table.fill(&mut pool)?;
@@ -461,7 +465,7 @@ where
             );
             while let Some(witness) = table.find_unclosed() {
                 table.promote(witness);
-                if table.short_prefixes().len() > options.max_states {
+                if table.num_short() > options.max_states {
                     return Err(LearnError::StateLimitExceeded(options.max_states));
                 }
                 table.fill(&mut pool)?;

@@ -59,6 +59,9 @@ pub struct OracleError {
     /// Statistical evidence attached when the failure is detected
     /// non-determinism rather than a plain backend fault.
     pub non_determinism: Option<NonDeterminism>,
+    /// Whether the learner's time budget ran out (see
+    /// [`time_budget`](Self::time_budget)).
+    pub budget_exhausted: bool,
 }
 
 impl OracleError {
@@ -67,14 +70,25 @@ impl OracleError {
         OracleError {
             message: message.into(),
             non_determinism: None,
+            budget_exhausted: false,
+        }
+    }
+
+    /// The error of a conformance run stopped by the learner's time budget
+    /// ([`QueryPool::set_deadline`]); the learner reports it as
+    /// `LearnError::TimeBudgetExceeded`.
+    pub fn time_budget() -> Self {
+        OracleError {
+            budget_exhausted: true,
+            ..OracleError::new("learning time budget exhausted")
         }
     }
 
     /// Creates an error carrying statistical non-determinism evidence.
     pub fn not_deterministic(message: impl Into<String>, evidence: NonDeterminism) -> Self {
         OracleError {
-            message: message.into(),
             non_determinism: Some(evidence),
+            ..OracleError::new(message)
         }
     }
 }

@@ -6,16 +6,18 @@
 //! time.  Every query of a run — observation-table filling, Rivest–Schapire
 //! analysis, conformance testing — goes through one [`QueryCache`], so
 //! repeated words (and prefixes of longer words) never reach the system under
-//! learning again.  Queries run one at a time, as on real silicon, where there
-//! is only one cache set to probe; a run's membership-query count therefore
+//! learning again, and a conformance suite's repeated words are skipped on the
+//! same trie.  Queries run one at a time, as on real silicon, where there is
+//! only one cache set to probe; a run's membership-query count therefore
 //! depends on nothing but the system and the learner.
 
 use std::fmt;
 use std::hash::Hash;
+use std::time::Instant;
 
 use automata::Mealy;
 
-use crate::cache::{CacheVerdict, QueryCache, TrieCursor};
+use crate::cache::{inconsistent_answer, CacheVerdict, QueryCache, TrieCursor};
 use crate::oracle::{MembershipOracle, OracleError};
 
 /// A factory of membership oracles over the system under learning.
@@ -71,10 +73,14 @@ pub struct SuiteOutcome<I> {
     /// The first failing test of the suite, truncated to its shortest failing
     /// prefix — or `None` if the whole suite passed.
     pub counterexample: Option<Vec<I>>,
-    /// Number of test words executed, which is also the number pulled from
-    /// the suite: a failing test ends the run.
+    /// Number of distinct test words executed: a repeat of an earlier test
+    /// of the run is skipped, and a failing test ends the run.
     pub tests_executed: u64,
 }
+
+/// How many suite words [`QueryPool::run_tests`] pulls between two looks at
+/// the clock.
+const DEADLINE_STRIDE: u64 = 1024;
 
 /// The query engine of a learning run: one oracle, made once by the
 /// factory, in front of one prefix-trie cache.
@@ -109,6 +115,12 @@ pub struct QueryPool<'f, I, O> {
     oracle: Box<dyn MembershipOracle<I, O> + 'f>,
     cache: QueryCache<I, O>,
     tests_run: u64,
+    /// `marks[n]` is the last [`Self::run_tests`] epoch whose executed tests
+    /// include the word of trie node `n` (0: none), grown on demand.
+    marks: Vec<u32>,
+    epoch: u32,
+    /// When set, [`Self::run_tests`] fails once this instant has passed.
+    deadline: Option<Instant>,
 }
 
 impl<I, O> fmt::Debug for QueryPool<'_, I, O> {
@@ -211,7 +223,16 @@ where
             oracle: factory.make_oracle(),
             cache: QueryCache::new(),
             tests_run: 0,
+            marks: Vec::new(),
+            epoch: 0,
+            deadline: None,
         }
+    }
+
+    /// Sets the instant after which [`Self::run_tests`] gives up with a
+    /// [time-budget error](OracleError::time_budget) (`None`: never).
+    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
+        self.deadline = deadline;
     }
 
     /// Membership queries answered so far (cache hits included).
@@ -304,21 +325,37 @@ where
     /// prediction without cloning outputs or touching the oracle (and a
     /// cached *prefix* that already diverges refutes a test all by itself).
     ///
+    /// The run is also the suite's deduplication: the trie node where each
+    /// executed test ends is marked with the run's epoch, and a word whose
+    /// walk ends on a marked node repeats an earlier test of the run (a node
+    /// stands for exactly one word).  It is skipped and counted nowhere, so
+    /// the run executes each distinct word once, at its first occurrence.
+    ///
     /// # Errors
     ///
-    /// Propagates the first oracle failure.
+    /// Propagates the first oracle failure, and fails with
+    /// [`OracleError::time_budget`] once the [deadline](Self::set_deadline)
+    /// has passed (checked every 1,024 suite words).
     pub fn run_tests(
         &mut self,
         hypothesis: &Mealy<I, O>,
         suite: impl IntoIterator<Item = Vec<I>>,
     ) -> Result<SuiteOutcome<I>, OracleError> {
+        self.epoch += 1;
         let mut cursor = TestCursor::new(hypothesis.initial());
-        let mut executed = 0;
+        let (mut pulled, mut executed) = (0u64, 0);
         let mut counterexample = None;
         for word in suite {
+            pulled += 1;
+            if pulled % DEADLINE_STRIDE == 0 && self.deadline.is_some_and(|d| Instant::now() > d) {
+                return Err(OracleError::time_budget());
+            }
+            let Some(verdict) = self.run_one_test(hypothesis, word, &mut cursor)? else {
+                continue;
+            };
             executed += 1;
-            counterexample = self.run_one_test(hypothesis, &word, &mut cursor)?;
-            if counterexample.is_some() {
+            if verdict.is_some() {
+                counterexample = verdict;
                 break;
             }
         }
@@ -331,7 +368,8 @@ where
 
     /// Executes one conformance test: decides it from the cache where
     /// possible (without cloning outputs), otherwise queries the oracle and
-    /// records the answer.  Returns the shortest failing prefix, if any.
+    /// records the answer.  Returns `None` for a repeat of an earlier test of
+    /// the run, else the shortest failing prefix, if any.
     ///
     /// `cursor` carries the run's resume state (see [`TestCursor`]); the
     /// hypothesis prediction and the trie check both restart from the
@@ -339,10 +377,10 @@ where
     fn run_one_test(
         &mut self,
         hypothesis: &Mealy<I, O>,
-        word: &[I],
+        word: Vec<I>,
         cursor: &mut TestCursor<I, O>,
-    ) -> Result<Option<Vec<I>>, OracleError> {
-        let lcp = common_prefix_len(&cursor.word, word);
+    ) -> Result<Option<Option<Vec<I>>>, OracleError> {
+        let lcp = common_prefix_len(&cursor.word, &word);
         cursor.states.truncate(lcp + 1);
         cursor.predicted.truncate(lcp);
         let mut state = *cursor
@@ -358,19 +396,54 @@ where
             cursor.states.push(next);
             state = next;
         }
-        cursor.word.clear();
-        cursor.word.extend_from_slice(word);
-        match self
-            .cache
-            .check_against_resumed(word, &cursor.predicted, lcp, &mut cursor.trie)
-        {
-            CacheVerdict::Match => return Ok(None),
-            CacheVerdict::Mismatch(i) => return Ok(Some(word[..=i].to_vec())),
-            CacheVerdict::Unknown => {}
+        cursor.word = word;
+        let word = &cursor.word;
+        let verdict =
+            self.cache
+                .check_against_resumed(word, &cursor.predicted, lcp, &mut cursor.trie);
+        let node = cursor.trie.node();
+        if verdict == CacheVerdict::Match && node.is_some_and(|n| self.is_marked(n)) {
+            return Ok(None);
         }
-        let actual = query_validated(&mut self.oracle, word)?;
-        self.cache.record(word, &actual)?;
-        Ok(shortest_failing_prefix(word, &actual, &cursor.predicted))
+        self.cache.count(verdict != CacheVerdict::Unknown);
+        let failure = match verdict {
+            CacheVerdict::Match => None,
+            CacheVerdict::Mismatch(i) => Some(word[..=i].to_vec()),
+            CacheVerdict::Unknown => {
+                let actual = query_validated(&mut self.oracle, word)?;
+                // The walked prefix is in the trie with the predicted
+                // outputs: an answer that differs there contradicts it.
+                let walked = &actual[..cursor.trie.depth()];
+                if let Some(i) = walked
+                    .iter()
+                    .zip(&cursor.predicted)
+                    .position(|(a, p)| a != p)
+                {
+                    return Err(inconsistent_answer(i));
+                }
+                self.cache
+                    .record_resumed(word, &actual, word.len(), &mut cursor.trie)?;
+                shortest_failing_prefix(word, &actual, &cursor.predicted)
+            }
+        };
+        if failure.is_none() {
+            if let Some(node) = cursor.trie.node() {
+                self.mark(node);
+            }
+        }
+        Ok(Some(failure))
+    }
+
+    fn is_marked(&self, node: u32) -> bool {
+        self.marks.get(node as usize) == Some(&self.epoch)
+    }
+
+    fn mark(&mut self, node: u32) {
+        let node = node as usize;
+        if node >= self.marks.len() {
+            self.marks.resize(node + 1, 0);
+        }
+        self.marks[node] = self.epoch;
     }
 }
 
@@ -457,13 +530,20 @@ mod tests {
         assert_eq!(pool.oracle.queries_answered(), 2);
     }
 
+    /// Distinct words on which `counter(2)` and `counter(3)` agree: `t r^n`.
+    fn passing_filler(n: usize) -> Vec<&'static str> {
+        std::iter::once("t")
+            .chain(std::iter::repeat_n("r", n))
+            .collect()
+    }
+
     #[test]
     fn run_tests_returns_the_first_counterexample_of_the_suite() {
         let system = counter(3);
         let hypothesis = counter(2);
         let factory = move || MealyOracle::new(system.clone());
         // The suite contains two failing words; the smaller index wins.
-        let mut suite: Vec<Vec<&str>> = (0..40).map(|_| vec!["t", "r"]).collect();
+        let mut suite: Vec<Vec<&str>> = (0..40).map(passing_filler).collect();
         suite[7] = vec!["t", "t", "t"];
         suite[23] = vec!["r", "t", "t", "t"];
         let mut pool = QueryPool::new(&factory);
@@ -488,7 +568,7 @@ mod tests {
             Some(if pulled == 8 {
                 vec!["t", "t", "t"]
             } else {
-                vec!["t", "r"]
+                passing_filler(pulled as usize)
             })
         });
         let mut pool = QueryPool::new(&factory);
@@ -515,6 +595,47 @@ mod tests {
         assert_eq!(outcome.counterexample, None);
         assert_eq!(outcome.tests_executed, 64);
         assert_eq!(pool.tests_run(), 64);
+    }
+
+    #[test]
+    fn repeated_words_are_skipped_and_not_counted() {
+        let system = counter(3);
+        let factory = move || MealyOracle::new(system.clone());
+        let mut pool = QueryPool::new(&factory);
+        let (a, b) = (vec!["t", "t"], vec!["r", "t"]);
+        let suite = [a.clone(), b.clone(), a.clone(), vec!["t"], b.clone(), a];
+        let outcome = pool.run_tests(&counter(3), suite).unwrap();
+        assert_eq!(outcome.counterexample, None);
+        assert_eq!(outcome.tests_executed, 3);
+        // One lookup per distinct word: `t` is a cached prefix of `t t`.
+        assert_eq!((pool.cache_hits(), pool.cache_misses()), (1, 2));
+        // Marks last one run: the next run executes the words again, from
+        // the trie.
+        let outcome = pool.run_tests(&counter(3), [b.clone(), b]).unwrap();
+        assert_eq!(outcome.tests_executed, 1);
+        assert_eq!(pool.tests_run(), 4);
+        assert_eq!((pool.cache_hits(), pool.cache_misses()), (2, 2));
+    }
+
+    #[test]
+    fn an_expired_deadline_stops_an_endless_suite() {
+        let system = counter(3);
+        let hypothesis = system.clone();
+        let factory = move || MealyOracle::new(system.clone());
+        let mut pool = QueryPool::new(&factory);
+        pool.set_deadline(Some(Instant::now()));
+        let mut pulled = 0;
+        let endless = std::iter::from_fn(|| {
+            pulled += 1;
+            Some(passing_filler(pulled))
+        });
+        let error = pool.run_tests(&hypothesis, endless).unwrap_err();
+        assert!(error.budget_exhausted);
+        assert_eq!(pulled as u64, DEADLINE_STRIDE);
+        assert_eq!(
+            crate::LearnError::from(error),
+            crate::LearnError::TimeBudgetExceeded
+        );
     }
 
     #[test]

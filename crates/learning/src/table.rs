@@ -1,4 +1,11 @@
 //! The observation table of L* for Mealy machines.
+//!
+//! Rows are kept by id, in the order they were created.  As a row's cells are
+//! filled they are hash-consed into a *signature* id — `sig ← intern(sig,
+//! intern(cell))`, starting from the empty signature `0` — so two rows hold
+//! the same cells exactly when their signatures are equal.  Closedness checks
+//! and hypothesis construction therefore compare `u32`s and never clone a
+//! row.
 
 use std::fmt;
 use std::hash::Hash;
@@ -9,18 +16,49 @@ use automata::{Mealy, MealyBuilder, StateId};
 use crate::oracle::OracleError;
 use crate::pool::QueryPool;
 
+/// One prefix of the table and the cells filled for it so far.
+#[derive(Debug)]
+struct Row<I> {
+    prefix: Vec<I>,
+    /// Interned cell ids, one per filled suffix column, in column order.
+    cells: Vec<u32>,
+    /// Signature of `cells`.
+    sig: u32,
+}
+
+impl<I> Row<I> {
+    fn new(prefix: Vec<I>) -> Self {
+        Row {
+            prefix,
+            cells: Vec::new(),
+            sig: 0,
+        }
+    }
+}
+
 /// The observation table: prefixes (short rows `S` and their one-letter
 /// extensions) × distinguishing suffixes `E`, filled with the output words the
 /// system produces for the suffix after the prefix.
 #[derive(Debug)]
 pub struct ObservationTable<I, O> {
     inputs: Vec<I>,
-    /// Short prefixes (access-string candidates).  Prefix-closed, `S[0] = ε`.
-    short: Vec<Vec<I>>,
     /// Distinguishing suffixes (all non-empty).
     suffixes: Vec<Vec<I>>,
-    /// Table contents: prefix → per-suffix output words.
-    rows: FxHashMap<Vec<I>, Vec<Vec<O>>>,
+    /// Every row, in creation order: `ε`, then the extensions of each short
+    /// row in promotion order.  That is also the order in which
+    /// [`fill`](Self::fill) asks for cells.
+    rows: Vec<Row<I>>,
+    /// Short rows in promotion order (prefix-closed, `short[0]` is `ε`).
+    short: Vec<usize>,
+    /// `extensions[k * inputs.len() + i]` is the row of `short[k] · inputs[i]`.
+    extensions: Vec<usize>,
+    /// Rows before this index have every column filled.
+    filled: usize,
+    /// Interned cell contents: id → output word, and output word → id.
+    cells: Vec<Vec<O>>,
+    cell_ids: FxHashMap<Vec<O>, u32>,
+    /// `(signature, cell) → signature` of a row extended by one cell.
+    sigs: FxHashMap<(u32, u32), u32>,
 }
 
 impl<I, O> ObservationTable<I, O>
@@ -33,17 +71,24 @@ where
     /// output functions observable from the start).
     pub fn new(inputs: Vec<I>) -> Self {
         let suffixes = inputs.iter().map(|i| vec![i.clone()]).collect();
-        ObservationTable {
+        let mut table = ObservationTable {
             inputs,
-            short: vec![Vec::new()],
             suffixes,
-            rows: FxHashMap::default(),
-        }
+            rows: vec![Row::new(Vec::new())],
+            short: Vec::new(),
+            extensions: Vec::new(),
+            filled: 0,
+            cells: Vec::new(),
+            cell_ids: FxHashMap::default(),
+            sigs: FxHashMap::default(),
+        };
+        table.promote(0);
+        table
     }
 
-    /// The short prefixes currently in the table.
-    pub fn short_prefixes(&self) -> &[Vec<I>] {
-        &self.short
+    /// Number of short rows.
+    pub fn num_short(&self) -> usize {
+        self.short.len()
     }
 
     /// The distinguishing suffixes currently in the table.
@@ -51,103 +96,80 @@ where
         &self.suffixes
     }
 
-    /// Fills any missing cells by querying the pool.
+    /// Fills every missing cell by querying the pool.
     ///
-    /// All missing cells of a refinement step are gathered first and issued
-    /// as one [`QueryPool::query_batch`], so the cells are answered from the
-    /// prefix-trie cache where possible and each distinct missing word
-    /// reaches the oracle once.
+    /// Only rows with missing cells are visited: those created since the
+    /// last fill, or every row after a suffix was added.  Their cells are
+    /// issued as one [`QueryPool::query_batch`], row by row in creation
+    /// order, so they are answered from the prefix-trie cache where possible
+    /// and each distinct missing word reaches the oracle once.
     ///
     /// # Errors
     ///
     /// Propagates oracle errors.
     pub fn fill(&mut self, pool: &mut QueryPool<'_, I, O>) -> Result<(), OracleError> {
-        // Gather the missing cells: for every row prefix, the words
-        // `prefix · suffix` for each not-yet-filled suffix column.
-        let mut row_prefixes: Vec<Vec<I>> = Vec::new();
-        for s in &self.short {
-            row_prefixes.push(s.clone());
-            for a in &self.inputs {
-                let mut extended = s.clone();
-                extended.push(a.clone());
-                row_prefixes.push(extended);
-            }
-        }
-        let mut pending: Vec<(Vec<I>, usize)> = Vec::new(); // (prefix, first missing column)
-        let mut queued: FxHashSet<Vec<I>> = FxHashSet::default();
         let mut words: Vec<Vec<I>> = Vec::new();
-        for prefix in row_prefixes {
-            let filled = self.rows.get(&prefix).map(|r| r.len()).unwrap_or(0);
-            if filled == self.suffixes.len() || !queued.insert(prefix.clone()) {
-                continue;
-            }
-            for suffix in &self.suffixes[filled..] {
-                let mut word = prefix.clone();
-                word.extend(suffix.iter().cloned());
+        for row in &self.rows[self.filled..] {
+            for suffix in &self.suffixes[row.cells.len()..] {
+                let mut word = Vec::with_capacity(row.prefix.len() + suffix.len());
+                word.extend_from_slice(&row.prefix);
+                word.extend_from_slice(suffix);
                 words.push(word);
             }
-            pending.push((prefix, filled));
         }
-        if words.is_empty() {
-            return Ok(());
-        }
-
         let answers = pool.query_batch(&words)?;
-        let mut cursor = 0usize;
-        for (prefix, filled) in pending {
-            let mut row = self.rows.remove(&prefix).unwrap_or_default();
-            debug_assert_eq!(row.len(), filled);
-            for _ in filled..self.suffixes.len() {
-                let (word, outputs) = (&words[cursor], &answers[cursor]);
-                cursor += 1;
-                debug_assert!(word.starts_with(&prefix));
-                if outputs.len() != word.len() {
-                    return Err(OracleError::new(format!(
-                        "oracle returned {} outputs for a word of length {}",
-                        outputs.len(),
-                        word.len()
-                    )));
-                }
-                row.push(outputs[prefix.len()..].to_vec());
+        let mut answers = answers.iter();
+        for index in self.filled..self.rows.len() {
+            let start = self.rows[index].prefix.len();
+            while self.rows[index].cells.len() < self.suffixes.len() {
+                let outputs = answers.next().expect("one answer per missing cell");
+                let cell = self.intern_cell(&outputs[start..]);
+                let row = &mut self.rows[index];
+                let next = self.sigs.len() as u32 + 1;
+                row.sig = *self.sigs.entry((row.sig, cell)).or_insert(next);
+                row.cells.push(cell);
             }
-            self.rows.insert(prefix, row);
         }
-        debug_assert_eq!(cursor, words.len());
+        self.filled = self.rows.len();
         Ok(())
     }
 
-    /// The row signature of a prefix (its per-suffix output words).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row has not been filled.
-    pub fn row(&self, prefix: &[I]) -> &[Vec<O>] {
-        self.rows
-            .get(prefix)
-            .unwrap_or_else(|| panic!("row for prefix {prefix:?} has not been filled"))
-    }
-
-    /// Returns an unclosedness witness: a one-letter extension of a short
-    /// prefix whose row matches no short row, if any.
-    pub fn find_unclosed(&self) -> Option<Vec<I>> {
-        let short_rows: FxHashSet<&[Vec<O>]> = self.short.iter().map(|s| self.row(s)).collect();
-        for s in &self.short {
-            for a in &self.inputs {
-                let mut extended = s.clone();
-                extended.push(a.clone());
-                let row = self.row(&extended);
-                if !short_rows.contains(row) {
-                    return Some(extended);
-                }
-            }
+    fn intern_cell(&mut self, outputs: &[O]) -> u32 {
+        if let Some(&id) = self.cell_ids.get(outputs) {
+            return id;
         }
-        None
+        let id = self.cells.len() as u32;
+        self.cells.push(outputs.to_vec());
+        self.cell_ids.insert(outputs.to_vec(), id);
+        id
     }
 
-    /// Promotes a prefix to the short rows (used when closing the table).
-    pub fn promote(&mut self, prefix: Vec<I>) {
-        if !self.short.contains(&prefix) {
-            self.short.push(prefix);
+    /// Returns an unclosedness witness: the first one-letter extension of a
+    /// short row (in short-row, then input order) whose row matches no short
+    /// row, if any.
+    pub fn find_unclosed(&self) -> Option<usize> {
+        debug_assert_eq!(self.filled, self.rows.len(), "fill the table first");
+        let short: FxHashSet<u32> = self.short.iter().map(|&r| self.rows[r].sig).collect();
+        self.extensions
+            .iter()
+            .copied()
+            .find(|&r| !short.contains(&self.rows[r].sig))
+    }
+
+    /// Promotes a row to the short rows (used when closing the table) and
+    /// adds its one-letter extensions as new, unfilled rows.
+    pub fn promote(&mut self, row: usize) {
+        if self.short.contains(&row) {
+            return;
+        }
+        self.short.push(row);
+        for input in &self.inputs {
+            let base = &self.rows[row].prefix;
+            let mut prefix = Vec::with_capacity(base.len() + 1);
+            prefix.extend_from_slice(base);
+            prefix.push(input.clone());
+            self.extensions.push(self.rows.len());
+            self.rows.push(Row::new(prefix));
         }
     }
 
@@ -158,6 +180,7 @@ where
             return false;
         }
         self.suffixes.push(suffix);
+        self.filled = 0;
         true
     }
 
@@ -168,49 +191,43 @@ where
     ///
     /// Panics if the table is not closed or not filled.
     pub fn hypothesis(&self) -> (Mealy<I, O>, Vec<Vec<I>>) {
-        // Assign a state to each distinct short row, keeping the first
-        // occurrence as the access string.
-        let mut state_of_row: FxHashMap<Vec<Vec<O>>, StateId> = FxHashMap::default();
-        let mut access: Vec<Vec<I>> = Vec::new();
-        for s in &self.short {
-            let row = self.row(s).to_vec();
-            if let std::collections::hash_map::Entry::Vacant(e) = state_of_row.entry(row) {
-                let id = StateId::new(access.len());
-                e.insert(id);
-                access.push(s.clone());
-            }
+        debug_assert_eq!(self.filled, self.rows.len(), "fill the table first");
+        // One state per distinct short-row signature; the first short row
+        // with that signature is its access row.
+        let mut state_of_sig: FxHashMap<u32, StateId> = FxHashMap::default();
+        let mut access: Vec<usize> = Vec::new(); // short-row index per state
+        for (k, &row) in self.short.iter().enumerate() {
+            state_of_sig.entry(self.rows[row].sig).or_insert_with(|| {
+                access.push(k);
+                StateId::new(access.len() - 1)
+            });
         }
 
         let mut builder = MealyBuilder::new(self.inputs.clone());
         for _ in 0..access.len() {
             builder.add_state();
         }
-        for (state_index, s) in access.iter().enumerate() {
-            for (input_index, a) in self.inputs.iter().enumerate() {
-                let mut extended = s.clone();
-                extended.push(a.clone());
-                let successor_row = self.row(&extended).to_vec();
-                let successor = *state_of_row
-                    .get(&successor_row)
+        let width = self.inputs.len();
+        for (state, &k) in access.iter().enumerate() {
+            let cells = &self.rows[self.short[k]].cells;
+            for (i, input) in self.inputs.iter().enumerate() {
+                let successor = *state_of_sig
+                    .get(&self.rows[self.extensions[k * width + i]].sig)
                     .expect("table must be closed before building a hypothesis");
-                // The output of `a` from this state is the first symbol of the
-                // cell for the single-symbol suffix `a` (suffix i is the i-th
-                // input by construction of `new`; later suffixes do not change
-                // this because suffix 0..|inputs| are the single symbols).
-                let output = self.row(s)[input_index][0].clone();
-                builder.add_transition(StateId::new(state_index), a.clone(), successor, output);
+                // Column i is the single-symbol suffix `inputs[i]` (see
+                // `new`), so its cell's only output is the transition's.
+                let output = self.cells[cells[i] as usize][0].clone();
+                builder.add_transition(StateId::new(state), input.clone(), successor, output);
             }
         }
         let machine = builder
             .build(StateId::new(0))
             .expect("closed and filled tables produce complete machines");
+        let access = access
+            .iter()
+            .map(|&k| self.rows[self.short[k]].prefix.clone())
+            .collect();
         (machine, access)
-    }
-
-    /// Total number of cells currently stored (diagnostics).
-    #[allow(dead_code)]
-    pub fn cells(&self) -> usize {
-        self.rows.values().map(Vec::len).sum()
     }
 }
 
@@ -219,6 +236,8 @@ mod tests {
     use super::*;
     use crate::oracle::MealyOracle;
     use automata::MealyBuilder;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn target() -> Mealy<&'static str, u8> {
         // A 3-state cyclic machine: "a" advances and outputs the new index,
@@ -232,11 +251,20 @@ mod tests {
         b.build(s[0]).unwrap()
     }
 
+    /// The cells of the row of `prefix`.
+    fn row<'t>(table: &'t ObservationTable<&str, u8>, prefix: &[&str]) -> Vec<&'t [u8]> {
+        let row = table.rows.iter().find(|r| r.prefix == prefix).unwrap();
+        row.cells
+            .iter()
+            .map(|&c| table.cells[c as usize].as_slice())
+            .collect()
+    }
+
     #[test]
     fn initial_table_has_one_suffix_per_input() {
         let table: ObservationTable<&str, u8> = ObservationTable::new(vec!["a", "b"]);
         assert_eq!(table.suffixes().len(), 2);
-        assert_eq!(table.short_prefixes().len(), 1);
+        assert_eq!(table.num_short(), 1);
     }
 
     #[test]
@@ -274,8 +302,174 @@ mod tests {
         let mut table = ObservationTable::new(vec!["a", "b"]);
         table.fill(&mut pool).unwrap();
         // Row of prefix "a" for suffix "a": output of the second "a" only.
-        let row = table.row(&["a"]);
-        assert_eq!(row[0], vec![2]);
-        assert_eq!(row[1], vec![9]);
+        let row = row(&table, &["a"]);
+        assert_eq!(row[0], [2]);
+        assert_eq!(row[1], [9]);
+    }
+
+    fn extend(prefix: &[&'static str], input: &&'static str) -> Vec<&'static str> {
+        let mut word = prefix.to_vec();
+        word.push(*input);
+        word
+    }
+
+    /// The row-vector table the interned one replaced: every row a
+    /// `Vec<Vec<O>>` keyed by its prefix, rebuilt and compared whole.
+    struct RowVecTable {
+        inputs: Vec<&'static str>,
+        short: Vec<Vec<&'static str>>,
+        suffixes: Vec<Vec<&'static str>>,
+        rows: FxHashMap<Vec<&'static str>, Vec<Vec<u8>>>,
+    }
+
+    impl RowVecTable {
+        fn new(inputs: Vec<&'static str>) -> Self {
+            let suffixes = inputs.iter().map(|i| vec![*i]).collect();
+            RowVecTable {
+                inputs,
+                short: vec![Vec::new()],
+                suffixes,
+                rows: FxHashMap::default(),
+            }
+        }
+
+        fn fill(&mut self, pool: &mut QueryPool<'_, &'static str, u8>) {
+            let mut pending: Vec<(Vec<&str>, usize)> = Vec::new();
+            let mut queued: FxHashSet<Vec<&str>> = FxHashSet::default();
+            let mut words: Vec<Vec<&str>> = Vec::new();
+            for s in &self.short {
+                let extended = self.inputs.iter().map(|a| extend(s, a));
+                for prefix in std::iter::once(s.clone()).chain(extended) {
+                    let filled = self.rows.get(&prefix).map_or(0, Vec::len);
+                    if filled == self.suffixes.len() || !queued.insert(prefix.clone()) {
+                        continue;
+                    }
+                    for suffix in &self.suffixes[filled..] {
+                        words.push([prefix.as_slice(), suffix.as_slice()].concat());
+                    }
+                    pending.push((prefix, filled));
+                }
+            }
+            let answers = pool.query_batch(&words).unwrap();
+            let mut answers = answers.into_iter();
+            for (prefix, filled) in pending {
+                let row = self.rows.entry(prefix.clone()).or_default();
+                for _ in filled..self.suffixes.len() {
+                    row.push(answers.next().unwrap()[prefix.len()..].to_vec());
+                }
+            }
+        }
+
+        fn find_unclosed(&self) -> Option<Vec<&'static str>> {
+            let short_rows: FxHashSet<&Vec<Vec<u8>>> =
+                self.short.iter().map(|s| &self.rows[s]).collect();
+            for s in &self.short {
+                for a in &self.inputs {
+                    let extended = extend(s, a);
+                    if !short_rows.contains(&self.rows[&extended]) {
+                        return Some(extended);
+                    }
+                }
+            }
+            None
+        }
+
+        fn hypothesis(&self) -> (Mealy<&'static str, u8>, Vec<Vec<&'static str>>) {
+            let mut state_of_row: FxHashMap<Vec<Vec<u8>>, StateId> = FxHashMap::default();
+            let mut access: Vec<Vec<&str>> = Vec::new();
+            for s in &self.short {
+                let next = StateId::new(access.len());
+                if *state_of_row.entry(self.rows[s].clone()).or_insert(next) == next {
+                    access.push(s.clone());
+                }
+            }
+            let mut builder = MealyBuilder::new(self.inputs.clone());
+            for _ in 0..access.len() {
+                builder.add_state();
+            }
+            for (state, s) in access.iter().enumerate() {
+                for (i, a) in self.inputs.iter().enumerate() {
+                    let extended = extend(s, a);
+                    let successor = state_of_row[&self.rows[&extended]];
+                    let output = self.rows[s][i][0];
+                    builder.add_transition(StateId::new(state), *a, successor, output);
+                }
+            }
+            (builder.build(StateId::new(0)).unwrap(), access)
+        }
+    }
+
+    /// A random complete machine over `{a, b, c}` with outputs in `0..3`.
+    fn random_machine(rng: &mut StdRng) -> Mealy<&'static str, u8> {
+        let inputs = vec!["a", "b", "c"];
+        let states = rng.gen_range(1..8usize);
+        let mut b = MealyBuilder::new(inputs.clone());
+        let ids: Vec<_> = (0..states).map(|_| b.add_state()).collect();
+        for &from in &ids {
+            for input in &inputs {
+                let to = ids[rng.gen_range(0..states)];
+                b.add_transition(from, *input, to, rng.gen_range(0..3u8));
+            }
+        }
+        b.build(ids[0]).unwrap()
+    }
+
+    fn assert_same_machine(
+        left: &(Mealy<&'static str, u8>, Vec<Vec<&'static str>>),
+        right: &(Mealy<&'static str, u8>, Vec<Vec<&'static str>>),
+    ) {
+        assert_eq!(left.1, right.1, "access strings");
+        assert_eq!(left.0.num_states(), right.0.num_states());
+        assert_eq!(left.0.initial(), right.0.initial());
+        for state in left.0.states() {
+            assert_eq!(left.0.row(state), right.0.row(state));
+        }
+    }
+
+    #[test]
+    fn interned_table_matches_the_row_vector_table() {
+        // Both tables run the same L* closing rounds over their own pool,
+        // with random suffixes added between rounds: every witness, every
+        // hypothesis and every query (hence every count) must agree.
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let machine = random_machine(&mut rng);
+            let inputs = machine.inputs().to_vec();
+            let factory = move || MealyOracle::new(machine.clone());
+            let (mut pool, mut reference_pool) =
+                (QueryPool::new(&factory), QueryPool::new(&factory));
+            let mut table = ObservationTable::new(inputs.clone());
+            let mut reference = RowVecTable::new(inputs.clone());
+            for _round in 0..4 {
+                table.fill(&mut pool).unwrap();
+                reference.fill(&mut reference_pool);
+                loop {
+                    let witness = table.find_unclosed();
+                    let expected = reference.find_unclosed();
+                    assert_eq!(witness.map(|r| table.rows[r].prefix.clone()), expected);
+                    let Some(witness) = witness else { break };
+                    table.promote(witness);
+                    reference.short.push(expected.unwrap());
+                    table.fill(&mut pool).unwrap();
+                    reference.fill(&mut reference_pool);
+                }
+                assert_same_machine(&table.hypothesis(), &reference.hypothesis());
+                assert_eq!(
+                    (pool.cache_hits(), pool.cache_misses()),
+                    (reference_pool.cache_hits(), reference_pool.cache_misses())
+                );
+                let length = rng.gen_range(1..5usize);
+                let suffix: Vec<&str> = (0..length)
+                    .map(|_| inputs[rng.gen_range(0..3usize)])
+                    .collect();
+                assert_eq!(
+                    table.add_suffix(suffix.clone()),
+                    !reference.suffixes.contains(&suffix)
+                );
+                if !reference.suffixes.contains(&suffix) {
+                    reference.suffixes.push(suffix);
+                }
+            }
+        }
     }
 }

@@ -9,14 +9,18 @@
 //!
 //! Suites are *lazy*: [`w_method_suite_iter`] and [`wp_method_suite_iter`]
 //! yield test words on demand, so an equivalence query that fails on an early
-//! test never materializes the (exponentially large) tail of the suite.  The
-//! eager [`w_method_suite`] / [`wp_method_suite`] functions collect the same
-//! words for callers that want the whole suite.
+//! test never materializes the (exponentially large) tail of the suite.  They
+//! yield the product's repeats too; [`QueryPool::run_tests`] skips a repeat
+//! on the prefix trie it walks anyway.  The eager [`w_method_suite`] /
+//! [`wp_method_suite`] functions collect the distinct words, in
+//! first-occurrence order, for callers that want the whole suite.
+//!
+//! [`QueryPool::run_tests`]: crate::QueryPool::run_tests
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
-use automata::fxhash::{FxHashMap, FxHashSet, FxHasher};
+use automata::fxhash::{FxHashMap, FxHashSet};
 use automata::{Mealy, StateId};
 
 /// Breadth-first state cover: for every state, a shortest input word reaching
@@ -211,91 +215,6 @@ fn words_up_to<I: Clone>(inputs: &[I], k: usize) -> Vec<Vec<I>> {
     result
 }
 
-/// Deduplication set for suite words, tuned for the iterators' access
-/// pattern: millions of candidate words, most of them new, each built from a
-/// shared `prefix · middle` base plus a short suffix.
-///
-/// Words live back to back in one element arena and the open-addressing
-/// table stores `(hash, offset, length)` triples, so a candidate costs one
-/// hash and one probe, and a *duplicate* candidate allocates nothing.  A
-/// `HashSet<Vec<I>>` here would clone every inserted word into its own heap
-/// allocation and chase a pointer per equality check — on the multi-million
-/// word suites of the larger policies that overhead rivals the actual test
-/// execution time.
-#[derive(Debug)]
-struct WordSet<I> {
-    arena: Vec<I>,
-    /// `(hash, arena offset, length)`; empty slots have `len == EMPTY_SLOT`.
-    slots: Vec<(u64, u32, u32)>,
-    len: usize,
-}
-
-/// Length marker for an unoccupied [`WordSet`] slot (no real suite word gets
-/// anywhere near `u32::MAX` symbols).
-const EMPTY_SLOT: u32 = u32::MAX;
-
-/// Feeds `elems` into `hasher` element by element (no length prefix — the
-/// full word is always hashed, so the element sequence is the identity).
-fn hash_elems<I: Hash>(hasher: &mut FxHasher, elems: &[I]) {
-    for e in elems {
-        e.hash(hasher);
-    }
-}
-
-impl<I: Clone + Eq + Hash> WordSet<I> {
-    fn new() -> Self {
-        WordSet {
-            arena: Vec::new(),
-            slots: vec![(0, 0, EMPTY_SLOT); 1024],
-            len: 0,
-        }
-    }
-
-    /// Inserts `word` (whose element hash is `hash`) if it is not already
-    /// present; returns `true` when the word was new.
-    fn insert_slice(&mut self, word: &[I], hash: u64) -> bool {
-        // Grow at 3/4 load so probe chains stay short.
-        if (self.len + 1) * 4 > self.slots.len() * 3 {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (hash as usize) & mask;
-        loop {
-            let (h, off, len) = self.slots[i];
-            if len == EMPTY_SLOT {
-                let off = u32::try_from(self.arena.len()).expect("suite arena exceeds u32 range");
-                self.arena.extend_from_slice(word);
-                self.slots[i] = (hash, off, word.len() as u32);
-                self.len += 1;
-                return true;
-            }
-            if h == hash
-                && len as usize == word.len()
-                && self.arena[off as usize..off as usize + len as usize] == *word
-            {
-                return false;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Doubles the table, re-slotting every entry by its stored hash (the
-    /// arena is untouched).
-    fn grow(&mut self) {
-        let new_len = self.slots.len() * 2;
-        let mask = new_len - 1;
-        let mut slots = vec![(0, 0, EMPTY_SLOT); new_len];
-        for &(h, off, len) in self.slots.iter().filter(|&&(_, _, len)| len != EMPTY_SLOT) {
-            let mut i = (h as usize) & mask;
-            while slots[i].2 != EMPTY_SLOT {
-                i = (i + 1) & mask;
-            }
-            slots[i] = (h, off, len);
-        }
-        self.slots = slots;
-    }
-}
-
 /// Odometer over the `prefixes × middles × w` product of a test suite,
 /// advanced by repeated increments instead of the three divisions per word
 /// the linear-cursor form costs on a multi-million-word suite.
@@ -331,9 +250,14 @@ impl ProductCursor {
 }
 
 /// Lazy W-method suite: `P · I^{≤k} · W` with `P` the transition cover and
-/// `W` the characterization set, deduplicated, empty words skipped.
+/// `W` the characterization set, in product order.
 ///
-/// Constructed by [`w_method_suite_iter`].
+/// The product repeats words (`ε · a · w` and `a · ε · w`, say): the lazy
+/// suites yield every candidate, and [`QueryPool::run_tests`] executes each
+/// distinct word once, at its first occurrence.  Constructed by
+/// [`w_method_suite_iter`].
+///
+/// [`QueryPool::run_tests`]: crate::QueryPool::run_tests
 #[derive(Debug)]
 pub struct WMethodSuite<I> {
     prefixes: Vec<Vec<I>>,
@@ -341,59 +265,9 @@ pub struct WMethodSuite<I> {
     w: Vec<Vec<I>>,
     /// Odometer over the `prefixes × middles × w` product.
     cursor: ProductCursor,
-    seen: WordSet<I>,
-    /// Reusable candidate buffer; the first `base.1` elements hold the
-    /// `prefix · middle` base for the `(prefix, middle)` indices in `base.0`,
-    /// whose element-hash state is cached in `base.2` (the suffix `w` rolls
-    /// fastest, so the base survives `|W|` consecutive candidates).
-    base: SuiteBase<I>,
 }
 
-/// Shared `prefix · middle` state of a suite iterator: the candidate scratch
-/// buffer, the `(prefix, middle)` indices it was built from, the base length
-/// within the scratch, and the hasher state after feeding the base elements.
-#[derive(Debug)]
-struct SuiteBase<I> {
-    scratch: Vec<I>,
-    key: (usize, usize),
-    len: usize,
-    hasher: FxHasher,
-}
-
-impl<I: Clone + Hash> SuiteBase<I> {
-    fn new() -> Self {
-        SuiteBase {
-            scratch: Vec::new(),
-            key: (usize::MAX, usize::MAX),
-            len: 0,
-            hasher: FxHasher::default(),
-        }
-    }
-
-    /// Rebuilds the base from `prefix · middle` unless it is already current,
-    /// then appends `suffix` and returns the full word's element hash.
-    fn compose(&mut self, key: (usize, usize), prefix: &[I], middle: &[I], suffix: &[I]) -> u64 {
-        if self.key != key {
-            self.scratch.clear();
-            self.scratch.extend_from_slice(prefix);
-            self.scratch.extend_from_slice(middle);
-            self.key = key;
-            self.len = self.scratch.len();
-            self.hasher = FxHasher::default();
-            hash_elems(&mut self.hasher, &self.scratch);
-        }
-        self.scratch.truncate(self.len);
-        self.scratch.extend_from_slice(suffix);
-        let mut hasher = self.hasher;
-        hash_elems(&mut hasher, suffix);
-        hasher.finish()
-    }
-}
-
-impl<I> Iterator for WMethodSuite<I>
-where
-    I: Clone + Eq + Hash,
-{
+impl<I: Clone> Iterator for WMethodSuite<I> {
     type Item = Vec<I>;
 
     fn next(&mut self) -> Option<Vec<I>> {
@@ -402,29 +276,19 @@ where
             // characterization set and therefore an empty suite.
             return None;
         }
-        loop {
-            let ProductCursor {
-                prefix: pi,
-                middle: mi,
-                word: wi,
-            } = self.cursor;
-            if pi >= self.prefixes.len() {
-                return None;
-            }
-            self.cursor.advance(self.middles.len(), self.w.len());
-            let hash =
-                self.base
-                    .compose((pi, mi), &self.prefixes[pi], &self.middles[mi], &self.w[wi]);
-            let word = &self.base.scratch;
-            if !word.is_empty() && self.seen.insert_slice(word, hash) {
-                return Some(word.clone());
-            }
-        }
+        let ProductCursor {
+            prefix,
+            middle,
+            word,
+        } = self.cursor;
+        let prefix = self.prefixes.get(prefix)?;
+        self.cursor.advance(self.middles.len(), self.w.len());
+        Some([&prefix[..], &self.middles[middle][..], &self.w[word][..]].concat())
     }
 }
 
-/// Lazily yields the W-method test suite for extra depth `k`, in the same
-/// order as [`w_method_suite`].
+/// Lazily yields the W-method test suite for extra depth `k`: every
+/// candidate of the product, repeats included (see [`WMethodSuite`]).
 pub fn w_method_suite_iter<I, O>(machine: &Mealy<I, O>, k: usize) -> WMethodSuite<I>
 where
     I: Clone + Eq + Hash + fmt::Debug,
@@ -436,25 +300,31 @@ where
         middles: words_up_to(machine.inputs(), k),
         w,
         cursor: ProductCursor::start(),
-        seen: WordSet::new(),
-        base: SuiteBase::new(),
     }
 }
 
-/// The W-method test suite for extra depth `k`, collected eagerly.
+/// The first occurrence of every word of `suite`, in order.
+fn first_occurrences<I: Clone + Eq + Hash>(suite: impl Iterator<Item = Vec<I>>) -> Vec<Vec<I>> {
+    let mut seen = FxHashSet::default();
+    suite.filter(|word| seen.insert(word.clone())).collect()
+}
+
+/// The W-method test suite for extra depth `k`, collected eagerly: the
+/// distinct words of [`w_method_suite_iter`], in first-occurrence order.
 pub fn w_method_suite<I, O>(machine: &Mealy<I, O>, k: usize) -> Vec<Vec<I>>
 where
     I: Clone + Eq + Hash + fmt::Debug,
     O: Clone + Eq + Hash + fmt::Debug,
 {
-    w_method_suite_iter(machine, k).collect()
+    first_occurrences(w_method_suite_iter(machine, k))
 }
 
 /// Lazy Wp-method suite; see [`wp_method_suite_iter`].
 ///
 /// Phase 1 checks the state cover against the full characterization set
 /// (`S · I^{≤k} · W`); phase 2 checks the remaining transitions against the
-/// identification sets of the states they reach (`R · I^{≤k} ⊗ Wp`).
+/// identification sets of the states they reach (`R · I^{≤k} ⊗ Wp`).  Like
+/// [`WMethodSuite`] it yields repeats, which the run skips.
 #[derive(Debug)]
 pub struct WpMethodSuite<'m, I, O> {
     machine: &'m Mealy<I, O>,
@@ -470,11 +340,6 @@ pub struct WpMethodSuite<'m, I, O> {
     transition: (usize, usize, usize),
     /// The current phase-2 base word and its identification set.
     base: Option<(Vec<I>, usize, usize)>, // (base word, reached state, next ident position)
-    seen: WordSet<I>,
-    /// Shared `cover × middle` base of the phase-1 product.
-    phase1_base: SuiteBase<I>,
-    /// Reusable phase-2 candidate buffer (`base · w`).
-    phase2_scratch: Vec<I>,
 }
 
 impl<I, O> WpMethodSuite<'_, I, O>
@@ -531,26 +396,14 @@ where
     fn next(&mut self) -> Option<Vec<I>> {
         // Phase 1: state cover × I^{≤k} × W.
         if !self.middles.is_empty() && !self.w.is_empty() {
-            loop {
-                let ProductCursor {
-                    prefix: ci,
-                    middle: mi,
-                    word: wi,
-                } = self.phase1_cursor;
-                if ci >= self.cover.len() {
-                    break;
-                }
+            let ProductCursor {
+                prefix,
+                middle,
+                word,
+            } = self.phase1_cursor;
+            if let Some(prefix) = self.cover.get(prefix) {
                 self.phase1_cursor.advance(self.middles.len(), self.w.len());
-                let hash = self.phase1_base.compose(
-                    (ci, mi),
-                    &self.cover[ci],
-                    &self.middles[mi],
-                    &self.w[wi],
-                );
-                let word = &self.phase1_base.scratch;
-                if !word.is_empty() && self.seen.insert_slice(word, hash) {
-                    return Some(word.clone());
-                }
+                return Some([&prefix[..], &self.middles[middle][..], &self.w[word][..]].concat());
             }
         }
 
@@ -558,19 +411,9 @@ where
         // identification set of the state the word reaches in the hypothesis.
         loop {
             if let Some((base, reached, ident_pos)) = &mut self.base {
-                let ident = &self.identification[*reached];
-                while *ident_pos < ident.len() {
-                    let wi = ident[*ident_pos];
+                if let Some(&wi) = self.identification[*reached].get(*ident_pos) {
                     *ident_pos += 1;
-                    self.phase2_scratch.clear();
-                    self.phase2_scratch.extend_from_slice(base);
-                    self.phase2_scratch.extend_from_slice(&self.w[wi]);
-                    let mut hasher = FxHasher::default();
-                    hash_elems(&mut hasher, &self.phase2_scratch);
-                    let word = &self.phase2_scratch;
-                    if self.seen.insert_slice(word, hasher.finish()) {
-                        return Some(word.clone());
-                    }
+                    return Some([base.as_slice(), &self.w[wi]].concat());
                 }
                 self.base = None;
             }
@@ -581,8 +424,8 @@ where
     }
 }
 
-/// Lazily yields the Wp-method test suite for extra depth `k`, in the same
-/// order as [`wp_method_suite`].
+/// Lazily yields the Wp-method test suite for extra depth `k`: every
+/// candidate, repeats included (see [`WpMethodSuite`]).
 pub fn wp_method_suite_iter<I, O>(machine: &Mealy<I, O>, k: usize) -> WpMethodSuite<'_, I, O>
 where
     I: Clone + Eq + Hash + fmt::Debug,
@@ -600,19 +443,17 @@ where
         phase1_cursor: ProductCursor::start(),
         transition: (0, 0, 0),
         base: None,
-        seen: WordSet::new(),
-        phase1_base: SuiteBase::new(),
-        phase2_scratch: Vec::new(),
     }
 }
 
-/// The Wp-method test suite for extra depth `k`, collected eagerly.
+/// The Wp-method test suite for extra depth `k`, collected eagerly: the
+/// distinct words of [`wp_method_suite_iter`], in first-occurrence order.
 pub fn wp_method_suite<I, O>(machine: &Mealy<I, O>, k: usize) -> Vec<Vec<I>>
 where
     I: Clone + Eq + Hash + fmt::Debug,
     O: Clone + Eq + Hash + fmt::Debug,
 {
-    wp_method_suite_iter(machine, k).collect()
+    first_occurrences(wp_method_suite_iter(machine, k))
 }
 
 #[cfg(test)]
@@ -711,15 +552,23 @@ mod tests {
 
     #[test]
     fn lazy_and_eager_suites_agree() {
+        // The eager suites are the lazy candidate streams with every repeat
+        // dropped, in first-occurrence order.
+        fn distinct(suite: impl Iterator<Item = Vec<&'static str>>) -> Vec<Vec<&'static str>> {
+            let mut seen = std::collections::HashSet::new();
+            suite.filter(|word| seen.insert(word.clone())).collect()
+        }
         let m = three_state();
         for k in [0usize, 1, 2] {
-            let eager_w = w_method_suite(&m, k);
-            let lazy_w: Vec<_> = w_method_suite_iter(&m, k).collect();
-            assert_eq!(eager_w, lazy_w);
-            let eager_wp = wp_method_suite(&m, k);
-            let lazy_wp: Vec<_> = wp_method_suite_iter(&m, k).collect();
-            assert_eq!(eager_wp, lazy_wp);
+            assert_eq!(w_method_suite(&m, k), distinct(w_method_suite_iter(&m, k)));
+            assert_eq!(
+                wp_method_suite(&m, k),
+                distinct(wp_method_suite_iter(&m, k))
+            );
         }
+        // The products do repeat words, which the lazy suites leave to the
+        // conformance run to skip.
+        assert!(w_method_suite_iter(&m, 1).count() > w_method_suite(&m, 1).len());
     }
 
     #[test]

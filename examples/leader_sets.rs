@@ -2,16 +2,17 @@
 //! last-level cache with thrashing queries.
 //!
 //! Run with: `cargo run --release --example leader_sets -- [NUM_SETS]`
+//! (40 when absent; a count that does not parse exits with status 2).
+
+mod common;
 
 use cache::LevelId;
 use cachequery::{detect_leader_sets, CacheQuery, LeaderClass};
+use common::positional;
 use hardware::{CpuModel, SimulatedCpu};
 
 fn main() {
-    let sample: usize = std::env::args()
-        .nth(1)
-        .and_then(|n| n.parse().ok())
-        .unwrap_or(40);
+    let sample: usize = positional(0, 40, "usage: leader_sets [NUM_SETS]");
 
     let cpu = SimulatedCpu::new(CpuModel::SkylakeI5_6500, 5);
     let mut tool = CacheQuery::new(cpu);

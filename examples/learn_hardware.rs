@@ -6,33 +6,38 @@
 //! e.g.
 //!   cargo run --release --example learn_hardware -- skylake L3 33 2
 //!
+//! A missing argument takes its default (skylake, L3, 33, 2 ways of CAT on
+//! the L3); one that does not parse exits with status 2.
+//!
 //! Learning the Skylake L2 (160-state New1) or an L1 (128-state PLRU) takes
 //! several minutes; the L3 leader set with CAT reduced to 2-4 ways finishes
 //! much faster and already demonstrates the undocumented New2 policy.
 
+mod common;
+
 use cache::LevelId;
 use cachequery::{ResetSequence, Target};
+use common::{positional, positional_with};
 use hardware::CpuModel;
 use polca::{identify_policy, learn_hardware_policy, HardwareTarget, LearnSetup};
 use policies::PolicyKind;
 
-fn parse_cpu(name: &str) -> CpuModel {
+const USAGE: &str = "usage: learn_hardware [skylake|haswell|kabylake] [L1|L2|L3] [SET] [CAT_WAYS]";
+
+fn parse_cpu(name: &str) -> Option<CpuModel> {
     match name.to_ascii_lowercase().as_str() {
-        "haswell" => CpuModel::HaswellI7_4790,
-        "kabylake" | "kaby-lake" => CpuModel::KabyLakeI7_8550U,
-        _ => CpuModel::SkylakeI5_6500,
+        "skylake" => Some(CpuModel::SkylakeI5_6500),
+        "haswell" => Some(CpuModel::HaswellI7_4790),
+        "kabylake" | "kaby-lake" => Some(CpuModel::KabyLakeI7_8550U),
+        _ => None,
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cpu = parse_cpu(args.first().map(String::as_str).unwrap_or("skylake"));
-    let level = args
-        .get(1)
-        .and_then(|l| LevelId::parse(l))
-        .unwrap_or(LevelId::L3);
-    let set: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(33);
-    let cat_ways: Option<usize> = args.get(3).and_then(|w| w.parse().ok());
+    let cpu = positional_with(0, CpuModel::SkylakeI5_6500, USAGE, parse_cpu);
+    let level = positional_with(1, LevelId::L3, USAGE, LevelId::parse);
+    let set: usize = positional(2, 33, USAGE);
+    let cat_ways: Option<usize> = positional_with(3, None, USAGE, |w| w.parse().ok().map(Some));
 
     // Table 4: the Skylake/Kaby Lake L2 needs the custom reset sequence.
     let reset = if level == LevelId::L2 && cpu != CpuModel::HaswellI7_4790 {

@@ -4,6 +4,9 @@
 //! Run with: `cargo run --release --example replay_trace -- [ACCESSES] [WAYS] [SETS]`
 //! e.g.      `cargo run --release --example replay_trace -- 100000 4 64`
 //!
+//! A missing argument takes its default (50000, 2, 64); one that does not
+//! parse exits with status 2.
+//!
 //! Three steps:
 //!
 //! 1. Generate one trace per generator (sequential, strided, zipfian,
@@ -13,16 +16,20 @@
 //! 3. Learn LRU from scratch and replay the learned automaton
 //!    *differentially* against its simulator — every access must agree.
 
+mod common;
+
 use cache::CacheGeometry;
+use common::positional;
 use polca::{exact_learn_setup, learn_simulated_policy};
 use policies::PolicyKind;
 use trace::{differential_replay, generate, replay_policy, GeneratorKind, TraceSpec};
 
+const USAGE: &str = "usage: replay_trace [ACCESSES] [WAYS] [SETS]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let accesses: usize = args.first().and_then(|a| a.parse().ok()).unwrap_or(50_000);
-    let ways: usize = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(2);
-    let sets: usize = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(64);
+    let accesses: usize = positional(0, 50_000, USAGE);
+    let ways: usize = positional(1, 2, USAGE);
+    let sets: usize = positional(2, 64, USAGE);
 
     let geometry = CacheGeometry::new(ways, sets, 1, 64);
     // A working set of 1.5x the cache capacity: enough reuse to hit, enough

@@ -108,11 +108,20 @@ fn learn_simulated_runs() {
 
 #[test]
 fn learn_simulated_rejects_a_bad_argument() {
-    // A policy name that does not parse must not fall back to the default.
-    let output = spawn_example("learn_simulated", &["BOGUS", "2"], None);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(!output.status.success(), "stderr:\n{stderr}");
-    assert!(stderr.contains("BOGUS"), "stderr:\n{stderr}");
+    // An argument that does not parse must not fall back to its default:
+    // the example exits with status 2 and names the text.
+    let cases: [(&str, &[&str], &str); 4] = [
+        ("learn_simulated", &["BOGUS", "2"], "BOGUS"),
+        ("learn_hardware", &["skylake", "L3", "x", "2"], "`x`"),
+        ("replay_trace", &["x", "2", "16"], "`x`"),
+        ("leader_sets", &["eight"], "eight"),
+    ];
+    for (name, args, text) in cases {
+        let output = spawn_example(name, args, None);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{name} {args:?}:\n{stderr}");
+        assert!(stderr.contains(text), "{name} {args:?}:\n{stderr}");
+    }
 }
 
 #[test]
