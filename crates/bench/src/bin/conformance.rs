@@ -6,7 +6,7 @@
 //! Usage:
 //!   `conformance [--steps N] [--max-assoc W] [--seed S] [--walks K]`
 //!
-//! For every policy of the paper's §6 case study at ways `2..=W` (skipping
+//! For every policy of the paper's §6 case study at ways `1..=W` (skipping
 //! unsupported associativities), the harness runs the standard learning
 //! pipeline and then `K` independent `N`-step random walks (seeds `S`,
 //! `S+1`, …).  Exit code 0 means every walk agreed with the simulator on
@@ -25,7 +25,7 @@ fn main() {
     let walks: u64 = args.value_or("walks", 3);
 
     println!(
-        "conformance: {walks} x {steps}-step random walks per policy, ways 2..={max_assoc}, \
+        "conformance: {walks} x {steps}-step random walks per policy, ways 1..={max_assoc}, \
          base seed {seed}"
     );
 

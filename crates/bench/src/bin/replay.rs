@@ -12,7 +12,7 @@
 //!    the per-policy hit-rate table plus a replay-throughput baseline
 //!    (accesses/s).
 //! 2. **Conformance replay** — every learned automaton of the conformance
-//!    set (the same 26 cases the `conformance` bin walks) replayed
+//!    set (the same 33 cases the `conformance` bin walks) replayed
 //!    *differentially* against its source simulator on all four generators.
 //!    Any hit/miss or victim-line disagreement prints the offending access
 //!    and sets exit code 1; CI pins the zero-divergence verdict on

@@ -21,8 +21,8 @@ use std::time::Duration;
 use automata::check_equivalence;
 use bench::{format_duration, Args, TextTable};
 use polca::{learn_simulated_policy, LearnSetup};
-use policies::{policy_to_mealy, PolicyKind, PolicyMealy};
-use synth::{synthesize, ProgramPolicy, SynthesisConfig};
+use policies::{policy_to_mealy, PolicyKind, PolicyMealy, ProgramPolicy};
+use synth::{synthesize, SynthesisConfig};
 
 fn automaton_for(kind: PolicyKind, assoc: usize, from_learned: bool) -> Option<PolicyMealy> {
     if from_learned {

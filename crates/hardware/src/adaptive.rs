@@ -11,9 +11,10 @@ const MAX_AGE: u8 = 3;
 /// An RRIP-style aged policy whose insertion behaviour depends on its role in
 /// the set-dueling scheme (Appendix B of the paper):
 ///
-/// * **primary leader** sets behave exactly like the deterministic [`policies::New2`]
-///   policy (thrash-vulnerable — a scanning workload evicts everything), and
-///   report their misses to the shared PSEL counter;
+/// * **primary leader** sets behave exactly like the deterministic New2
+///   policy (its program is [`PolicyKind::program`](policies::PolicyKind::program);
+///   thrash-vulnerable — a scanning workload evicts everything), and report
+///   their misses to the shared PSEL counter;
 /// * **alternate leader** sets insert with a *distant* prediction most of the
 ///   time (BRRIP-like, thrash-resistant) and also report their misses;
 /// * **follower** sets pick the insertion behaviour of whichever leader group
@@ -149,7 +150,7 @@ mod tests {
     use super::*;
     use automata::check_equivalence;
     use cache::SetDueling;
-    use policies::{policy_to_mealy, New2};
+    use policies::{policy_to_mealy, PolicyKind};
 
     fn dueling() -> SetDueling {
         SetDueling::all_followers(4)
@@ -159,7 +160,8 @@ mod tests {
     fn primary_leader_is_trace_equivalent_to_new2() {
         let leader = AdaptiveRrip::new(4, DuelingRole::LeaderPrimary, dueling(), 0);
         let learned = policy_to_mealy(&leader, 1 << 16);
-        let reference = policy_to_mealy(&New2::new(4), 1 << 16);
+        let new2 = PolicyKind::New2.build_reference(4).unwrap();
+        let reference = policy_to_mealy(new2.as_ref(), 1 << 16);
         assert!(check_equivalence(&learned, &reference).is_none());
     }
 

@@ -173,8 +173,8 @@ impl TrieCursor {
     }
 }
 
-/// Verdict of [`QueryCache::check_against`]: what the cache knows about a
-/// word compared to a predicted output word.
+/// Verdict of [`QueryCache::check_against_resumed`]: what the cache knows
+/// about a word compared to a predicted output word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheVerdict {
     /// Every cached position agrees with the prediction, and the whole word
@@ -260,41 +260,21 @@ where
     }
 
     /// Compares `word` against a `predicted` output word without cloning any
-    /// outputs — the allocation-free fast path of conformance testing.
+    /// outputs — the allocation-free fast path of conformance testing —
+    /// resuming from a cursor, and without counting.
     ///
     /// A [`CacheVerdict::Mismatch`] can be produced from a cached *prefix*
     /// alone (the first divergence already proves the test fails), so this
     /// can refute a hypothesis even for words the oracle never ran.
-    /// `Match`/`Mismatch` count as cache hits, `Unknown` as a miss.
-    pub fn check_against(&self, word: &[I], predicted: &[O]) -> CacheVerdict {
-        debug_assert_eq!(word.len(), predicted.len());
-        let trie = self.trie.read().unwrap_or_else(PoisonError::into_inner);
-        let mut children = &trie.roots;
-        for (position, (symbol, predicted_output)) in word.iter().zip(predicted).enumerate() {
-            let Some(index) = trie.child(children, symbol) else {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return CacheVerdict::Unknown;
-            };
-            let node = &trie.nodes[index as usize];
-            if node.output != *predicted_output {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return CacheVerdict::Mismatch(position);
-            }
-            children = &node.children;
-        }
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        CacheVerdict::Match
-    }
-
-    /// [`check_against`](Self::check_against) resuming from a cursor, and
-    /// without counting: the first `lcp` entries of `cursor` must come from
-    /// a previous call whose word shared `lcp` symbols with `word` *and*
-    /// whose predicted outputs agreed on that prefix (true for conformance
-    /// testing, where a disagreeing prefix ends the suite run).  The walk
-    /// then starts at position `min(lcp, cursor depth)` instead of the root
-    /// — or at the root when the cursor is [stale](Self::is_stale) — and
-    /// leaves the cursor on the agreeing part of `word`, so after a `Match`
-    /// it ends on the node of `word` itself.
+    ///
+    /// The first `lcp` entries of `cursor` must come from a previous call
+    /// whose word shared `lcp` symbols with `word` *and* whose predicted
+    /// outputs agreed on that prefix (true for conformance testing, where a
+    /// disagreeing prefix ends the suite run).  The walk then starts at
+    /// position `min(lcp, cursor depth)` instead of the root — or at the
+    /// root when the cursor is [stale](Self::is_stale) — and leaves the
+    /// cursor on the agreeing part of `word`, so after a `Match` it ends on
+    /// the node of `word` itself.
     ///
     /// The caller decides whether the walk was a lookup and counts it (the
     /// query pool skips repeats of earlier conformance tests uncounted).
@@ -661,22 +641,18 @@ mod tests {
     fn check_against_classifies_predictions() {
         let cache: QueryCache<u8, u8> = QueryCache::new();
         cache.record(&[1, 2, 3], &[10, 20, 30]).unwrap();
+        let check = |word: &[u8], predicted: &[u8]| {
+            cache.check_against_resumed(word, predicted, 0, &mut TrieCursor::new())
+        };
         // Fully cached, agreeing prediction.
-        assert_eq!(
-            cache.check_against(&[1, 2, 3], &[10, 20, 30]),
-            CacheVerdict::Match
-        );
+        assert_eq!(check(&[1, 2, 3], &[10, 20, 30]), CacheVerdict::Match);
         // Cached prefix already contradicts the prediction — even though the
         // tail [9] was never cached.
-        assert_eq!(
-            cache.check_against(&[1, 2, 9], &[10, 99, 0]),
-            CacheVerdict::Mismatch(1)
-        );
+        assert_eq!(check(&[1, 2, 9], &[10, 99, 0]), CacheVerdict::Mismatch(1));
         // Agreeing prefix, uncached tail: undecidable from the cache.
-        assert_eq!(
-            cache.check_against(&[1, 2, 9], &[10, 20, 0]),
-            CacheVerdict::Unknown
-        );
+        assert_eq!(check(&[1, 2, 9], &[10, 20, 0]), CacheVerdict::Unknown);
+        // The caller counts: a check is no lookup.
+        assert_eq!(cache.total_lookups(), 0);
     }
 
     #[test]
@@ -752,6 +728,11 @@ mod tests {
         assert_eq!(
             cache.check_against_resumed(&[1, 2, 5], &[10, 20, 50], 0, &mut check),
             CacheVerdict::Match
+        );
+        assert_eq!(
+            cache.check_against_resumed(&[1, 2, 5], &[10, 20, 99], 2, &mut check),
+            CacheVerdict::Mismatch(2),
+            "resumed at depth 2, the walk still sees the contradicting output"
         );
         cache.clear();
         assert!(cache.is_stale(&check));

@@ -102,11 +102,11 @@ pub fn exact_learn_setup(associativity: usize) -> crate::LearnSetup {
 }
 
 /// Every `(kind, associativity)` pair the conformance harness covers for
-/// ways `2..=max_assoc`: all deterministic policies of the paper, at each
+/// ways `1..=max_assoc`: all deterministic policies of the paper, at each
 /// associativity they support.
 pub fn conformance_cases(max_assoc: usize) -> Vec<(PolicyKind, usize)> {
     let mut cases = Vec::new();
-    for assoc in 2..=max_assoc {
+    for assoc in 1..=max_assoc {
         for kind in PolicyKind::ALL_DETERMINISTIC {
             if kind.supports_associativity(assoc) {
                 cases.push((kind, assoc));
@@ -154,7 +154,10 @@ mod tests {
     #[test]
     fn the_case_list_covers_every_supported_policy() {
         let cases = conformance_cases(4);
-        // 9 deterministic policies at ways 2 and 4; PLRU drops out at 3.
+        // 9 deterministic policies at ways 2 and 4; PLRU drops out at 3, and
+        // PLRU and MRU at 1.
+        assert_eq!(cases.iter().filter(|(_, a)| *a == 1).count(), 7);
+        assert!(!cases.iter().any(|(k, a)| *k == PolicyKind::Mru && *a == 1));
         assert_eq!(cases.iter().filter(|(_, a)| *a == 2).count(), 9);
         assert_eq!(cases.iter().filter(|(_, a)| *a == 3).count(), 8);
         assert_eq!(cases.iter().filter(|(_, a)| *a == 4).count(), 9);

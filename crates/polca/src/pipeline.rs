@@ -336,6 +336,8 @@ mod tests {
             (PolicyKind::Mru, 4, 14),
             (PolicyKind::SrripHp, 2, 12),
             (PolicyKind::SrripFp, 2, 16),
+            // New1's one line never reaches age 3: eviction falls back to it.
+            (PolicyKind::New1, 1, 1),
         ];
         for (kind, assoc, expected_states) in cases {
             let outcome = learn_simulated_policy(kind, assoc, &LearnSetup::default()).unwrap();

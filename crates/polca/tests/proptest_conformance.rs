@@ -1,5 +1,5 @@
 //! Random-walk conformance property: for every deterministic policy at ways
-//! 2–4, long random walks on the *learned* automaton agree with the
+//! 1–4, long random walks on the *learned* automaton agree with the
 //! ground-truth policy simulator on every step.
 //!
 //! This is net-new coverage the pinned Table 2 state counts do not give:

@@ -28,15 +28,6 @@ impl PolicyInput {
     pub fn line(line: usize) -> Self {
         PolicyInput::Line(u8::try_from(line).expect("line index exceeds u8::MAX"))
     }
-
-    /// The line index of a `Ln(i)` symbol, widened back to `usize`.
-    #[inline]
-    pub fn line_index(self) -> Option<usize> {
-        match self {
-            PolicyInput::Line(i) => Some(usize::from(i)),
-            PolicyInput::Evct => None,
-        }
-    }
 }
 
 impl fmt::Display for PolicyInput {
@@ -98,15 +89,6 @@ impl PolicyOutput {
     #[inline]
     pub fn evicted(line: usize) -> Self {
         PolicyOutput::Evicted(u8::try_from(line).expect("victim index exceeds u8::MAX"))
-    }
-
-    /// The victim index of an `Evicted(i)` symbol, widened back to `usize`.
-    #[inline]
-    pub fn victim_index(self) -> Option<usize> {
-        match self {
-            PolicyOutput::Evicted(i) => Some(usize::from(i)),
-            PolicyOutput::None => None,
-        }
     }
 }
 

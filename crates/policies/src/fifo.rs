@@ -1,92 +1,29 @@
 //! First-In First-Out replacement.
 
-use crate::{assert_line_in_range, assert_valid_associativity, ReplacementPolicy};
+use crate::{PolicyProgram, PromoteRule};
 
-/// First-In First-Out (FIFO) replacement.
+/// First-In First-Out (FIFO) replacement: LRU's program without promotion.
 ///
-/// Lines are evicted in the order they were filled; hits do not modify the
-/// control state.  The control state is a single pointer to the next victim,
-/// so the induced Mealy machine has exactly `associativity` states (Table 2).
-///
-/// # Example
-///
-/// ```
-/// use policies::{Fifo, ReplacementPolicy};
-///
-/// let mut p = Fifo::new(4);
-/// assert_eq!(p.on_miss(), 0);
-/// p.on_hit(0); // hits do not protect the line under FIFO
-/// assert_eq!(p.on_miss(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Fifo {
-    assoc: usize,
-    next_victim: usize,
-}
-
-impl Fifo {
-    /// Creates a FIFO policy for a set with `assoc` lines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assoc == 0`.
-    pub fn new(assoc: usize) -> Self {
-        assert_valid_associativity(assoc);
-        Fifo {
-            assoc,
-            next_victim: 0,
-        }
-    }
-}
-
-impl ReplacementPolicy for Fifo {
-    fn associativity(&self) -> usize {
-        self.assoc
-    }
-
-    fn on_hit(&mut self, line: usize) {
-        assert_line_in_range(line, self.assoc);
-        // FIFO ignores hits.
-    }
-
-    fn victim(&mut self) -> usize {
-        self.next_victim
-    }
-
-    fn on_insert(&mut self, line: usize) {
-        assert_line_in_range(line, self.assoc);
-        // Only advancing the queue pointer when the inserted line is the
-        // victim keeps fills of invalid lines (used by the hardware
-        // simulator) from skipping queue positions.
-        if line == self.next_victim {
-            self.next_victim = (self.next_victim + 1) % self.assoc;
-        }
-    }
-
-    fn reset(&mut self) {
-        self.next_victim = 0;
-    }
-
-    fn state_key(&self) -> Vec<u32> {
-        vec![self.next_victim as u32]
-    }
-
-    fn name(&self) -> &'static str {
-        "FIFO"
-    }
-
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
+/// Each line's age is its rank in fill order (`0` = filled last).  Hits do
+/// not change the control state, the oldest line is the victim, and the
+/// filled line becomes the youngest.  The ages stay a permutation that only
+/// rotates on a miss, so the induced Mealy machine has exactly `assoc`
+/// states (Table 2).
+pub(crate) fn program(assoc: usize) -> PolicyProgram {
+    PolicyProgram {
+        promote: PromoteRule::default(),
+        ..crate::lru::program(assoc)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PolicyKind, ProgramPolicy};
 
     #[test]
     fn evicts_round_robin() {
-        let mut p = Fifo::new(3);
+        let mut p = PolicyKind::Fifo.build_reference(3).unwrap();
         assert_eq!(p.on_miss(), 0);
         assert_eq!(p.on_miss(), 1);
         assert_eq!(p.on_miss(), 2);
@@ -95,7 +32,7 @@ mod tests {
 
     #[test]
     fn hits_do_not_change_the_victim() {
-        let mut p = Fifo::new(4);
+        let mut p = PolicyKind::Fifo.build_reference(4).unwrap();
         p.on_hit(3);
         p.on_hit(1);
         assert_eq!(p.on_miss(), 0);
@@ -103,22 +40,29 @@ mod tests {
 
     #[test]
     fn reset_restores_initial_state() {
-        let mut p = Fifo::new(4);
+        let mut p = PolicyKind::Fifo.build_reference(4).unwrap();
         p.on_miss();
         p.on_miss();
         p.reset();
-        assert_eq!(p.state_key(), Fifo::new(4).state_key());
+        assert_eq!(
+            p.state_key(),
+            PolicyKind::Fifo.build_reference(4).unwrap().state_key()
+        );
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_lines() {
-        Fifo::new(2).on_hit(2);
+        PolicyKind::Fifo.build_reference(2).unwrap().on_hit(2);
     }
 
     #[test]
     #[should_panic(expected = "at least 1")]
     fn rejects_zero_associativity() {
-        Fifo::new(0);
+        assert!(PolicyKind::Fifo.build_reference(0).is_err());
+        ProgramPolicy::new(PolicyProgram {
+            initial_ages: Vec::new(),
+            ..program(1)
+        });
     }
 }

@@ -7,18 +7,21 @@
 //! * the [`ReplacementPolicy`] trait — an executable policy expressed with the
 //!   same building blocks the paper's synthesis templates use (promotion on a
 //!   hit, victim selection, insertion, normalization);
-//! * concrete implementations of every policy the paper evaluates:
-//!   [`Fifo`], [`Lru`], [`Plru`] (tree-based), [`Mru`] (bit-PLRU / NRU as in
-//!   the Malamy patent), [`Lip`], [`Srrip`] in its HP and FP variants,
-//!   probabilistic [`Brrip`] (used by the simulated adaptive last-level
-//!   cache), and the two previously undocumented Intel policies [`New1`]
-//!   (Skylake / Kaby Lake L2) and [`New2`] (Skylake / Kaby Lake L3 leader
-//!   sets) as synthesized in Appendix C;
+//! * [`PolicyProgram`] — the §5 rule language — and [`ProgramPolicy`], its
+//!   interpreter.  A program is the one definition of eight of the policies
+//!   the paper evaluates ([`PolicyKind::program`]): FIFO, LRU, MRU (bit-PLRU
+//!   / NRU as in the Malamy patent), LIP, SRRIP in its HP and FP variants,
+//!   and the two previously undocumented Intel policies New1 (Skylake /
+//!   Kaby Lake L2) and New2 (Skylake / Kaby Lake L3 leader sets), whose
+//!   programs are the paper's Figure 5;
+//! * the two policies the rule language cannot express, written by hand:
+//!   tree-based [`Plru`] and probabilistic [`Brrip`] (used by the simulated
+//!   adaptive last-level cache);
 //! * [`PackedPolicy`] — bit-packed fast-path twins of every deterministic
 //!   policy (the whole control state in one `u64` of 4-bit lanes at
-//!   associativity ≤ 8), returned transparently by [`PolicyKind::build`],
-//!   with the `Vec<u8>`-based implementations above retained as the
-//!   reference oracle;
+//!   associativity ≤ 8), returned transparently by [`PolicyKind::build`] and
+//!   tested step for step against the programs (and PLRU) that
+//!   [`PolicyKind::build_reference`] runs;
 //! * [`policy_to_mealy`] — the reachability construction that produces the
 //!   ground-truth automaton of a policy (the state counts of Table 2);
 //! * [`PolicyKind`] — a registry for constructing policies by name, used by
@@ -39,7 +42,9 @@
 #![warn(missing_docs)]
 
 mod alphabet;
+mod ast;
 mod eviction;
+mod exec;
 mod fifo;
 mod lip;
 mod lru;
@@ -52,17 +57,17 @@ mod registry;
 mod srrip;
 
 pub use alphabet::{PolicyInput, PolicyOutput};
+pub use ast::{
+    AgeExpr, EvictRule, Guard, InsertRule, NormalizeOp, NormalizeRule, PolicyProgram, PromoteRule,
+    RuleCase,
+};
 pub use eviction::KeyedPolicy;
-pub use fifo::Fifo;
-pub use lip::Lip;
-pub use lru::Lru;
+pub use exec::ProgramPolicy;
 pub use mealy_view::{policy_alphabet, policy_to_mealy, PolicyMealy};
-pub use mru::Mru;
-pub use new_intel::{New1, New2};
 pub use packed::{PackedPolicy, PACKED_MAX_ASSOC};
 pub use plru::{Plru, PlruAssocError};
 pub use registry::{PolicyError, PolicyKind};
-pub use srrip::{Brrip, Srrip, SrripVariant};
+pub use srrip::Brrip;
 
 use std::fmt;
 
@@ -175,17 +180,18 @@ mod tests {
 
     #[test]
     fn boxed_policies_are_cloneable() {
-        let p: Box<dyn ReplacementPolicy> = Box::new(Lru::new(4));
+        let lru = || PolicyKind::Lru.build_reference(4).unwrap();
+        let p = lru();
         let mut q = p.clone();
         assert_eq!(q.associativity(), 4);
         q.on_hit(0);
         // The original is unaffected by mutating the clone.
-        assert_eq!(p.state_key(), Lru::new(4).state_key());
+        assert_eq!(p.state_key(), lru().state_key());
     }
 
     #[test]
     fn apply_maps_inputs_to_outputs() {
-        let mut p = Fifo::new(2);
+        let mut p = PolicyKind::Fifo.build_reference(2).unwrap();
         assert_eq!(p.apply(PolicyInput::Line(0)), PolicyOutput::None);
         assert_eq!(p.apply(PolicyInput::Evct), PolicyOutput::Evicted(0));
         assert_eq!(p.apply(PolicyInput::Evct), PolicyOutput::Evicted(1));

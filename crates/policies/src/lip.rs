@@ -1,112 +1,34 @@
 //! LRU Insertion Policy (Qureshi et al., ISCA 2007).
 
-use crate::{assert_line_in_range, assert_valid_associativity, ReplacementPolicy};
+use crate::{AgeExpr, Guard, InsertRule, PolicyProgram, RuleCase};
 
-/// LRU Insertion Policy (LIP).
+/// LRU Insertion Policy (LIP): LRU's program with insertion at the *least*
+/// recently used position.
 ///
-/// LIP keeps the LRU recency stack and eviction rule but inserts new blocks
-/// in the *least* recently used position instead of the most recently used
-/// one, which makes the policy resistant to thrashing workloads: a block only
-/// climbs the stack if it is re-referenced while cached.  Like LRU, the
-/// induced Mealy machine has `associativity!` states (Table 2).
-///
-/// # Example
-///
-/// ```
-/// use policies::{Lip, ReplacementPolicy};
-///
-/// let mut p = Lip::new(4);
-/// // A newly inserted block is itself the next victim unless it gets hit.
-/// let victim = p.on_miss();
-/// assert_eq!(p.on_miss(), victim);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Lip {
-    /// `ages[i]` is the recency rank of line `i` (0 = MRU).
-    ages: Vec<u8>,
-}
-
-impl Lip {
-    /// Creates a LIP policy for a set with `assoc` lines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assoc == 0` or `assoc > 255`.
-    pub fn new(assoc: usize) -> Self {
-        assert_valid_associativity(assoc);
-        assert!(assoc <= 255, "associativity above 255 is not supported");
-        Lip {
-            ages: (0..assoc).rev().map(|a| a as u8).collect(),
-        }
-    }
-}
-
-impl ReplacementPolicy for Lip {
-    fn associativity(&self) -> usize {
-        self.ages.len()
-    }
-
-    fn on_hit(&mut self, line: usize) {
-        assert_line_in_range(line, self.ages.len());
-        let old = self.ages[line];
-        for a in &mut self.ages {
-            if *a < old {
-                *a += 1;
-            }
-        }
-        self.ages[line] = 0;
-    }
-
-    fn victim(&mut self) -> usize {
-        let oldest = (self.ages.len() - 1) as u8;
-        self.ages
-            .iter()
-            .position(|&a| a == oldest)
-            .expect("ages form a permutation, so the maximum age is present")
-    }
-
-    fn on_insert(&mut self, line: usize) {
-        assert_line_in_range(line, self.ages.len());
-        // Insertion in the LRU position: the new block keeps the maximum age,
-        // so the recency permutation is unchanged except that `line` now holds
-        // the new block.  When filling an arbitrary invalid line (hardware
-        // simulator), we demote that line to the LRU position to match the
-        // "insert at LRU" semantics.
-        let oldest = (self.ages.len() - 1) as u8;
-        let old = self.ages[line];
-        for a in &mut self.ages {
-            if *a > old {
-                *a -= 1;
-            }
-        }
-        self.ages[line] = oldest;
-    }
-
-    fn reset(&mut self) {
-        let assoc = self.ages.len();
-        self.ages = (0..assoc).rev().map(|a| a as u8).collect();
-    }
-
-    fn state_key(&self) -> Vec<u32> {
-        self.ages.iter().map(|&a| a as u32).collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "LIP"
-    }
-
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
+/// A new block is the next victim unless it is hit while cached, which makes
+/// the policy resistant to thrashing workloads.  The filled line takes the
+/// maximum age and every line that was older gets one rank younger, closing
+/// the gap; on a regular miss the victim already is the oldest line, so
+/// nothing else changes.  Like LRU, the induced Mealy machine has `assoc!` states
+/// (Table 2).
+pub(crate) fn program(assoc: usize) -> PolicyProgram {
+    let lru = crate::lru::program(assoc);
+    PolicyProgram {
+        insert: InsertRule {
+            self_age: lru.max_age,
+            others: Some(RuleCase::new(Guard::GtTouched, AgeExpr::Dec)),
+        },
+        ..lru
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::PolicyKind;
 
     #[test]
     fn new_blocks_stay_at_lru_until_hit() {
-        let mut p = Lip::new(4);
+        let mut p = PolicyKind::Lip.build_reference(4).unwrap();
         let v1 = p.on_miss();
         // Without a hit, the same line keeps being evicted (thrash
         // resistance for the rest of the working set).
@@ -116,7 +38,7 @@ mod tests {
 
     #[test]
     fn hit_promotes_inserted_block() {
-        let mut p = Lip::new(4);
+        let mut p = PolicyKind::Lip.build_reference(4).unwrap();
         let v1 = p.on_miss();
         p.on_hit(v1);
         let v2 = p.on_miss();
@@ -125,7 +47,7 @@ mod tests {
 
     #[test]
     fn ages_remain_a_permutation() {
-        let mut p = Lip::new(4);
+        let mut p = PolicyKind::Lip.build_reference(4).unwrap();
         for _ in 0..10 {
             p.on_miss();
             let mut ages = p.state_key();
@@ -136,7 +58,7 @@ mod tests {
 
     #[test]
     fn hits_behave_like_lru() {
-        let mut p = Lip::new(3);
+        let mut p = PolicyKind::Lip.build_reference(3).unwrap();
         p.on_hit(0);
         p.on_hit(2);
         // Recency order: 2, 0, 1 → victim is 1.

@@ -1,113 +1,51 @@
 //! Least Recently Used replacement.
 
-use crate::{assert_line_in_range, assert_valid_associativity, ReplacementPolicy};
+use crate::{
+    AgeExpr, EvictRule, Guard, InsertRule, NormalizeRule, PolicyProgram, PromoteRule, RuleCase,
+};
 
 /// Least Recently Used (LRU) replacement.
 ///
-/// The control state is a recency permutation: each line carries an age in
-/// `0..associativity`, where age `0` is the most recently used line and age
-/// `associativity − 1` the least recently used one.  A hit promotes the line
-/// to age `0`; a miss evicts the oldest line and inserts the new block at age
-/// `0`.  The induced Mealy machine therefore has `associativity!` states
-/// (Table 2: 24 states at associativity 4, 720 at 6).
-///
-/// # Example
-///
-/// ```
-/// use policies::{Lru, ReplacementPolicy};
-///
-/// let mut p = Lru::new(2);
-/// p.on_hit(0);              // line 1 becomes least recently used
-/// assert_eq!(p.on_miss(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Lru {
-    /// `ages[i]` is the recency rank of line `i` (0 = MRU).
-    ages: Vec<u8>,
-}
-
-impl Lru {
-    /// Creates an LRU policy for a set with `assoc` lines.
-    ///
-    /// The initial state corresponds to the lines having been filled in index
-    /// order: line `assoc − 1` is the most recently used.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assoc == 0` or `assoc > 255`.
-    pub fn new(assoc: usize) -> Self {
-        assert_valid_associativity(assoc);
-        assert!(assoc <= 255, "associativity above 255 is not supported");
-        Lru {
-            ages: (0..assoc).rev().map(|a| a as u8).collect(),
-        }
-    }
-
-    fn promote(&mut self, line: usize) {
-        let old = self.ages[line];
-        for a in &mut self.ages {
-            if *a < old {
-                *a += 1;
-            }
-        }
-        self.ages[line] = 0;
-    }
-}
-
-impl ReplacementPolicy for Lru {
-    fn associativity(&self) -> usize {
-        self.ages.len()
-    }
-
-    fn on_hit(&mut self, line: usize) {
-        assert_line_in_range(line, self.ages.len());
-        self.promote(line);
-    }
-
-    fn victim(&mut self) -> usize {
-        let oldest = (self.ages.len() - 1) as u8;
-        self.ages
-            .iter()
-            .position(|&a| a == oldest)
-            .expect("ages form a permutation, so the maximum age is present")
-    }
-
-    fn on_insert(&mut self, line: usize) {
-        assert_line_in_range(line, self.ages.len());
-        self.promote(line);
-    }
-
-    fn reset(&mut self) {
-        let assoc = self.ages.len();
-        self.ages = (0..assoc).rev().map(|a| a as u8).collect();
-    }
-
-    fn state_key(&self) -> Vec<u32> {
-        self.ages.iter().map(|&a| a as u32).collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "LRU"
-    }
-
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
+/// Each line's age is its recency rank: `0` is the most recently used line
+/// and `assoc − 1` the least recently used one.  A hit or a fill makes the
+/// line age 0 and ages every line that was younger by one; the oldest line
+/// is the victim.  The ages stay a permutation, so the induced Mealy machine
+/// has `assoc!` states (Table 2: 24 at associativity 4, 720 at 6).  The
+/// initial ages are those of a set filled in index order: line `assoc − 1`
+/// is the most recently used.
+pub(crate) fn program(assoc: usize) -> PolicyProgram {
+    let oldest =
+        u8::try_from(assoc - 1).expect("recency ranks fit a u8 (see supports_associativity)");
+    let age_younger_lines = Some(RuleCase::new(Guard::LtTouched, AgeExpr::Inc));
+    PolicyProgram {
+        max_age: oldest,
+        initial_ages: (0..=oldest).rev().collect(),
+        promote: PromoteRule {
+            self_cases: vec![RuleCase::new(Guard::Always, AgeExpr::Const(0))],
+            others: age_younger_lines,
+        },
+        evict: EvictRule::FirstWithMaxAge,
+        insert: InsertRule {
+            self_age: 0,
+            others: age_younger_lines,
+        },
+        normalize: NormalizeRule::identity(),
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::PolicyKind;
 
     #[test]
     fn initial_victim_is_line_zero() {
         // Lines were filled in order 0..n, so line 0 is the least recent.
-        assert_eq!(Lru::new(4).on_miss(), 0);
+        assert_eq!(PolicyKind::Lru.build_reference(4).unwrap().on_miss(), 0);
     }
 
     #[test]
     fn hits_protect_lines() {
-        let mut p = Lru::new(4);
+        let mut p = PolicyKind::Lru.build_reference(4).unwrap();
         p.on_hit(0);
         p.on_hit(1);
         // Recency order (MRU..LRU) is now 1, 0, 3, 2.
@@ -119,7 +57,7 @@ mod tests {
 
     #[test]
     fn ages_remain_a_permutation() {
-        let mut p = Lru::new(5);
+        let mut p = PolicyKind::Lru.build_reference(5).unwrap();
         for i in [0, 3, 1, 4, 2, 2, 0] {
             p.on_hit(i);
             let mut ages = p.state_key();
@@ -132,7 +70,7 @@ mod tests {
     fn matches_example_2_2_behaviour() {
         // The 2-way LRU machine of Example 2.2: after touching line 0, an
         // eviction frees line 1, then line 0.
-        let mut p = Lru::new(2);
+        let mut p = PolicyKind::Lru.build_reference(2).unwrap();
         p.on_hit(0);
         assert_eq!(p.on_miss(), 1);
         assert_eq!(p.on_miss(), 0);
@@ -141,6 +79,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_lines() {
-        Lru::new(4).on_hit(4);
+        PolicyKind::Lru.build_reference(4).unwrap().on_hit(4);
     }
 }

@@ -34,9 +34,10 @@ pub fn policy_alphabet(assoc: usize) -> Vec<PolicyInput> {
 /// # Example
 ///
 /// ```
-/// use policies::{policy_to_mealy, Lru};
+/// use policies::{policy_to_mealy, PolicyKind};
 ///
-/// let machine = policy_to_mealy(&Lru::new(4), 100_000);
+/// let lru = PolicyKind::Lru.build_reference(4).unwrap();
+/// let machine = policy_to_mealy(lru.as_ref(), 100_000);
 /// assert_eq!(machine.num_states(), 24); // 4! recency permutations
 /// ```
 pub fn policy_to_mealy(policy: &dyn ReplacementPolicy, max_states: usize) -> PolicyMealy {
@@ -85,78 +86,74 @@ pub fn policy_to_mealy(policy: &dyn ReplacementPolicy, max_states: usize) -> Pol
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Fifo, Lip, Lru, Mru, New1, New2, Plru, Srrip, SrripVariant};
+    use crate::PolicyKind;
     use automata::{check_equivalence, minimize};
 
-    /// Number of states of the *minimal* machine for `policy`.
-    fn minimal_states(policy: &dyn ReplacementPolicy) -> usize {
-        minimize(&policy_to_mealy(policy, 1 << 20)).num_states()
+    fn reference_mealy(kind: PolicyKind, assoc: usize) -> PolicyMealy {
+        policy_to_mealy(kind.build_reference(assoc).unwrap().as_ref(), 1 << 20)
+    }
+
+    /// Number of states of the *minimal* machine of `kind`'s reference.
+    fn minimal_states(kind: PolicyKind, assoc: usize) -> usize {
+        minimize(&reference_mealy(kind, assoc)).num_states()
     }
 
     #[test]
     fn fifo_state_counts_match_table_2() {
-        assert_eq!(minimal_states(&Fifo::new(2)), 2);
-        assert_eq!(minimal_states(&Fifo::new(8)), 8);
-        assert_eq!(minimal_states(&Fifo::new(16)), 16);
+        assert_eq!(minimal_states(PolicyKind::Fifo, 2), 2);
+        assert_eq!(minimal_states(PolicyKind::Fifo, 8), 8);
+        assert_eq!(minimal_states(PolicyKind::Fifo, 16), 16);
     }
 
     #[test]
     fn lru_state_counts_match_table_2() {
-        assert_eq!(minimal_states(&Lru::new(2)), 2);
-        assert_eq!(minimal_states(&Lru::new(4)), 24);
-        assert_eq!(minimal_states(&Lru::new(6)), 720);
+        assert_eq!(minimal_states(PolicyKind::Lru, 2), 2);
+        assert_eq!(minimal_states(PolicyKind::Lru, 4), 24);
+        assert_eq!(minimal_states(PolicyKind::Lru, 6), 720);
     }
 
     #[test]
     fn plru_state_counts_match_table_2() {
-        assert_eq!(minimal_states(&Plru::new(2).unwrap()), 2);
-        assert_eq!(minimal_states(&Plru::new(4).unwrap()), 8);
-        assert_eq!(minimal_states(&Plru::new(8).unwrap()), 128);
+        assert_eq!(minimal_states(PolicyKind::Plru, 2), 2);
+        assert_eq!(minimal_states(PolicyKind::Plru, 4), 8);
+        assert_eq!(minimal_states(PolicyKind::Plru, 8), 128);
     }
 
     #[test]
     fn mru_state_counts_match_table_2() {
-        assert_eq!(minimal_states(&Mru::new(2)), 2);
-        assert_eq!(minimal_states(&Mru::new(4)), 14);
-        assert_eq!(minimal_states(&Mru::new(6)), 62);
-        assert_eq!(minimal_states(&Mru::new(8)), 254);
+        assert_eq!(minimal_states(PolicyKind::Mru, 2), 2);
+        assert_eq!(minimal_states(PolicyKind::Mru, 4), 14);
+        assert_eq!(minimal_states(PolicyKind::Mru, 6), 62);
+        assert_eq!(minimal_states(PolicyKind::Mru, 8), 254);
     }
 
     #[test]
     fn lip_state_counts_match_table_2() {
-        assert_eq!(minimal_states(&Lip::new(2)), 2);
-        assert_eq!(minimal_states(&Lip::new(4)), 24);
+        assert_eq!(minimal_states(PolicyKind::Lip, 2), 2);
+        assert_eq!(minimal_states(PolicyKind::Lip, 4), 24);
     }
 
     #[test]
     fn srrip_state_counts_match_table_2() {
-        assert_eq!(
-            minimal_states(&Srrip::new(2, SrripVariant::HitPriority)),
-            12
-        );
-        assert_eq!(
-            minimal_states(&Srrip::new(4, SrripVariant::HitPriority)),
-            178
-        );
-        assert_eq!(
-            minimal_states(&Srrip::new(2, SrripVariant::FrequencyPriority)),
-            16
-        );
-        assert_eq!(
-            minimal_states(&Srrip::new(4, SrripVariant::FrequencyPriority)),
-            256
-        );
+        assert_eq!(minimal_states(PolicyKind::SrripHp, 2), 12);
+        assert_eq!(minimal_states(PolicyKind::SrripHp, 4), 178);
+        assert_eq!(minimal_states(PolicyKind::SrripFp, 2), 16);
+        assert_eq!(minimal_states(PolicyKind::SrripFp, 4), 256);
+        assert_eq!(minimal_states(PolicyKind::SrripHp, 6), 2762);
+        assert_eq!(minimal_states(PolicyKind::SrripFp, 6), 4096);
     }
 
     #[test]
     fn new_policy_state_counts_match_table_4() {
-        assert_eq!(minimal_states(&New1::new(4)), 160);
-        assert_eq!(minimal_states(&New2::new(4)), 175);
+        assert_eq!(minimal_states(PolicyKind::New1, 4), 160);
+        assert_eq!(minimal_states(PolicyKind::New2, 4), 175);
+        assert_eq!(minimal_states(PolicyKind::New1, 6), 3304);
+        assert_eq!(minimal_states(PolicyKind::New2, 6), 3367);
     }
 
     #[test]
     fn lru_mealy_matches_example_2_2() {
-        let machine = policy_to_mealy(&Lru::new(2), 100);
+        let machine = reference_mealy(PolicyKind::Lru, 2);
         // Example 2.2: two states; accessing line 1 from the initial state
         // keeps the state, accessing line 0 swaps the victim.
         assert_eq!(minimize(&machine).num_states(), 2);
@@ -173,17 +170,10 @@ mod tests {
 
     #[test]
     fn distinct_policies_are_inequivalent_at_assoc_4() {
-        let machines = [
-            policy_to_mealy(&Fifo::new(4), 1 << 16),
-            policy_to_mealy(&Lru::new(4), 1 << 16),
-            policy_to_mealy(&Plru::new(4).unwrap(), 1 << 16),
-            policy_to_mealy(&Mru::new(4), 1 << 16),
-            policy_to_mealy(&Lip::new(4), 1 << 16),
-            policy_to_mealy(&Srrip::new(4, SrripVariant::HitPriority), 1 << 16),
-            policy_to_mealy(&Srrip::new(4, SrripVariant::FrequencyPriority), 1 << 16),
-            policy_to_mealy(&New1::new(4), 1 << 16),
-            policy_to_mealy(&New2::new(4), 1 << 16),
-        ];
+        let machines: Vec<PolicyMealy> = PolicyKind::ALL_DETERMINISTIC
+            .into_iter()
+            .map(|kind| reference_mealy(kind, 4))
+            .collect();
         for i in 0..machines.len() {
             for j in i + 1..machines.len() {
                 assert!(

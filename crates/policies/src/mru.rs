@@ -1,109 +1,56 @@
 //! MRU-bit based replacement (bit-PLRU / NRU), Malamy et al. patent.
 
-use crate::{assert_line_in_range, assert_valid_associativity, ReplacementPolicy};
+use crate::{
+    AgeExpr, EvictRule, Guard, InsertRule, NormalizeOp, NormalizeRule, PolicyProgram, PromoteRule,
+    RuleCase,
+};
 
 /// MRU-bit replacement (also known as bit-PLRU or Not-Recently-Used), after
 /// the Malamy et al. patent cited as \[26\] in the paper.
 ///
-/// Each line carries a single *MRU bit*.  Accessing a line sets its bit; when
-/// this would make every bit 1, all other bits are cleared (the normalization
-/// rule).  The victim is the left-most line whose bit is 0.  The reachable
-/// control states are all bit vectors except the all-zeros and all-ones
-/// vectors, so the induced machine has `2^associativity − 2` states
-/// (Table 2: 14 at associativity 4, 62 at 6, 254 at 8, 1022 at 10, 4094 at 12).
-///
-/// # Example
-///
-/// ```
-/// use policies::{Mru, ReplacementPolicy};
-///
-/// let mut p = Mru::new(4);
-/// p.on_hit(0);
-/// // Line 0 is protected; the victim is the first line with a clear bit.
-/// assert_eq!(p.on_miss(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Mru {
-    bits: Vec<bool>,
-}
-
-impl Mru {
-    /// Creates an MRU-bit policy for a set with `assoc` lines.
-    ///
-    /// The initial state marks only the last line as recently used, matching
-    /// a set that was just filled in index order (the last fill saturated the
-    /// bits and cleared the others).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assoc < 2` (with a single line the all-ones/all-zeros
-    /// exclusion leaves no valid state).
-    pub fn new(assoc: usize) -> Self {
-        assert_valid_associativity(assoc);
-        assert!(assoc >= 2, "MRU-bit replacement needs at least 2 lines");
-        let mut bits = vec![false; assoc];
-        bits[assoc - 1] = true;
-        Mru { bits }
-    }
-
-    fn touch(&mut self, line: usize) {
-        self.bits[line] = true;
-        if self.bits.iter().all(|&b| b) {
-            for (i, b) in self.bits.iter_mut().enumerate() {
-                *b = i == line;
-            }
-        }
-    }
-}
-
-impl ReplacementPolicy for Mru {
-    fn associativity(&self) -> usize {
-        self.bits.len()
-    }
-
-    fn on_hit(&mut self, line: usize) {
-        assert_line_in_range(line, self.bits.len());
-        self.touch(line);
-    }
-
-    fn victim(&mut self) -> usize {
-        self.bits
-            .iter()
-            .position(|&b| !b)
-            .expect("the all-ones state is normalized away, so a clear bit exists")
-    }
-
-    fn on_insert(&mut self, line: usize) {
-        assert_line_in_range(line, self.bits.len());
-        self.touch(line);
-    }
-
-    fn reset(&mut self) {
-        let assoc = self.bits.len();
-        self.bits.iter_mut().for_each(|b| *b = false);
-        self.bits[assoc - 1] = true;
-    }
-
-    fn state_key(&self) -> Vec<u32> {
-        self.bits.iter().map(|&b| b as u32).collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "MRU"
-    }
-
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
+/// Each line's age is its *MRU bit*.  Accessing or filling a line sets its
+/// bit; when this would make every bit 1, all other bits are cleared (the
+/// normalization rule).  The victim is the left-most line whose bit is 0.
+/// The reachable control states are all bit vectors except the all-zeros
+/// and all-ones vectors, so the induced machine has `2^associativity − 2`
+/// states (Table 2: 14 at associativity 4, 62 at 6, 254 at 8, 1022 at 10,
+/// 4094 at 12).  The initial state marks only the last line, as in a set
+/// just filled in index order.  MRU needs at least 2 lines: with one, the
+/// all-ones/all-zeros exclusion leaves no valid state.
+pub(crate) fn program(assoc: usize) -> PolicyProgram {
+    let mut initial_ages = vec![0; assoc];
+    initial_ages[assoc - 1] = 1;
+    PolicyProgram {
+        max_age: 1,
+        initial_ages,
+        promote: PromoteRule {
+            self_cases: vec![RuleCase::new(Guard::Always, AgeExpr::Const(1))],
+            others: None,
+        },
+        evict: EvictRule::FirstWithAge(0),
+        insert: InsertRule {
+            self_age: 1,
+            others: None,
+        },
+        normalize: NormalizeRule {
+            op: Some(NormalizeOp::ResetOthersWhenAllEqual {
+                value: 1,
+                reset_to: 0,
+            }),
+            after_hit: true,
+            before_miss: false,
+            after_miss: true,
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::PolicyKind;
 
     #[test]
     fn victim_is_leftmost_clear_bit() {
-        let mut p = Mru::new(4);
+        let mut p = PolicyKind::Mru.build_reference(4).unwrap();
         p.on_hit(0);
         p.on_hit(2);
         assert_eq!(p.victim(), 1);
@@ -111,7 +58,7 @@ mod tests {
 
     #[test]
     fn saturation_clears_other_bits() {
-        let mut p = Mru::new(3);
+        let mut p = PolicyKind::Mru.build_reference(3).unwrap();
         // Initial state marks only line 2; hitting line 0 then line 1 would
         // set all bits, so normalization keeps only the last accessed line.
         p.on_hit(0);
@@ -123,7 +70,7 @@ mod tests {
 
     #[test]
     fn never_reaches_all_zero_or_all_one() {
-        let mut p = Mru::new(4);
+        let mut p = PolicyKind::Mru.build_reference(4).unwrap();
         for step in 0..64 {
             if step % 3 == 0 {
                 p.on_miss();
@@ -137,7 +84,7 @@ mod tests {
 
     #[test]
     fn misses_walk_left_to_right() {
-        let mut p = Mru::new(4);
+        let mut p = PolicyKind::Mru.build_reference(4).unwrap();
         // Initial state: only line 3 marked.
         assert_eq!(p.on_miss(), 0);
         assert_eq!(p.on_miss(), 1);

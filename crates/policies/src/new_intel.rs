@@ -5,244 +5,107 @@
 //! * **New2** — the policy of the Skylake and Kaby Lake L3 leader sets
 //!   (Table 4, 175 learned states at associativity 4 after CAT reduction).
 //!
-//! Both are implemented from the synthesized programs of Appendix C
-//! (Figure 5): per-line ages in `0..=3`, eviction of the left-most line with
-//! age 3, insertion at age 1, and a normalization step that runs *after*
-//! every hit and miss (in contrast to SRRIP-HP, which only normalizes before
-//! a miss — the difference the paper highlights in §8.2).
+//! Their only description is the paper's synthesized programs (Appendix C,
+//! Figure 5), and these programs are their definitions here: per-line ages
+//! in `0..=3`, eviction of the left-most line with age 3, insertion at age 1,
+//! and a normalization step that runs *after* every hit and miss (in
+//! contrast to SRRIP-HP, which only normalizes before a miss — the
+//! difference the paper highlights in §8.2).
 //!
 //! The Figure 5 programs apply the normalization increment **once** per
 //! event; the prose of §8.2 describes it as a `while` loop.  The two
 //! interpretations disagree on reachable states, and only the `while`
 //! interpretation reproduces the state counts reported in Table 4 (160 and
-//! 175 states at associativity 4), so the `while` form is what these
-//! implementations use; see `state_counts_match_table_4` in the tests, which
-//! pins the counts.
+//! 175 states at associativity 4), so these programs use the `while` form.
 
-use crate::{assert_line_in_range, assert_valid_associativity, ReplacementPolicy};
+use crate::{
+    AgeExpr, EvictRule, Guard, InsertRule, NormalizeOp, NormalizeRule, PolicyProgram, PromoteRule,
+    RuleCase,
+};
 
 const MAX_AGE: u8 = 3;
-const INSERT_AGE: u8 = 1;
-
-/// How the age-3 invariant is restored after a hit or a miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NormalizeStyle {
-    /// Increase the ages of all lines *except* the just touched one until some
-    /// line has age 3 (New1).
-    AllExceptTouched,
-    /// Increase the ages of all lines until some line has age 3 (New2).
-    All,
-}
-
-fn normalize(ages: &mut [u8], touched: Option<usize>, style: NormalizeStyle) {
-    // Restore the invariant "some line has the maximum age".  The exempted
-    // line bounds the number of iterations: every other line strictly
-    // increases, so at most MAX_AGE rounds are needed.
-    while !ages.contains(&MAX_AGE) {
-        let mut changed = false;
-        for (i, a) in ages.iter_mut().enumerate() {
-            let exempt = style == NormalizeStyle::AllExceptTouched && Some(i) == touched;
-            if !exempt && *a < MAX_AGE {
-                *a += 1;
-                changed = true;
-            }
-        }
-        if !changed {
-            // Degenerate single-line configuration where the only line is
-            // exempted; give up rather than loop forever.
-            break;
-        }
-    }
-}
-
-/// The undocumented Skylake / Kaby Lake **L2** policy ("New1" in Table 4).
-///
-/// Synthesized description (§8.2 / Appendix C):
-/// * initial control state `{3, 3, …, 3, 0}`;
-/// * *promote*: set the accessed line's age to 0;
-/// * *evict*: the left-most line with age 3;
-/// * *insert*: set the evicted line's age to 1;
-/// * *normalize* (after a hit or a miss): while no line has age 3, increase
-///   the age of every line except the just accessed/evicted one.
-///
-/// # Example
-///
-/// ```
-/// use policies::{New1, ReplacementPolicy};
-///
-/// let mut p = New1::new(4);
-/// // Initially the left-most line has age 3 and is the victim.
-/// assert_eq!(p.on_miss(), 0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct New1 {
-    ages: Vec<u8>,
-}
-
-impl New1 {
-    /// Creates a New1 policy for a set with `assoc` lines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assoc == 0`.
-    pub fn new(assoc: usize) -> Self {
-        assert_valid_associativity(assoc);
-        let mut ages = vec![MAX_AGE; assoc];
-        ages[assoc - 1] = 0;
-        New1 { ages }
-    }
-}
-
-impl ReplacementPolicy for New1 {
-    fn associativity(&self) -> usize {
-        self.ages.len()
-    }
-
-    fn on_hit(&mut self, line: usize) {
-        assert_line_in_range(line, self.ages.len());
-        self.ages[line] = 0;
-        normalize(&mut self.ages, Some(line), NormalizeStyle::AllExceptTouched);
-    }
-
-    fn victim(&mut self) -> usize {
-        self.ages
-            .iter()
-            .position(|&a| a == MAX_AGE)
-            .expect("normalization maintains the existence of an age-3 line")
-    }
-
-    fn on_insert(&mut self, line: usize) {
-        assert_line_in_range(line, self.ages.len());
-        self.ages[line] = INSERT_AGE;
-        normalize(&mut self.ages, Some(line), NormalizeStyle::AllExceptTouched);
-    }
-
-    fn reset(&mut self) {
-        let assoc = self.ages.len();
-        self.ages = vec![MAX_AGE; assoc];
-        self.ages[assoc - 1] = 0;
-    }
-
-    fn state_key(&self) -> Vec<u32> {
-        self.ages.iter().map(|&a| a as u32).collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "New1"
-    }
-
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
-    }
-}
 
 /// The undocumented Skylake / Kaby Lake **L3 leader-set** policy ("New2" in
-/// Table 4).
-///
-/// Synthesized description (§8.2 / Appendix C):
-/// * initial control state `{3, 3, …, 3}`;
-/// * *promote*: if the accessed line has age 1 set it to 0, otherwise (if its
-///   age is greater than 1) set it to 1 — an access to an age-0 line leaves
-///   it untouched;
-/// * *evict*: the left-most line with age 3;
-/// * *insert*: set the evicted line's age to 1;
-/// * *normalize* (after a hit or a miss): while no line has age 3, increase
-///   the age of every line.
-///
-/// # Example
-///
-/// ```
-/// use policies::{New2, ReplacementPolicy};
-///
-/// let mut p = New2::new(4);
-/// assert_eq!(p.on_miss(), 0);
-/// // The freshly inserted block needs two hits to reach age 0.
-/// p.on_hit(0);
-/// p.on_hit(0);
-/// assert_eq!(p.state_key()[0], 0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct New2 {
-    ages: Vec<u8>,
-}
-
-impl New2 {
-    /// Creates a New2 policy for a set with `assoc` lines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assoc == 0`.
-    pub fn new(assoc: usize) -> Self {
-        assert_valid_associativity(assoc);
-        New2 {
-            ages: vec![MAX_AGE; assoc],
-        }
+/// Table 4, Figure 5b): initial ages `{3, 3, …, 3}`; a hit on an age-1 line
+/// makes it 0 and a hit on an older line makes it 1, so an inserted block
+/// needs two hits to reach age 0 (a hit on an age-0 line leaves it alone);
+/// the victim is the left-most age-3 line; a filled line gets age 1; after
+/// every hit and miss, every line ages until some line has age 3.
+pub(crate) fn new2(assoc: usize) -> PolicyProgram {
+    PolicyProgram {
+        max_age: MAX_AGE,
+        initial_ages: vec![MAX_AGE; assoc],
+        promote: PromoteRule {
+            self_cases: vec![
+                RuleCase::new(Guard::AgeEq(1), AgeExpr::Const(0)),
+                RuleCase::new(Guard::AgeGt(1), AgeExpr::Const(1)),
+            ],
+            others: None,
+        },
+        evict: EvictRule::FirstWithAge(MAX_AGE),
+        insert: InsertRule {
+            self_age: 1,
+            others: None,
+        },
+        normalize: NormalizeRule {
+            op: Some(NormalizeOp::AgeUpWhileNoMax {
+                except_touched: false,
+            }),
+            after_hit: true,
+            before_miss: false,
+            after_miss: true,
+        },
     }
 }
 
-impl ReplacementPolicy for New2 {
-    fn associativity(&self) -> usize {
-        self.ages.len()
-    }
-
-    fn on_hit(&mut self, line: usize) {
-        assert_line_in_range(line, self.ages.len());
-        let age = self.ages[line];
-        if age == 1 {
-            self.ages[line] = 0;
-        } else if age > 1 {
-            self.ages[line] = 1;
-        }
-        normalize(&mut self.ages, None, NormalizeStyle::All);
-    }
-
-    fn victim(&mut self) -> usize {
-        self.ages
-            .iter()
-            .position(|&a| a == MAX_AGE)
-            .expect("normalization maintains the existence of an age-3 line")
-    }
-
-    fn on_insert(&mut self, line: usize) {
-        assert_line_in_range(line, self.ages.len());
-        self.ages[line] = INSERT_AGE;
-        normalize(&mut self.ages, None, NormalizeStyle::All);
-    }
-
-    fn reset(&mut self) {
-        self.ages.iter_mut().for_each(|a| *a = MAX_AGE);
-    }
-
-    fn state_key(&self) -> Vec<u32> {
-        self.ages.iter().map(|&a| a as u32).collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "New2"
-    }
-
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
+/// The undocumented Skylake / Kaby Lake **L2** policy ("New1" in Table 4,
+/// Figure 5a): New2's program with initial ages `{3, 3, …, 3, 0}`, a hit
+/// that sets the accessed line's age to 0, and a normalization that exempts
+/// the just accessed or filled line.  At one way that line never reaches
+/// age 3, so the eviction rule falls back to the left-most oldest line.
+pub(crate) fn new1(assoc: usize) -> PolicyProgram {
+    let new2 = new2(assoc);
+    let mut initial_ages = new2.initial_ages.clone();
+    initial_ages[assoc - 1] = 0;
+    PolicyProgram {
+        initial_ages,
+        promote: PromoteRule {
+            self_cases: vec![RuleCase::new(Guard::Always, AgeExpr::Const(0))],
+            others: None,
+        },
+        normalize: NormalizeRule {
+            op: Some(NormalizeOp::AgeUpWhileNoMax {
+                except_touched: true,
+            }),
+            ..new2.normalize
+        },
+        ..new2
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::PolicyKind;
 
     #[test]
     fn new1_initial_state_matches_appendix_c() {
-        assert_eq!(New1::new(4).state_key(), vec![3, 3, 3, 0]);
+        assert_eq!(
+            PolicyKind::New1.build_reference(4).unwrap().state_key(),
+            vec![3, 3, 3, 0]
+        );
     }
 
     #[test]
     fn new2_initial_state_matches_appendix_c() {
-        assert_eq!(New2::new(4).state_key(), vec![3, 3, 3, 3]);
+        assert_eq!(
+            PolicyKind::New2.build_reference(4).unwrap().state_key(),
+            vec![3, 3, 3, 3]
+        );
     }
 
     #[test]
     fn new1_promotion_resets_age_to_zero() {
-        let mut p = New1::new(4);
+        let mut p = PolicyKind::New1.build_reference(4).unwrap();
         p.on_miss(); // line 0 gets age 1
         p.on_hit(0);
         assert_eq!(p.state_key()[0], 0);
@@ -250,7 +113,7 @@ mod tests {
 
     #[test]
     fn new2_promotion_is_two_step() {
-        let mut p = New2::new(4);
+        let mut p = PolicyKind::New2.build_reference(4).unwrap();
         p.on_miss(); // line 0 inserted with age 1
         assert_eq!(p.state_key()[0], 1);
         p.on_hit(0);
@@ -262,7 +125,7 @@ mod tests {
 
     #[test]
     fn eviction_picks_leftmost_max_age() {
-        let mut p = New1::new(4);
+        let mut p = PolicyKind::New1.build_reference(4).unwrap();
         // ages: [3, 3, 3, 0] → victim 0; after insert [1, 3, 3, 0].
         assert_eq!(p.on_miss(), 0);
         assert_eq!(p.on_miss(), 1);
@@ -271,8 +134,8 @@ mod tests {
 
     #[test]
     fn normalization_keeps_an_age_three_line() {
-        let mut new1 = New1::new(4);
-        let mut new2 = New2::new(4);
+        let mut new1 = PolicyKind::New1.build_reference(4).unwrap();
+        let mut new2 = PolicyKind::New2.build_reference(4).unwrap();
         for step in 0..200 {
             if step % 5 == 0 {
                 new1.on_miss();
@@ -287,11 +150,20 @@ mod tests {
     }
 
     #[test]
+    fn architecture_md_prints_figure_5() {
+        let page = include_str!("../../../ARCHITECTURE.md");
+        for kind in [PolicyKind::New1, PolicyKind::New2] {
+            let program = kind.program(4).unwrap().to_string();
+            assert!(page.contains(&program), "ARCHITECTURE.md lacks\n{program}");
+        }
+    }
+
+    #[test]
     fn both_policies_differ_from_each_other() {
         // The promotion rules differ on lines with age >= 2: New1 resets the
         // age to 0, New2 only lowers it to 1.
-        let mut a = New1::new(4);
-        let mut b = New2::new(4);
+        let mut a = PolicyKind::New1.build_reference(4).unwrap();
+        let mut b = PolicyKind::New2.build_reference(4).unwrap();
         a.on_hit(1);
         b.on_hit(1);
         assert_eq!(a.state_key()[1], 0);

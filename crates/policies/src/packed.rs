@@ -4,12 +4,12 @@
 //! At associativity ≤ 8 every control state this crate models fits in one
 //! machine word of 4-bit lanes (lane `i` = bits `4i..4i+4`):
 //!
-//! * LRU / LIP — one recency age (`0..assoc`) per lane;
+//! * FIFO / LRU / LIP — one rank (`0..assoc`) per lane: fill order for FIFO,
+//!   recency for LRU and LIP;
 //! * SRRIP-HP / SRRIP-FP — one 2-bit RRPV per lane;
 //! * New1 / New2 — one age in `0..=3` per lane;
 //! * MRU — one MRU bit per line (plain bit `i`);
-//! * PLRU — `assoc − 1` heap-ordered tree bits (plain bit `i` = node `i`);
-//! * FIFO — the queue pointer as a bare integer.
+//! * PLRU — `assoc − 1` heap-ordered tree bits (plain bit `i` = node `i`).
 //!
 //! `step` then becomes shift/mask/compare lane arithmetic instead of
 //! `Vec<u8>` loops: "increment every age below the promoted one" is a
@@ -18,12 +18,15 @@
 //! Because lane values never exceed 7 at associativity ≤ 8, bit 3 of each
 //! lane is free to serve as the borrow guard for the comparison masks.
 //!
-//! [`PackedPolicy`] implements [`ReplacementPolicy`] and renders byte-for-byte
-//! identical [`state_key`](ReplacementPolicy::state_key) vectors, victims, and
-//! names as the `Vec<u8>`-based implementations, which remain in the crate as
-//! the reference oracle (see `tests/proptest_packed.rs` for the differential
-//! suite). [`PolicyKind::build`](crate::PolicyKind::build) returns the packed
-//! form transparently whenever [`PackedPolicy::supports`] holds.
+//! Each lane layout is a fast path of the policy's §5 program
+//! ([`PolicyKind::program`](crate::PolicyKind::program)), and of the
+//! hand-written [`Plru`](crate::Plru) for PLRU: [`PackedPolicy`] renders
+//! byte-for-byte identical [`state_key`](ReplacementPolicy::state_key)
+//! vectors, victims, and names as
+//! [`PolicyKind::build_reference`](crate::PolicyKind::build_reference)
+//! (see `tests/proptest_packed.rs` for the differential suite).
+//! [`PolicyKind::build`](crate::PolicyKind::build) returns the packed form
+//! transparently whenever [`PackedPolicy::supports`] holds.
 
 use crate::registry::{PolicyError, PolicyKind};
 use crate::{assert_line_in_range, ReplacementPolicy};
@@ -50,10 +53,9 @@ const SRRIP_INSERT_RRPV: u64 = 2;
 /// A deterministic replacement policy whose whole control state lives in one
 /// `u64` of 4-bit lanes (or plain bits, for the bit-vector policies).
 ///
-/// Behaviourally identical to the corresponding `Vec<u8>`-based policy of
-/// this crate — same victims, same hit updates, same
-/// [`state_key`](ReplacementPolicy::state_key) renderings — just faster to
-/// step, clone, and compare.
+/// Behaviourally identical to the policy's reference form — same victims,
+/// same hit updates, same [`state_key`](ReplacementPolicy::state_key)
+/// renderings — just faster to step, clone, and compare.
 ///
 /// # Example
 ///
@@ -61,7 +63,7 @@ const SRRIP_INSERT_RRPV: u64 = 2;
 /// use policies::{PackedPolicy, PolicyKind, ReplacementPolicy};
 ///
 /// let mut packed = PackedPolicy::new(PolicyKind::Lru, 4).unwrap();
-/// let mut reference = policies::Lru::new(4);
+/// let mut reference = PolicyKind::Lru.build_reference(4).unwrap();
 /// packed.on_hit(0);
 /// reference.on_hit(0);
 /// assert_eq!(packed.on_miss(), reference.on_miss());
@@ -74,6 +76,8 @@ pub struct PackedPolicy {
     /// Bit 0 of each used lane; doubles as the "+1 to every lane" addend.
     lanes_lsb: u64,
     state: u64,
+    /// The state `reset` restores.
+    initial: u64,
 }
 
 impl PackedPolicy {
@@ -95,19 +99,26 @@ impl PackedPolicy {
         if !Self::supports(kind, assoc) {
             return Err(PolicyError::UnsupportedAssociativity { kind, assoc });
         }
-        let mut p = PackedPolicy {
+        // The program's initial ages, one lane (MRU: one bit) per line; the
+        // PLRU tree starts all zero.
+        let ages = kind
+            .program(assoc)
+            .map_or_else(Vec::new, |p| p.initial_ages);
+        let width = if kind == PolicyKind::Mru {
+            1
+        } else {
+            LANE_BITS
+        };
+        let initial = (0..)
+            .zip(ages)
+            .fold(0, |state, (i, age)| state | u64::from(age) << (width * i));
+        Ok(PackedPolicy {
             kind,
             assoc: assoc as u32,
             lanes_lsb: LANE_LSB & ((1u64 << (LANE_BITS * assoc as u32)) - 1),
-            state: 0,
-        };
-        p.reset();
-        Ok(p)
-    }
-
-    /// The raw packed state word (for diagnostics and tests).
-    pub fn state_word(&self) -> u64 {
-        self.state
+            state: initial,
+            initial,
+        })
     }
 
     #[inline]
@@ -162,7 +173,8 @@ impl PackedPolicy {
         }
     }
 
-    /// LRU promotion: age every line younger than `line`, make `line` MRU.
+    /// LRU promotion (and FIFO and LRU insertion): age every line younger
+    /// than `line`, make `line` the youngest.
     #[inline]
     fn lru_promote(&mut self, line: usize) {
         let old = self.lane(line);
@@ -171,7 +183,8 @@ impl PackedPolicy {
         self.set_lane(line, 0);
     }
 
-    /// Left-most lane holding the maximum recency age (the LRU line).
+    /// Left-most lane holding the maximum rank (the LRU line, the FIFO
+    /// line filled first).
     #[inline]
     fn lru_victim(&self) -> usize {
         self.leftmost_eq(u64::from(self.assoc) - 1)
@@ -261,12 +274,19 @@ impl PackedPolicy {
         }
     }
 
-    /// Left-most lane at the maximum age (the SRRIP / New* eviction rule,
-    /// without the aging loop).
+    /// Left-most lane at the maximum age (the New* eviction rule).  Only
+    /// New1 at one way has no age-3 line (its one line is exempt from the
+    /// normalization): the program then evicts the left-most line of the
+    /// largest age.
     #[inline]
     fn aged_victim(&self) -> usize {
-        self.leftmost_eq(MAX_AGE)
-            .expect("normalization maintains the existence of an age-3 line")
+        self.leftmost_eq(MAX_AGE).unwrap_or_else(|| {
+            let assoc = self.assoc as usize;
+            let oldest = (0..assoc).map(|i| self.lane(i)).max();
+            (0..assoc)
+                .position(|i| Some(self.lane(i)) == oldest)
+                .expect("a packed policy has at least one line")
+        })
     }
 }
 
@@ -306,8 +326,7 @@ impl ReplacementPolicy for PackedPolicy {
 
     fn victim(&mut self) -> usize {
         match self.kind {
-            PolicyKind::Fifo => self.state as usize,
-            PolicyKind::Lru | PolicyKind::Lip => self.lru_victim(),
+            PolicyKind::Fifo | PolicyKind::Lru | PolicyKind::Lip => self.lru_victim(),
             PolicyKind::Plru => self.plru_victim(),
             PolicyKind::Mru => {
                 let clear = !self.state & ((1u64 << self.assoc) - 1);
@@ -323,12 +342,7 @@ impl ReplacementPolicy for PackedPolicy {
     fn on_insert(&mut self, line: usize) {
         assert_line_in_range(line, self.assoc as usize);
         match self.kind {
-            PolicyKind::Fifo => {
-                if line == self.state as usize {
-                    self.state = (self.state + 1) % u64::from(self.assoc);
-                }
-            }
-            PolicyKind::Lru => self.lru_promote(line),
+            PolicyKind::Fifo | PolicyKind::Lru => self.lru_promote(line),
             PolicyKind::Lip => {
                 // Insertion in the LRU position: demote `line` to the oldest
                 // age, closing the rank gap it leaves behind.
@@ -353,35 +367,14 @@ impl ReplacementPolicy for PackedPolicy {
     }
 
     fn reset(&mut self) {
-        let assoc = self.assoc as usize;
-        self.state = match self.kind {
-            PolicyKind::Fifo => 0,
-            PolicyKind::Lru | PolicyKind::Lip => {
-                // Filled in index order: line i carries age assoc − 1 − i.
-                let mut state = 0u64;
-                for i in 0..assoc {
-                    state |= ((assoc - 1 - i) as u64) << (LANE_BITS * i as u32);
-                }
-                state
-            }
-            PolicyKind::Plru => 0,
-            PolicyKind::Mru => 1 << (assoc - 1),
-            PolicyKind::SrripHp | PolicyKind::SrripFp => MAX_AGE * self.lanes_lsb,
-            PolicyKind::New1 => {
-                let mut p = MAX_AGE * self.lanes_lsb;
-                p &= !(LANE_MASK << (LANE_BITS * (assoc as u32 - 1)));
-                p
-            }
-            PolicyKind::New2 => MAX_AGE * self.lanes_lsb,
-            PolicyKind::Brrip => unreachable!("BRRIP has no packed form"),
-        };
+        self.state = self.initial;
     }
 
     fn state_key(&self) -> Vec<u32> {
         let assoc = self.assoc as usize;
         match self.kind {
-            PolicyKind::Fifo => vec![self.state as u32],
-            PolicyKind::Lru
+            PolicyKind::Fifo
+            | PolicyKind::Lru
             | PolicyKind::Lip
             | PolicyKind::SrripHp
             | PolicyKind::SrripFp
@@ -407,7 +400,6 @@ impl ReplacementPolicy for PackedPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PolicyInput;
 
     fn pair(kind: PolicyKind, assoc: usize) -> (PackedPolicy, Box<dyn ReplacementPolicy>) {
         (
@@ -431,41 +423,6 @@ mod tests {
                 );
                 assert_eq!(packed.name(), reference.name());
                 assert_eq!(packed.associativity(), reference.associativity());
-            }
-        }
-    }
-
-    #[test]
-    fn deterministic_walk_matches_the_reference() {
-        // A fixed pseudo-random walk over the full policy alphabet; the
-        // exhaustive randomized version lives in tests/proptest_packed.rs.
-        for kind in PolicyKind::ALL_DETERMINISTIC {
-            for assoc in 2..=PACKED_MAX_ASSOC {
-                if !PackedPolicy::supports(kind, assoc) {
-                    continue;
-                }
-                let (mut packed, mut reference) = pair(kind, assoc);
-                let mut x = 0x2545_f491_4f6c_dd1du64;
-                for step in 0..400 {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let input = if x.is_multiple_of(3) {
-                        PolicyInput::Evct
-                    } else {
-                        PolicyInput::line((x >> 8) as usize % assoc)
-                    };
-                    assert_eq!(
-                        packed.apply(input),
-                        reference.apply(input),
-                        "{kind}@{assoc} diverged on step {step} ({input:?})"
-                    );
-                    assert_eq!(
-                        packed.state_key(),
-                        reference.state_key(),
-                        "{kind}@{assoc} state keys diverged on step {step}"
-                    );
-                }
             }
         }
     }

@@ -4,7 +4,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use crate::{Brrip, Fifo, Lip, Lru, Mru, New1, New2, Plru, ReplacementPolicy, Srrip, SrripVariant};
+use crate::{Brrip, Plru, PolicyProgram, ProgramPolicy, ReplacementPolicy};
 
 /// Identifier of a concrete replacement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -102,8 +102,37 @@ impl PolicyKind {
         match self {
             PolicyKind::Plru => assoc >= 2 && assoc.is_power_of_two(),
             PolicyKind::Mru => assoc >= 2,
+            // Recency ranks `0..assoc` are `u8` ages.
+            PolicyKind::Fifo | PolicyKind::Lru | PolicyKind::Lip => (1..=256).contains(&assoc),
             _ => assoc >= 1,
         }
+    }
+
+    /// The policy's §5 program, which defines it: promotion, eviction,
+    /// insertion and normalization rules over per-line ages.  `None` for
+    /// tree-based PLRU (the rule language cannot express its global tree
+    /// state, §8.2) and probabilistic BRRIP, and for an associativity the
+    /// policy does not support.
+    ///
+    /// [`PolicyKind::build_reference`] runs the program; [`PolicyKind::build`]
+    /// runs its bit-packed twin at up to [`crate::PACKED_MAX_ASSOC`] ways.
+    /// The programs of New1 and New2 are the paper's Figure 5, their only
+    /// description; `ARCHITECTURE.md` prints both with `Display`.
+    pub fn program(self, assoc: usize) -> Option<PolicyProgram> {
+        if !self.supports_associativity(assoc) {
+            return None;
+        }
+        Some(match self {
+            PolicyKind::Fifo => crate::fifo::program(assoc),
+            PolicyKind::Lru => crate::lru::program(assoc),
+            PolicyKind::Mru => crate::mru::program(assoc),
+            PolicyKind::Lip => crate::lip::program(assoc),
+            PolicyKind::SrripHp => crate::srrip::hit_priority(assoc),
+            PolicyKind::SrripFp => crate::srrip::frequency_priority(assoc),
+            PolicyKind::New1 => crate::new_intel::new1(assoc),
+            PolicyKind::New2 => crate::new_intel::new2(assoc),
+            PolicyKind::Plru | PolicyKind::Brrip => return None,
+        })
     }
 
     /// Builds a boxed policy instance of this kind.
@@ -135,14 +164,21 @@ impl PolicyKind {
             let packed = crate::PackedPolicy::new(self, assoc).expect("support was checked above");
             return Ok(Box::new(packed));
         }
-        self.build_reference_seeded(assoc, seed)
+        match self {
+            PolicyKind::Brrip if self.supports_associativity(assoc) => {
+                Ok(Box::new(Brrip::new(assoc, seed)))
+            }
+            _ => self.build_reference(assoc),
+        }
     }
 
-    /// Builds the `Vec<u8>`-based reference implementation of this kind,
-    /// bypassing the packed fast path.
+    /// Builds the reference form of this kind, bypassing the packed fast
+    /// path: its [`program`](PolicyKind::program) run by a
+    /// [`ProgramPolicy`] named [`PolicyKind::name`], or the hand-written
+    /// [`Plru`] or [`Brrip`] (seeded with 0).
     ///
-    /// The reference implementations are the oracle the packed simulators are
-    /// differentially tested against; they also cover associativities beyond
+    /// The reference is the oracle the packed simulators are differentially
+    /// tested against; it also covers associativities beyond
     /// [`crate::PACKED_MAX_ASSOC`].
     ///
     /// # Errors
@@ -150,37 +186,19 @@ impl PolicyKind {
     /// Returns [`PolicyError::UnsupportedAssociativity`] if `assoc` is not
     /// supported.
     pub fn build_reference(self, assoc: usize) -> Result<Box<dyn ReplacementPolicy>, PolicyError> {
-        self.build_reference_seeded(assoc, 0)
-    }
-
-    /// Builds the reference implementation, seeding probabilistic policies
-    /// with `seed` (see [`PolicyKind::build_reference`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolicyError::UnsupportedAssociativity`] if `assoc` is not
-    /// supported.
-    pub fn build_reference_seeded(
-        self,
-        assoc: usize,
-        seed: u64,
-    ) -> Result<Box<dyn ReplacementPolicy>, PolicyError> {
         if !self.supports_associativity(assoc) {
             return Err(PolicyError::UnsupportedAssociativity { kind: self, assoc });
         }
         Ok(match self {
-            PolicyKind::Fifo => Box::new(Fifo::new(assoc)),
-            PolicyKind::Lru => Box::new(Lru::new(assoc)),
             PolicyKind::Plru => {
                 Box::new(Plru::new(assoc).expect("associativity support was checked above"))
             }
-            PolicyKind::Mru => Box::new(Mru::new(assoc)),
-            PolicyKind::Lip => Box::new(Lip::new(assoc)),
-            PolicyKind::SrripHp => Box::new(Srrip::new(assoc, SrripVariant::HitPriority)),
-            PolicyKind::SrripFp => Box::new(Srrip::new(assoc, SrripVariant::FrequencyPriority)),
-            PolicyKind::Brrip => Box::new(Brrip::new(assoc, seed)),
-            PolicyKind::New1 => Box::new(New1::new(assoc)),
-            PolicyKind::New2 => Box::new(New2::new(assoc)),
+            PolicyKind::Brrip => Box::new(Brrip::new(assoc, 0)),
+            _ => Box::new(ProgramPolicy::named(
+                self.name(),
+                self.program(assoc)
+                    .expect("every other kind is defined by a program"),
+            )),
         })
     }
 }

@@ -1,10 +1,13 @@
 //! Static and Bimodal Re-Reference Interval Prediction (Jaleel et al., ISCA
-//! 2010).
+//! 2010): the two SRRIP programs, and the hand-written probabilistic BRRIP.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{assert_line_in_range, assert_valid_associativity, ReplacementPolicy};
+use crate::{
+    assert_line_in_range, assert_valid_associativity, AgeExpr, EvictRule, Guard, InsertRule,
+    NormalizeOp, NormalizeRule, PolicyProgram, PromoteRule, ReplacementPolicy, RuleCase,
+};
 
 /// Maximum re-reference prediction value for the 2-bit (4 ages) configuration
 /// the paper evaluates.
@@ -12,72 +15,51 @@ pub(crate) const MAX_RRPV: u8 = 3;
 /// RRPV assigned to newly inserted blocks ("long re-reference interval").
 pub(crate) const INSERT_RRPV: u8 = 2;
 
-/// Hit-promotion variant of SRRIP (§6 of the paper, "4 ages").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SrripVariant {
-    /// Hit Priority: a hit resets the line's RRPV to 0.
-    HitPriority,
-    /// Frequency Priority: a hit decrements the line's RRPV (saturating at 0).
-    FrequencyPriority,
-}
-
-impl SrripVariant {
-    fn apply_hit(self, rrpv: u8) -> u8 {
-        match self {
-            SrripVariant::HitPriority => 0,
-            SrripVariant::FrequencyPriority => rrpv.saturating_sub(1),
-        }
+/// Static Re-Reference Interval Prediction (SRRIP) with 2-bit RRPVs,
+/// hit-priority variant (SRRIP-HP, §6 of the paper, "4 ages").
+///
+/// Each line's age is its re-reference prediction value (RRPV) in `0..=3`.
+/// Insertion predicts a *long* re-reference interval (RRPV 2); a victim is
+/// the left-most line with RRPV 3, ageing every line until one exists.  A
+/// hit predicts a near re-reference: the line's RRPV becomes 0.  The initial
+/// state is all lines at the maximum RRPV, i.e. every line predicts a
+/// distant re-reference, as after an invalidation; it is the initial state
+/// that reproduces the learned state counts of Table 2 (12/178 states at
+/// associativity 2/4).
+pub(crate) fn hit_priority(assoc: usize) -> PolicyProgram {
+    PolicyProgram {
+        max_age: MAX_RRPV,
+        initial_ages: vec![MAX_RRPV; assoc],
+        promote: PromoteRule {
+            self_cases: vec![RuleCase::new(Guard::Always, AgeExpr::Const(0))],
+            others: None,
+        },
+        evict: EvictRule::FirstWithAge(MAX_RRPV),
+        insert: InsertRule {
+            self_age: INSERT_RRPV,
+            others: None,
+        },
+        normalize: NormalizeRule {
+            op: Some(NormalizeOp::AgeUpWhileNoMax {
+                except_touched: false,
+            }),
+            after_hit: false,
+            before_miss: true,
+            after_miss: false,
+        },
     }
 }
 
-/// Static Re-Reference Interval Prediction (SRRIP) with 2-bit RRPVs.
-///
-/// Each line carries a re-reference prediction value (RRPV) in `0..=3`.
-/// Insertion predicts a *long* re-reference interval (RRPV 2); a victim is the
-/// left-most line with RRPV 3, ageing every line until one exists.  The two
-/// variants differ in the promotion rule (see [`SrripVariant`]).
-///
-/// Table 2 reports 178 states for SRRIP-HP and 256 states for SRRIP-FP at
-/// associativity 4.
-///
-/// # Example
-///
-/// ```
-/// use policies::{ReplacementPolicy, Srrip, SrripVariant};
-///
-/// let mut p = Srrip::new(4, SrripVariant::HitPriority);
-/// let victim = p.on_miss();
-/// assert!(victim < 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Srrip {
-    variant: SrripVariant,
-    rrpv: Vec<u8>,
-}
-
-impl Srrip {
-    /// Creates an SRRIP policy for a set with `assoc` lines.
-    ///
-    /// The initial state is all lines at the maximum RRPV, i.e. every line
-    /// predicts a distant re-reference, as after an invalidation.  This is
-    /// the initial state that reproduces the learned state counts of Table 2
-    /// (12/178 states for SRRIP-HP and 16/256 for SRRIP-FP at associativity
-    /// 2/4).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assoc == 0`.
-    pub fn new(assoc: usize, variant: SrripVariant) -> Self {
-        assert_valid_associativity(assoc);
-        Srrip {
-            variant,
-            rrpv: vec![MAX_RRPV; assoc],
-        }
-    }
-
-    /// The variant (hit promotion rule) of this instance.
-    pub fn variant(&self) -> SrripVariant {
-        self.variant
+/// SRRIP's frequency-priority variant (SRRIP-FP): [`hit_priority`] except
+/// that a hit only decrements the line's RRPV, saturating at 0 (Table 2: 16
+/// states at associativity 2, 256 at 4).
+pub(crate) fn frequency_priority(assoc: usize) -> PolicyProgram {
+    PolicyProgram {
+        promote: PromoteRule {
+            self_cases: vec![RuleCase::new(Guard::Always, AgeExpr::Dec)],
+            others: None,
+        },
+        ..hit_priority(assoc)
     }
 }
 
@@ -91,45 +73,6 @@ pub(crate) fn srrip_select_victim(rrpv: &mut [u8]) -> usize {
         for r in rrpv.iter_mut() {
             *r += 1;
         }
-    }
-}
-
-impl ReplacementPolicy for Srrip {
-    fn associativity(&self) -> usize {
-        self.rrpv.len()
-    }
-
-    fn on_hit(&mut self, line: usize) {
-        assert_line_in_range(line, self.rrpv.len());
-        self.rrpv[line] = self.variant.apply_hit(self.rrpv[line]);
-    }
-
-    fn victim(&mut self) -> usize {
-        srrip_select_victim(&mut self.rrpv)
-    }
-
-    fn on_insert(&mut self, line: usize) {
-        assert_line_in_range(line, self.rrpv.len());
-        self.rrpv[line] = INSERT_RRPV;
-    }
-
-    fn reset(&mut self) {
-        self.rrpv.iter_mut().for_each(|r| *r = MAX_RRPV);
-    }
-
-    fn state_key(&self) -> Vec<u32> {
-        self.rrpv.iter().map(|&r| r as u32).collect()
-    }
-
-    fn name(&self) -> &'static str {
-        match self.variant {
-            SrripVariant::HitPriority => "SRRIP-HP",
-            SrripVariant::FrequencyPriority => "SRRIP-FP",
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
     }
 }
 
@@ -214,6 +157,7 @@ impl ReplacementPolicy for Brrip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PolicyKind;
 
     #[test]
     fn victim_selection_ages_until_max() {
@@ -225,14 +169,14 @@ mod tests {
 
     #[test]
     fn hp_hit_resets_to_zero() {
-        let mut p = Srrip::new(4, SrripVariant::HitPriority);
+        let mut p = PolicyKind::SrripHp.build_reference(4).unwrap();
         p.on_hit(1);
         assert_eq!(p.state_key()[1], 0);
     }
 
     #[test]
     fn fp_hit_decrements() {
-        let mut p = Srrip::new(4, SrripVariant::FrequencyPriority);
+        let mut p = PolicyKind::SrripFp.build_reference(4).unwrap();
         // Initial RRPV is 3; each hit lowers it by one, saturating at 0.
         p.on_hit(1);
         assert_eq!(p.state_key()[1], 2);
@@ -246,7 +190,7 @@ mod tests {
 
     #[test]
     fn miss_inserts_with_long_interval() {
-        let mut p = Srrip::new(2, SrripVariant::HitPriority);
+        let mut p = PolicyKind::SrripHp.build_reference(2).unwrap();
         let v = p.on_miss();
         assert_eq!(p.state_key()[v] as u8, INSERT_RRPV);
     }
@@ -255,7 +199,7 @@ mod tests {
     fn scanning_workload_does_not_evict_hot_line() {
         // A line that is re-referenced keeps winning against a scan: this is
         // the motivating property of RRIP.
-        let mut p = Srrip::new(4, SrripVariant::HitPriority);
+        let mut p = PolicyKind::SrripHp.build_reference(4).unwrap();
         p.on_hit(0);
         for _ in 0..8 {
             let v = p.on_miss();

@@ -1,12 +1,14 @@
-//! Differential property suite: [`PackedPolicy`] vs the `Vec<u8>`-based
-//! reference implementations.
+//! Differential property suite: [`PackedPolicy`] vs the reference form
+//! [`PolicyKind::build_reference`] builds — the policy's §5 program, run by
+//! `ProgramPolicy`, or the hand-written PLRU.
 //!
 //! The packed simulators are the hot path of every learning campaign, so
-//! their contract is strict byte-identity with the reference oracle: same
-//! victims, same hit updates, same `state_key` renderings, for every
-//! deterministic [`PolicyKind`] × associativity 2–8 × random access
-//! sequences × construction seeds.  Any divergence here would silently
-//! corrupt the pinned Table 2 state counts downstream.
+//! their contract is strict byte-identity with the definition: same victims,
+//! same hit updates, same `state_key` renderings (per-line ages for every
+//! program, tree bits for PLRU), for every deterministic [`PolicyKind`] ×
+//! associativity 1–8 × random access sequences × construction seeds.  Any
+//! divergence here would silently corrupt the pinned Table 2 state counts
+//! downstream.
 
 use policies::{PackedPolicy, PolicyInput, PolicyKind, ReplacementPolicy, PACKED_MAX_ASSOC};
 use proptest::prelude::*;
@@ -19,10 +21,10 @@ fn packable_kinds(assoc: usize) -> Vec<PolicyKind> {
         .collect()
 }
 
-/// Strategy producing a packable kind, an associativity in 2..=8, a random
+/// Strategy producing a packable kind, an associativity in 1..=8, a random
 /// word over the full policy alphabet, and a construction seed.
 fn packed_case() -> impl Strategy<Value = (PolicyKind, usize, Vec<PolicyInput>, u64)> {
-    (2usize..=PACKED_MAX_ASSOC)
+    (1usize..=PACKED_MAX_ASSOC)
         .prop_flat_map(|assoc| {
             (
                 proptest::sample::select(packable_kinds(assoc)),
@@ -46,6 +48,12 @@ fn packed_case() -> impl Strategy<Value = (PolicyKind, usize, Vec<PolicyInput>, 
         })
 }
 
+/// The packed form and the reference form of `kind` at `assoc`.
+fn twins(kind: PolicyKind, assoc: usize) -> (PackedPolicy, Box<dyn ReplacementPolicy>) {
+    let reference = kind.build_reference(assoc).unwrap();
+    (PackedPolicy::new(kind, assoc).unwrap(), reference)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -54,14 +62,10 @@ proptest! {
     /// identical state renderings after every single step.
     #[test]
     fn packed_walks_in_lock_step_with_the_reference(
-        (kind, assoc, word, seed) in packed_case()
+        (kind, assoc, word, _) in packed_case()
     ) {
-        let mut packed = PackedPolicy::new(kind, assoc).unwrap();
-        // Seeds only matter to probabilistic policies (which have no packed
-        // form), but the transparent `build_seeded` path must stay
-        // seed-insensitive for deterministic kinds — so the reference twin is
-        // built through the seeded constructor on purpose.
-        let mut reference = kind.build_reference_seeded(assoc, seed).unwrap();
+        let (mut packed, mut reference) = twins(kind, assoc);
+        prop_assert_eq!(packed.name(), reference.name());
         prop_assert_eq!(packed.state_key(), reference.state_key());
         for (step, &input) in word.iter().enumerate() {
             let p = packed.apply(input);
@@ -78,14 +82,15 @@ proptest! {
     }
 
     /// The transparent registry path (`build_seeded`, which prefers the
-    /// packed form) equals the explicit reference build on the same walk —
-    /// whatever the seed.
+    /// packed form) equals the reference build on the same walk — whatever
+    /// the seed: seeds only matter to probabilistic policies, which have no
+    /// packed form.
     #[test]
     fn transparent_builds_equal_reference_builds(
         (kind, assoc, word, seed) in packed_case()
     ) {
         let mut transparent = kind.build_seeded(assoc, seed).unwrap();
-        let mut reference = kind.build_reference_seeded(assoc, seed).unwrap();
+        let mut reference = kind.build_reference(assoc).unwrap();
         for &input in &word {
             prop_assert_eq!(transparent.apply(input), reference.apply(input));
         }
@@ -97,8 +102,7 @@ proptest! {
     /// agreeing states with agreeing victims.
     #[test]
     fn victim_probes_agree_mid_walk((kind, assoc, word, _) in packed_case()) {
-        let mut packed = PackedPolicy::new(kind, assoc).unwrap();
-        let mut reference = kind.build_reference(assoc).unwrap();
+        let (mut packed, mut reference) = twins(kind, assoc);
         for &input in &word {
             packed.apply(input);
             reference.apply(input);
@@ -107,12 +111,31 @@ proptest! {
         }
     }
 
+    /// Filling a line directly — what a cache set does with an invalid line
+    /// after a flush, whichever line the policy would have evicted — updates
+    /// both twins alike.
+    #[test]
+    fn fills_of_any_line_agree((kind, assoc, word, _) in packed_case()) {
+        let (mut packed, mut reference) = twins(kind, assoc);
+        for &input in &word {
+            match input {
+                PolicyInput::Line(i) => {
+                    packed.on_insert(usize::from(i));
+                    reference.on_insert(usize::from(i));
+                }
+                PolicyInput::Evct => {
+                    prop_assert_eq!(packed.apply(input), reference.apply(input));
+                }
+            }
+            prop_assert_eq!(packed.state_key(), reference.state_key());
+        }
+    }
+
     /// `reset` returns both twins to the same canonical initial state from
     /// any reachable state.
     #[test]
     fn reset_agrees_from_any_reachable_state((kind, assoc, word, _) in packed_case()) {
-        let mut packed = PackedPolicy::new(kind, assoc).unwrap();
-        let mut reference = kind.build_reference(assoc).unwrap();
+        let (mut packed, mut reference) = twins(kind, assoc);
         for &input in &word {
             packed.apply(input);
             reference.apply(input);
@@ -130,9 +153,7 @@ proptest! {
         (kind, assoc, word, _) in packed_case(),
         (_, _, continuation, _) in packed_case(),
     ) {
-        let assoc_cap = assoc;
-        let mut packed = PackedPolicy::new(kind, assoc).unwrap();
-        let mut reference = kind.build_reference(assoc).unwrap();
+        let (mut packed, mut reference) = twins(kind, assoc);
         for &input in &word {
             packed.apply(input);
             reference.apply(input);
@@ -142,7 +163,7 @@ proptest! {
             // The continuation was drawn for a possibly different
             // associativity; clamp line indices into range.
             let input = match input {
-                PolicyInput::Line(i) => PolicyInput::line(usize::from(i) % assoc_cap),
+                PolicyInput::Line(i) => PolicyInput::line(usize::from(i) % assoc),
                 PolicyInput::Evct => PolicyInput::Evct,
             };
             let c = cloned.apply(input);

@@ -6,7 +6,8 @@
 //! the whole daemon.  And a `reps` count was never bounded: the engine votes
 //! that many times per query, so one `target`, `learn` or REPL line asking
 //! for 2^53 - 1 repetitions pinned a worker, and with it the machine's pooled
-//! backend, for every session.
+//! backend, for every session.  A `target` naming New1 at one way used to
+//! panic the session thread on the first eviction.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -33,6 +34,7 @@ fn deeply_nested_lines_get_errors_and_the_session_keeps_serving() {
     );
     let learn_reps = format!(r#"{{"cmd":"learn","spec":"LRU@2+noise(reps={reps})"}}"#);
     let repl_reps = format!(r#"{{"cmd":"repl","line":"reps {reps}"}}"#);
+    let one_way_new1 = r#"{"cmd":"target","model":"skylake","seed":7,"level":"L1","set":0,"slice":0,"reps":1,"reset":"F+R","policy":"New1@1"}"#;
     let lines = [
         json_bomb.as_str(),
         mbl_bomb.as_str(),
@@ -40,6 +42,9 @@ fn deeply_nested_lines_get_errors_and_the_session_keeps_serving() {
         &policy_reps,
         &learn_reps,
         &repl_reps,
+        one_way_new1,
+        // B evicts A from the one line, so A misses.
+        r#"{"cmd":"query","mbl":"B A?"}"#,
         "{\"cmd\":\"hello\"}",
     ];
     for line in lines {
@@ -49,12 +54,16 @@ fn deeply_nested_lines_get_errors_and_the_session_keeps_serving() {
     writer.flush().unwrap();
 
     let mut responses = Vec::new();
+    let mut one_way_outcome = String::new();
     for _ in 0..lines.len() {
         let mut line = String::new();
         reader
             .read_line(&mut line)
             .expect("the daemon is still alive");
         let response = Json::parse(line.trim()).expect("responses are JSON");
+        if response.get("results").is_some() {
+            one_way_outcome = line;
+        }
         responses.push(
             response
                 .get("resp")
@@ -65,7 +74,11 @@ fn deeply_nested_lines_get_errors_and_the_session_keeps_serving() {
     }
     assert_eq!(
         responses,
-        ["error", "error", "error", "error", "error", "error", "hello"]
+        ["error", "error", "error", "error", "error", "error", "done", "outcomes", "hello"]
+    );
+    assert!(
+        one_way_outcome.contains(r#""pattern":"M""#),
+        "{one_way_outcome}"
     );
     drop(writer);
     daemon.shutdown();

@@ -1,6 +1,10 @@
-//! The abstract syntax of policy explanations (the template language of §5).
+//! The two template flavours of the §5 language (Table 5's "Template"
+//! column).  The language itself, [`PolicyProgram`], lives in `policies`,
+//! where it defines the built-in policies.
 
 use std::fmt;
+
+use policies::PolicyProgram;
 
 /// Which template flavour a program fits in (Table 5's "Template" column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -13,6 +17,18 @@ pub enum Template {
     Extended,
 }
 
+impl Template {
+    /// The flavour `program` belongs to: Simple iff normalization is the
+    /// identity and promotion needs a single case.
+    pub fn of(program: &PolicyProgram) -> Template {
+        if program.normalize.op.is_none() && program.promote.self_cases.len() <= 1 {
+            Template::Simple
+        } else {
+            Template::Extended
+        }
+    }
+}
+
 impl fmt::Display for Template {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -22,360 +38,18 @@ impl fmt::Display for Template {
     }
 }
 
-/// A guard over ages, evaluated against a line's age (and, where applicable,
-/// the age of the line being promoted/inserted).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Guard {
-    /// Always true.
-    Always,
-    /// The age equals the constant.
-    AgeEq(u8),
-    /// The age is strictly less than the constant.
-    AgeLt(u8),
-    /// The age is strictly greater than the constant.
-    AgeGt(u8),
-    /// The age is strictly less than the touched line's (pre-update) age.
-    LtTouched,
-    /// The age is strictly greater than the touched line's (pre-update) age.
-    GtTouched,
-    /// The age equals the touched line's (pre-update) age.
-    EqTouched,
-}
-
-impl Guard {
-    /// Evaluates the guard for a line of age `age`, where `touched` is the
-    /// pre-update age of the accessed/inserted line.
-    pub fn eval(self, age: u8, touched: u8) -> bool {
-        match self {
-            Guard::Always => true,
-            Guard::AgeEq(k) => age == k,
-            Guard::AgeLt(k) => age < k,
-            Guard::AgeGt(k) => age > k,
-            Guard::LtTouched => age < touched,
-            Guard::GtTouched => age > touched,
-            Guard::EqTouched => age == touched,
-        }
-    }
-
-    /// Whether the guard refers to the touched line's age (Extended-only in
-    /// the Simple/Extended classification).
-    pub fn refers_to_touched(self) -> bool {
-        matches!(self, Guard::LtTouched | Guard::GtTouched | Guard::EqTouched)
-    }
-}
-
-impl fmt::Display for Guard {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Guard::Always => write!(f, "true"),
-            Guard::AgeEq(k) => write!(f, "age == {k}"),
-            Guard::AgeLt(k) => write!(f, "age < {k}"),
-            Guard::AgeGt(k) => write!(f, "age > {k}"),
-            Guard::LtTouched => write!(f, "age < age[pos]"),
-            Guard::GtTouched => write!(f, "age > age[pos]"),
-            Guard::EqTouched => write!(f, "age == age[pos]"),
-        }
-    }
-}
-
-/// An age-update expression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AgeExpr {
-    /// Keep the age unchanged.
-    Keep,
-    /// Set the age to a constant.
-    Const(u8),
-    /// Increment the age, saturating at the maximum age.
-    Inc,
-    /// Decrement the age, saturating at zero.
-    Dec,
-}
-
-impl AgeExpr {
-    /// Evaluates the expression on `age` with the given maximum age.
-    pub fn eval(self, age: u8, max_age: u8) -> u8 {
-        match self {
-            AgeExpr::Keep => age,
-            AgeExpr::Const(k) => k.min(max_age),
-            AgeExpr::Inc => (age + 1).min(max_age),
-            AgeExpr::Dec => age.saturating_sub(1),
-        }
-    }
-}
-
-impl fmt::Display for AgeExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AgeExpr::Keep => write!(f, "age"),
-            AgeExpr::Const(k) => write!(f, "{k}"),
-            AgeExpr::Inc => write!(f, "age + 1"),
-            AgeExpr::Dec => write!(f, "age - 1"),
-        }
-    }
-}
-
-/// One guarded update case (`if guard then age := expr`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RuleCase {
-    /// Condition on the (pre-update) age.
-    pub guard: Guard,
-    /// Update applied when the guard holds.
-    pub expr: AgeExpr,
-}
-
-impl fmt::Display for RuleCase {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "if {} then age := {}", self.guard, self.expr)
-    }
-}
-
-/// The promotion rule: how a cache hit updates the control state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PromoteRule {
-    /// Guarded update cases for the accessed line, evaluated in order
-    /// (first match wins); if no case matches the age is kept.
-    pub self_cases: Vec<RuleCase>,
-    /// Optional guarded update of every other line (the guard compares the
-    /// other line's age with the accessed line's pre-update age).
-    pub others: Option<RuleCase>,
-}
-
-/// The eviction rule: how the victim line is selected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EvictRule {
-    /// The left-most line whose age equals the constant; if no line matches,
-    /// the left-most line with the maximum age is used as a fallback.
-    FirstWithAge(u8),
-    /// The left-most line holding the maximum age currently present.
-    FirstWithMaxAge,
-    /// The left-most line holding the minimum age currently present.
-    FirstWithMinAge,
-}
-
-impl fmt::Display for EvictRule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EvictRule::FirstWithAge(k) => {
-                write!(f, "first line (from the left) with age == {k}")
-            }
-            EvictRule::FirstWithMaxAge => {
-                write!(f, "first line (from the left) with the largest age")
-            }
-            EvictRule::FirstWithMinAge => {
-                write!(f, "first line (from the left) with the smallest age")
-            }
-        }
-    }
-}
-
-/// The insertion rule: how a miss updates the control state after the victim
-/// has been chosen.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct InsertRule {
-    /// Age assigned to the inserted line.
-    pub self_age: u8,
-    /// Optional guarded update of every other line (guard compares with the
-    /// victim's pre-insertion age).
-    pub others: Option<RuleCase>,
-}
-
-/// A normalization operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NormalizeOp {
-    /// While no line has the maximum age, increment the age of every line
-    /// (optionally except the just accessed/inserted one).
-    AgeUpWhileNoMax {
-        /// Whether the touched line is exempt from the increments.
-        except_touched: bool,
-    },
-    /// If every line has age `value`, set all lines except the touched one to
-    /// `reset_to` (the MRU-bit style normalization).
-    ResetOthersWhenAllEqual {
-        /// The age value that triggers the reset.
-        value: u8,
-        /// The age the other lines are reset to.
-        reset_to: u8,
-    },
-}
-
-impl fmt::Display for NormalizeOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NormalizeOp::AgeUpWhileNoMax { except_touched } => {
-                if *except_touched {
-                    write!(
-                        f,
-                        "while no line has the maximum age, increment every other line's age"
-                    )
-                } else {
-                    write!(
-                        f,
-                        "while no line has the maximum age, increment every line's age"
-                    )
-                }
-            }
-            NormalizeOp::ResetOthersWhenAllEqual { value, reset_to } => write!(
-                f,
-                "if every line has age {value}, set every other line's age to {reset_to}"
-            ),
-        }
-    }
-}
-
-/// Where and how the control state is normalized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct NormalizeRule {
-    /// The operation (`None` = identity, the Simple template).
-    pub op: Option<NormalizeOp>,
-    /// Apply after a hit.
-    pub after_hit: bool,
-    /// Apply before selecting the victim of a miss.
-    pub before_miss: bool,
-    /// Apply after the insertion of a miss.
-    pub after_miss: bool,
-}
-
-impl NormalizeRule {
-    /// The identity normalization (Simple template).
-    pub fn identity() -> Self {
-        NormalizeRule {
-            op: None,
-            after_hit: false,
-            before_miss: false,
-            after_miss: false,
-        }
-    }
-}
-
-/// A complete synthesized policy explanation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PolicyProgram {
-    /// Number of cache lines.
-    pub associativity: usize,
-    /// Maximum age value (3 in all of the paper's experiments).
-    pub max_age: u8,
-    /// Initial per-line ages (the `s0` hole of the template).
-    pub initial_ages: Vec<u8>,
-    /// Promotion rule.
-    pub promote: PromoteRule,
-    /// Eviction rule.
-    pub evict: EvictRule,
-    /// Insertion rule.
-    pub insert: InsertRule,
-    /// Normalization rule.
-    pub normalize: NormalizeRule,
-}
-
-impl PolicyProgram {
-    /// Which template flavour this program belongs to: Simple iff
-    /// normalization is the identity and promotion needs a single case.
-    pub fn template(&self) -> Template {
-        if self.normalize.op.is_none() && self.promote.self_cases.len() <= 1 {
-            Template::Simple
-        } else {
-            Template::Extended
-        }
-    }
-}
-
-impl fmt::Display for PolicyProgram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "policy explanation (associativity {}, ages 0..={}):",
-            self.associativity, self.max_age
-        )?;
-        writeln!(f, "  initial control state: {:?}", self.initial_ages)?;
-        writeln!(f, "  promote (on a hit to line pos):")?;
-        if self.promote.self_cases.is_empty() {
-            writeln!(f, "    leave the accessed line's age unchanged")?;
-        }
-        for case in &self.promote.self_cases {
-            writeln!(f, "    {case}")?;
-        }
-        if let Some(case) = &self.promote.others {
-            writeln!(f, "    for every other line: {case}")?;
-        }
-        writeln!(f, "  evict: {}", self.evict)?;
-        writeln!(
-            f,
-            "  insert: set the filled line's age to {}",
-            self.insert.self_age
-        )?;
-        if let Some(case) = &self.insert.others {
-            writeln!(f, "    for every other line: {case}")?;
-        }
-        match self.normalize.op {
-            None => writeln!(f, "  normalize: identity")?,
-            Some(op) => {
-                let mut sites = Vec::new();
-                if self.normalize.after_hit {
-                    sites.push("after a hit");
-                }
-                if self.normalize.before_miss {
-                    sites.push("before a miss");
-                }
-                if self.normalize.after_miss {
-                    sites.push("after a miss");
-                }
-                writeln!(f, "  normalize ({}): {}", sites.join(", "), op)?;
-            }
-        }
-        write!(f, "  template: {}", self.template())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn lru_program() -> PolicyProgram {
-        PolicyProgram {
-            associativity: 4,
-            max_age: 3,
-            initial_ages: vec![3, 2, 1, 0],
-            promote: PromoteRule {
-                self_cases: vec![RuleCase {
-                    guard: Guard::Always,
-                    expr: AgeExpr::Const(0),
-                }],
-                others: Some(RuleCase {
-                    guard: Guard::LtTouched,
-                    expr: AgeExpr::Inc,
-                }),
-            },
-            evict: EvictRule::FirstWithMaxAge,
-            insert: InsertRule {
-                self_age: 0,
-                others: Some(RuleCase {
-                    guard: Guard::LtTouched,
-                    expr: AgeExpr::Inc,
-                }),
-            },
-            normalize: NormalizeRule::identity(),
-        }
-    }
-
-    #[test]
-    fn guards_and_expressions_evaluate() {
-        assert!(Guard::Always.eval(2, 0));
-        assert!(Guard::AgeEq(2).eval(2, 0));
-        assert!(!Guard::AgeEq(2).eval(1, 0));
-        assert!(Guard::LtTouched.eval(1, 2));
-        assert!(!Guard::GtTouched.eval(1, 2));
-        assert_eq!(AgeExpr::Inc.eval(3, 3), 3);
-        assert_eq!(AgeExpr::Dec.eval(0, 3), 0);
-        assert_eq!(AgeExpr::Const(7).eval(0, 3), 3);
-        assert_eq!(AgeExpr::Keep.eval(2, 3), 2);
-    }
+    use policies::{NormalizeOp, NormalizeRule, PolicyKind};
 
     #[test]
     fn template_classification() {
-        let mut program = lru_program();
+        let mut program = PolicyKind::Lru.program(4).unwrap();
         // LRU's others-guard refers to the touched line, but normalization is
         // the identity and promotion has one case: the paper classifies LRU
         // under the Simple template, and so do we.
-        assert_eq!(program.template(), Template::Simple);
+        assert_eq!(Template::of(&program), Template::Simple);
         program.normalize = NormalizeRule {
             op: Some(NormalizeOp::AgeUpWhileNoMax {
                 except_touched: false,
@@ -384,14 +58,6 @@ mod tests {
             before_miss: false,
             after_miss: true,
         };
-        assert_eq!(program.template(), Template::Extended);
-    }
-
-    #[test]
-    fn display_is_human_readable() {
-        let text = lru_program().to_string();
-        assert!(text.contains("initial control state"));
-        assert!(text.contains("evict: first line"));
-        assert!(text.contains("template: Simple"));
+        assert_eq!(Template::of(&program), Template::Extended);
     }
 }

@@ -1,6 +1,6 @@
 //! Enumeration of the template's rule space (the "generators" of §5).
 
-use crate::ast::{
+use policies::{
     AgeExpr, EvictRule, Guard, InsertRule, NormalizeOp, NormalizeRule, PromoteRule, RuleCase,
 };
 
@@ -221,31 +221,10 @@ mod tests {
     #[test]
     fn promote_enumeration_contains_the_known_rules() {
         // LRU: self := 0 unconditionally, others < touched += 1.
-        let lru = PromoteRule {
-            self_cases: vec![RuleCase {
-                guard: Guard::Always,
-                expr: AgeExpr::Const(0),
-            }],
-            others: Some(RuleCase {
-                guard: Guard::LtTouched,
-                expr: AgeExpr::Inc,
-            }),
-        };
+        let lru = policies::PolicyKind::Lru.program(4).unwrap().promote;
         assert!(single_case_promotes(3).contains(&lru));
         // New2: two-case promotion.
-        let new2 = PromoteRule {
-            self_cases: vec![
-                RuleCase {
-                    guard: Guard::AgeEq(1),
-                    expr: AgeExpr::Const(0),
-                },
-                RuleCase {
-                    guard: Guard::AgeGt(1),
-                    expr: AgeExpr::Const(1),
-                },
-            ],
-            others: None,
-        };
+        let new2 = policies::PolicyKind::New2.program(4).unwrap().promote;
         assert!(two_case_promotes(3).contains(&new2));
     }
 }

@@ -4,7 +4,11 @@
 //! from four rules — *promotion* (what happens to the accessed line on a
 //! hit), *eviction* (how the victim is selected), *insertion* (the age given
 //! to the filled line) and *normalization* (how control-state invariants are
-//! restored) — over per-line ages.  The original implementation encodes the
+//! restored) — over per-line ages.  The language, [`policies::PolicyProgram`],
+//! and its interpreter, [`policies::ProgramPolicy`], live in `policies`,
+//! where programs define eight of the built-in policies; this crate keeps
+//! the enumerator of the rule space, the [`Template`] flavours and the
+//! search that verifies candidates.  The original implementation encodes the
 //! template in Sketch and asks a SyGuS solver for an instantiation that
 //! matches the learned automaton; this reproduction performs a staged
 //! enumerative search over the same rule space and verifies candidates by
@@ -34,14 +38,7 @@
 
 mod ast;
 mod enumerate;
-mod exec;
 mod synthesize;
 
-pub use ast::{
-    AgeExpr, EvictRule, Guard, InsertRule, NormalizeOp, NormalizeRule, PolicyProgram, PromoteRule,
-    RuleCase, Template,
-};
-pub use exec::ProgramPolicy;
-pub use synthesize::{
-    reference_program, synthesize, SynthesisConfig, SynthesisResult, SynthesisStats,
-};
+pub use ast::Template;
+pub use synthesize::{synthesize, SynthesisConfig, SynthesisResult, SynthesisStats};

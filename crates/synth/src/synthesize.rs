@@ -4,18 +4,15 @@ use std::time::{Duration, Instant};
 
 use automata::check_equivalence;
 use policies::{
-    policy_to_mealy, PolicyInput, PolicyKind, PolicyMealy, PolicyOutput, ReplacementPolicy,
+    policy_to_mealy, PolicyInput, PolicyMealy, PolicyOutput, PolicyProgram, ProgramPolicy,
+    PromoteRule, ReplacementPolicy,
 };
 
-use crate::ast::{
-    AgeExpr, EvictRule, Guard, InsertRule, NormalizeOp, NormalizeRule, PolicyProgram, PromoteRule,
-    RuleCase, Template,
-};
+use crate::ast::Template;
 use crate::enumerate::{
     evict_rules, initial_age_vectors, insert_rules, miss_normalize_rules, single_case_promotes,
     two_case_promotes,
 };
-use crate::exec::ProgramPolicy;
 
 /// Configuration of the synthesis search.
 #[derive(Debug, Clone)]
@@ -110,36 +107,28 @@ fn mixed_words(assoc: usize) -> Vec<Vec<PolicyInput>> {
     words
 }
 
-/// Expected outputs of `machine` for each word.
-fn expected_outputs(machine: &PolicyMealy, words: &[Vec<PolicyInput>]) -> Vec<Vec<PolicyOutput>> {
-    words
-        .iter()
-        .map(|w| machine.output_word(w.iter()))
-        .collect()
+/// A test word with the outputs the learned machine gives it.
+type Trace = (Vec<PolicyInput>, Vec<PolicyOutput>);
+
+/// Each word with `machine`'s outputs for it.
+fn traces(machine: &PolicyMealy, words: Vec<Vec<PolicyInput>>) -> Vec<Trace> {
+    let trace = |word: Vec<PolicyInput>| {
+        let outputs = machine.output_word(word.iter());
+        (word, outputs)
+    };
+    words.into_iter().map(trace).collect()
 }
 
-/// Runs `program` on `word`, comparing against `expected`, aborting at the
-/// first difference.
-fn program_matches(
-    program: &PolicyProgram,
-    word: &[PolicyInput],
-    expected: &[PolicyOutput],
-) -> bool {
+/// Runs `program` on each trace's word from its initial state, comparing
+/// against the trace's outputs and stopping at the first difference.
+fn program_matches(program: &PolicyProgram, traces: &[Trace]) -> bool {
     let mut policy = ProgramPolicy::new(program.clone());
-    for (input, exp) in word.iter().zip(expected) {
-        let out = policy.apply(*input);
-        if out != *exp {
-            return false;
-        }
-    }
-    true
-}
-
-fn empty_promote() -> PromoteRule {
-    PromoteRule {
-        self_cases: Vec::new(),
-        others: None,
-    }
+    traces.iter().all(|(word, expected)| {
+        policy.reset();
+        word.iter()
+            .zip(expected)
+            .all(|(input, exp)| policy.apply(*input) == *exp)
+    })
 }
 
 /// Synthesizes an explanation for the learned policy automaton `learned` of
@@ -159,10 +148,8 @@ pub fn synthesize(
         &[true]
     };
 
-    let evict_words = eviction_words(associativity);
-    let evict_expected = expected_outputs(learned, &evict_words);
-    let mix_words = mixed_words(associativity);
-    let mix_expected = expected_outputs(learned, &mix_words);
+    let evict_traces = traces(learned, eviction_words(associativity));
+    let mix_traces = traces(learned, mixed_words(associativity));
     let state_bound = (config.max_age as usize + 1).pow(associativity as u32) + 1;
 
     for &extended in templates {
@@ -171,10 +158,8 @@ pub fn synthesize(
             associativity,
             config,
             extended,
-            &evict_words,
-            &evict_expected,
-            &mix_words,
-            &mix_expected,
+            &evict_traces,
+            &mix_traces,
             state_bound,
             start,
             &mut stats,
@@ -200,10 +185,8 @@ fn synthesize_with_template(
     associativity: usize,
     config: &SynthesisConfig,
     extended: bool,
-    evict_words: &[Vec<PolicyInput>],
-    evict_expected: &[Vec<PolicyOutput>],
-    mix_words: &[Vec<PolicyInput>],
-    mix_expected: &[Vec<PolicyOutput>],
+    evict_traces: &[Trace],
+    mix_traces: &[Trace],
     state_bound: usize,
     start: Instant,
     stats: &mut SynthesisStats,
@@ -218,19 +201,14 @@ fn synthesize_with_template(
                 for insert in insert_rules(max_age) {
                     stats.phase_a_candidates += 1;
                     let candidate = PolicyProgram {
-                        associativity,
                         max_age,
                         initial_ages: initial.clone(),
-                        promote: empty_promote(),
+                        promote: PromoteRule::default(),
                         evict,
                         insert: insert.clone(),
                         normalize,
                     };
-                    if evict_words
-                        .iter()
-                        .zip(evict_expected)
-                        .all(|(w, e)| program_matches(&candidate, w, e))
-                    {
+                    if program_matches(&candidate, evict_traces) {
                         survivors.push(candidate);
                         if survivors.len() >= config.max_phase_a_survivors {
                             break 'phase_a;
@@ -268,11 +246,7 @@ fn synthesize_with_template(
                 candidate.promote = promote.clone();
                 candidate.normalize.after_hit = after_hit;
 
-                if !mix_words
-                    .iter()
-                    .zip(mix_expected)
-                    .all(|(w, e)| program_matches(&candidate, w, e))
-                {
+                if !program_matches(&candidate, mix_traces) {
                     continue;
                 }
                 stats.equivalence_checks += 1;
@@ -280,7 +254,7 @@ fn synthesize_with_template(
                 let machine = policy_to_mealy(&policy, state_bound);
                 if check_equivalence(&machine, learned).is_none() {
                     stats.duration = start.elapsed();
-                    let template = candidate.template();
+                    let template = Template::of(&candidate);
                     return Some(SynthesisResult {
                         program: candidate,
                         template,
@@ -294,160 +268,10 @@ fn synthesize_with_template(
     None
 }
 
-/// Hand-written reference explanations for the policies of §8 (everything in
-/// Table 5 except PLRU, which the template cannot express).  These are used
-/// by tests and by the benchmark harness to cross-check synthesized programs.
-pub fn reference_program(kind: PolicyKind, associativity: usize) -> Option<PolicyProgram> {
-    let max_age = 3u8;
-    let assoc = associativity;
-    let case = |guard, expr| RuleCase { guard, expr };
-    let program = match kind {
-        PolicyKind::Fifo => PolicyProgram {
-            associativity: assoc,
-            max_age,
-            initial_ages: (0..assoc).rev().map(|a| a as u8).collect(),
-            promote: empty_promote(),
-            evict: EvictRule::FirstWithMaxAge,
-            insert: InsertRule {
-                self_age: 0,
-                others: Some(case(Guard::Always, AgeExpr::Inc)),
-            },
-            normalize: NormalizeRule::identity(),
-        },
-        PolicyKind::Lru | PolicyKind::Lip => PolicyProgram {
-            associativity: assoc,
-            max_age,
-            initial_ages: (0..assoc).rev().map(|a| a as u8).collect(),
-            promote: PromoteRule {
-                self_cases: vec![case(Guard::Always, AgeExpr::Const(0))],
-                others: Some(case(Guard::LtTouched, AgeExpr::Inc)),
-            },
-            evict: EvictRule::FirstWithMaxAge,
-            insert: if kind == PolicyKind::Lru {
-                InsertRule {
-                    self_age: 0,
-                    others: Some(case(Guard::LtTouched, AgeExpr::Inc)),
-                }
-            } else {
-                InsertRule {
-                    self_age: max_age.min((assoc - 1) as u8),
-                    others: None,
-                }
-            },
-            normalize: NormalizeRule::identity(),
-        },
-        PolicyKind::Mru => PolicyProgram {
-            associativity: assoc,
-            max_age,
-            initial_ages: {
-                let mut v = vec![0; assoc];
-                v[assoc - 1] = 1;
-                v
-            },
-            promote: PromoteRule {
-                self_cases: vec![case(Guard::Always, AgeExpr::Const(1))],
-                others: None,
-            },
-            evict: EvictRule::FirstWithAge(0),
-            insert: InsertRule {
-                self_age: 1,
-                others: None,
-            },
-            normalize: NormalizeRule {
-                op: Some(NormalizeOp::ResetOthersWhenAllEqual {
-                    value: 1,
-                    reset_to: 0,
-                }),
-                after_hit: true,
-                before_miss: false,
-                after_miss: true,
-            },
-        },
-        PolicyKind::SrripHp | PolicyKind::SrripFp => PolicyProgram {
-            associativity: assoc,
-            max_age,
-            initial_ages: vec![max_age; assoc],
-            promote: PromoteRule {
-                self_cases: vec![if kind == PolicyKind::SrripHp {
-                    case(Guard::Always, AgeExpr::Const(0))
-                } else {
-                    case(Guard::Always, AgeExpr::Dec)
-                }],
-                others: None,
-            },
-            evict: EvictRule::FirstWithAge(max_age),
-            insert: InsertRule {
-                self_age: 2,
-                others: None,
-            },
-            normalize: NormalizeRule {
-                op: Some(NormalizeOp::AgeUpWhileNoMax {
-                    except_touched: false,
-                }),
-                after_hit: false,
-                before_miss: true,
-                after_miss: false,
-            },
-        },
-        PolicyKind::New1 => PolicyProgram {
-            associativity: assoc,
-            max_age,
-            initial_ages: {
-                let mut v = vec![max_age; assoc];
-                v[assoc - 1] = 0;
-                v
-            },
-            promote: PromoteRule {
-                self_cases: vec![case(Guard::Always, AgeExpr::Const(0))],
-                others: None,
-            },
-            evict: EvictRule::FirstWithAge(max_age),
-            insert: InsertRule {
-                self_age: 1,
-                others: None,
-            },
-            normalize: NormalizeRule {
-                op: Some(NormalizeOp::AgeUpWhileNoMax {
-                    except_touched: true,
-                }),
-                after_hit: true,
-                before_miss: false,
-                after_miss: true,
-            },
-        },
-        PolicyKind::New2 => PolicyProgram {
-            associativity: assoc,
-            max_age,
-            initial_ages: vec![max_age; assoc],
-            promote: PromoteRule {
-                self_cases: vec![
-                    case(Guard::AgeEq(1), AgeExpr::Const(0)),
-                    case(Guard::AgeGt(1), AgeExpr::Const(1)),
-                ],
-                others: None,
-            },
-            evict: EvictRule::FirstWithAge(max_age),
-            insert: InsertRule {
-                self_age: 1,
-                others: None,
-            },
-            normalize: NormalizeRule {
-                op: Some(NormalizeOp::AgeUpWhileNoMax {
-                    except_touched: false,
-                }),
-                after_hit: true,
-                before_miss: false,
-                after_miss: true,
-            },
-        },
-        PolicyKind::Plru | PolicyKind::Brrip => return None,
-    };
-    Some(program)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use policies::PolicyKind;
 
     fn learned(kind: PolicyKind, assoc: usize) -> PolicyMealy {
         policy_to_mealy(kind.build(assoc).unwrap().as_ref(), 1 << 16)
@@ -455,17 +279,12 @@ mod tests {
 
     #[test]
     fn reference_programs_match_their_policies() {
-        for kind in [
-            PolicyKind::Fifo,
-            PolicyKind::Lru,
-            PolicyKind::Lip,
-            PolicyKind::Mru,
-            PolicyKind::SrripHp,
-            PolicyKind::SrripFp,
-            PolicyKind::New1,
-            PolicyKind::New2,
-        ] {
-            let program = reference_program(kind, 4).unwrap();
+        // Every program the synthesizer could be cross-checked against runs
+        // like the packed fast path of its policy.
+        for kind in PolicyKind::ALL_DETERMINISTIC {
+            let Some(program) = kind.program(4) else {
+                continue;
+            };
             let machine = policy_to_mealy(&ProgramPolicy::new(program), 1 << 16);
             assert!(
                 check_equivalence(&machine, &learned(kind, 4)).is_none(),
@@ -476,7 +295,7 @@ mod tests {
 
     #[test]
     fn plru_has_no_reference_program() {
-        assert!(reference_program(PolicyKind::Plru, 4).is_none());
+        assert!(PolicyKind::Plru.program(4).is_none());
     }
 
     #[test]

@@ -11,27 +11,30 @@
 //! memory.
 //!
 //! Run with: `cargo run --example learn_over_server -- [POLICY] [ASSOC]`
+//!
+//! Defaults: LRU, 2.  An unknown policy, or an associativity it does not
+//! support, exits with status 2.
+
+mod common;
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use cachequery::QueryEngine;
+use common::{positional, positional_with};
 use polca::{learn_policy, learn_simulated_policy, CacheQueryOracle, LearnSetup};
 use policies::PolicyKind;
 use server::{spawn, Client, CqdConfig, RemoteBackend, SessionSpec};
 
+const USAGE: &str = "usage: learn_over_server [POLICY] [ASSOC]";
+
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let kind: PolicyKind = args
-        .next()
-        .unwrap_or_else(|| "LRU".to_string())
-        .parse()
-        .expect("known policy name");
-    let assoc: usize = args
-        .next()
-        .unwrap_or_else(|| "2".to_string())
-        .parse()
-        .expect("numeric associativity");
+    let kind: PolicyKind = positional(0, PolicyKind::Lru, USAGE);
+    let assoc = positional_with(1, 2, USAGE, |text| {
+        text.parse()
+            .ok()
+            .filter(|&a| kind.supports_associativity(a))
+    });
     let setup = LearnSetup::default();
 
     // In production the daemon runs on another machine; an in-process one on

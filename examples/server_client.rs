@@ -3,13 +3,40 @@
 //! cross-session store), start a learning job, and read the metrics.
 //!
 //! Run with: `cargo run --example server_client -- [POLICY@ASSOC]`
+//!
+//! The learning job defaults to `LRU@2`; an argument that does not name a
+//! policy at an associativity it supports exits with status 2.
 
+mod common;
+
+use std::str::FromStr;
+
+use common::positional;
+use policies::PolicyKind;
 use server::{spawn, Client, CqdConfig, SessionSpec};
 
+const USAGE: &str = "usage: server_client [POLICY@ASSOC]";
+
+/// The learning job's `POLICY@ASSOC`: a policy at an associativity it
+/// supports.
+struct LearnSpec(PolicyKind, usize);
+
+impl FromStr for LearnSpec {
+    type Err = ();
+
+    fn from_str(text: &str) -> Result<Self, ()> {
+        let (policy, assoc) = text.split_once('@').ok_or(())?;
+        let kind: PolicyKind = policy.parse().map_err(drop)?;
+        let assoc: usize = assoc.parse().map_err(drop)?;
+        kind.supports_associativity(assoc)
+            .then_some(LearnSpec(kind, assoc))
+            .ok_or(())
+    }
+}
+
 fn main() {
-    let learn_spec = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "LRU@2".to_string());
+    let LearnSpec(kind, assoc) = positional(0, LearnSpec(PolicyKind::Lru, 2), USAGE);
+    let learn_spec = format!("{kind}@{assoc}");
 
     // In production `cqd` runs standalone (`cargo run -p server --bin cqd`);
     // for a self-contained example an in-process daemon on an ephemeral

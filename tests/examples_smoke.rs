@@ -110,11 +110,13 @@ fn learn_simulated_runs() {
 fn learn_simulated_rejects_a_bad_argument() {
     // An argument that does not parse must not fall back to its default:
     // the example exits with status 2 and names the text.
-    let cases: [(&str, &[&str], &str); 4] = [
+    let cases: [(&str, &[&str], &str); 6] = [
         ("learn_simulated", &["BOGUS", "2"], "BOGUS"),
         ("learn_hardware", &["skylake", "L3", "x", "2"], "`x`"),
         ("replay_trace", &["x", "2", "16"], "`x`"),
         ("leader_sets", &["eight"], "eight"),
+        ("learn_over_server", &["BOGUS", "2"], "BOGUS"),
+        ("server_client", &["BOGUS"], "BOGUS"),
     ];
     for (name, args, text) in cases {
         let output = spawn_example(name, args, None);

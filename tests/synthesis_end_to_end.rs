@@ -2,8 +2,8 @@
 
 use automata::check_equivalence;
 use polca::{learn_simulated_policy, LearnSetup};
-use policies::{policy_to_mealy, PolicyKind};
-use synth::{reference_program, synthesize, ProgramPolicy, SynthesisConfig, Template};
+use policies::{policy_to_mealy, PolicyKind, ProgramPolicy};
+use synth::{synthesize, SynthesisConfig, Template};
 
 #[test]
 fn learned_fifo_yields_a_simple_template_program() {
@@ -25,24 +25,18 @@ fn learned_new2_matches_the_figure_5_reference_explanation() {
     // at associativity 4 runs in the benchmark harness; here we verify the
     // explanation itself end to end).
     let outcome = learn_simulated_policy(PolicyKind::New2, 4, &LearnSetup::default()).unwrap();
-    let reference = reference_program(PolicyKind::New2, 4).unwrap();
+    let reference = PolicyKind::New2.program(4).unwrap();
     let reference_machine = policy_to_mealy(&ProgramPolicy::new(reference), 1 << 16);
     assert!(check_equivalence(&reference_machine, &outcome.machine).is_none());
 }
 
 #[test]
 fn reference_explanations_cover_every_table_5_policy_except_plru() {
-    for kind in [
-        PolicyKind::Fifo,
-        PolicyKind::Lru,
-        PolicyKind::Lip,
-        PolicyKind::Mru,
-        PolicyKind::SrripHp,
-        PolicyKind::SrripFp,
-        PolicyKind::New1,
-        PolicyKind::New2,
-    ] {
-        let program = reference_program(kind, 4).expect("explanation exists");
+    for kind in PolicyKind::ALL_DETERMINISTIC {
+        let Some(program) = kind.program(4) else {
+            assert_eq!(kind, PolicyKind::Plru, "only PLRU has no program");
+            continue;
+        };
         let machine = policy_to_mealy(&ProgramPolicy::new(program.clone()), 1 << 16);
         let target = policy_to_mealy(kind.build(4).unwrap().as_ref(), 1 << 16);
         assert!(
@@ -54,9 +48,12 @@ fn reference_explanations_cover_every_table_5_policy_except_plru() {
             PolicyKind::Fifo | PolicyKind::Lru | PolicyKind::Lip => Template::Simple,
             _ => Template::Extended,
         };
-        assert_eq!(program.template(), expected_template, "template of {kind}");
+        assert_eq!(
+            Template::of(&program),
+            expected_template,
+            "template of {kind}"
+        );
     }
-    assert!(reference_program(PolicyKind::Plru, 4).is_none());
 }
 
 #[test]
