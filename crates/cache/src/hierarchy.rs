@@ -117,11 +117,6 @@ impl Hierarchy {
         }
     }
 
-    /// Number of levels.
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
-    }
-
     /// Read-only access to a level.
     ///
     /// # Panics
@@ -138,11 +133,6 @@ impl Hierarchy {
     /// Panics if the hierarchy does not contain `level`.
     pub fn level_mut(&mut self, level: LevelId) -> &mut CacheLevel {
         &mut self.levels[level.index()]
-    }
-
-    /// Whether the hierarchy has the given level.
-    pub fn has_level(&self, level: LevelId) -> bool {
-        level.index() < self.levels.len()
     }
 
     /// Performs a load of `addr`, updating every consulted level, and returns

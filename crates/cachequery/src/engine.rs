@@ -463,23 +463,9 @@ impl<B: QueryBackend> QueryEngine<B> {
         &mut self.backend
     }
 
-    /// Consumes the engine and returns the backend.
-    pub fn into_backend(self) -> B {
-        self.backend
-    }
-
     /// The shared store behind this engine.
     pub fn store(&self) -> &Arc<QueryStore> {
         &self.store
-    }
-
-    /// The namespace handle of the backend's *current* configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BackendError`] if the backend is unconfigured.
-    pub fn current_space(&mut self) -> Result<StoreSpace, BackendError> {
-        self.refresh_space().map(|(_, space)| space.clone())
     }
 
     /// Enables or disables store consultation/recording for this engine

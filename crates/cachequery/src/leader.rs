@@ -60,15 +60,6 @@ impl LeaderReport {
             .collect()
     }
 
-    /// Sets classified as alternate (thrash-resistant) leaders.
-    pub fn thrash_resistant(&self) -> Vec<(usize, usize)> {
-        self.sets
-            .iter()
-            .filter(|s| s.class == LeaderClass::ThrashResistant)
-            .map(|s| (s.set, s.slice))
-            .collect()
-    }
-
     /// Sets classified as followers.
     pub fn adaptive(&self) -> Vec<(usize, usize)> {
         self.sets
@@ -76,14 +67,6 @@ impl LeaderReport {
             .filter(|s| s.class == LeaderClass::Adaptive)
             .map(|s| (s.set, s.slice))
             .collect()
-    }
-
-    /// The classification of `(set, slice)`, if it was a candidate.
-    pub fn class_of(&self, set: usize, slice: usize) -> Option<LeaderClass> {
-        self.sets
-            .iter()
-            .find(|s| s.set == set && s.slice == slice)
-            .map(|s| s.class)
     }
 }
 

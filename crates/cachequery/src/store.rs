@@ -49,14 +49,14 @@
 //! # Bounded memory
 //!
 //! A store configured with [`StoreOptions::max_entries`] evicts at
-//! *namespace granularity*: when the global entry count exceeds the cap, a
-//! pluggable [`EvictionPolicy`] — by default an LRU simulator from
-//! [`policies`], driven by namespace-touch events — names a victim namespace
-//! whose trie is cleared in place.  Existing [`StoreSpace`] handles stay
-//! valid and simply miss afterwards; the namespace refills on use.  Eviction
-//! is thereby self-referential in the CacheQuery sense: the replacement
-//! policies this system learns and simulates also decide what the system
-//! itself forgets.
+//! *namespace granularity*: every lookup or recording touches its namespace,
+//! and while the global entry count exceeds the cap, the store clears the
+//! least recently touched namespace that holds entries, other than the one
+//! being touched — that one only when no other namespace holds any.  A
+//! cleared trie is cleared in place: existing [`StoreSpace`] handles stay
+//! valid and simply miss afterwards, and the namespace refills on use.
+//! Whole namespaces go because a trie is prefix-closed: dropping single
+//! nodes would leave it claiming prefixes it no longer backs.
 //!
 //! One [`QueryStore`] instance sits behind every [`QueryEngine`]
 //! (crate::QueryEngine); engines that should share answers (the `cqd`
@@ -74,125 +74,21 @@ use std::time::{Duration, Instant};
 use cache::HitMiss;
 use learning::{QueryCache, TrieCursor};
 use mbl::{parse_rendered, render_query_into, MemOp, Query, Tag};
-use policies::{KeyedPolicy, PolicyError, PolicyKind, ReplacementPolicy};
 
 use crate::persist;
 
 /// One namespace's trie: symbols are whole memory operations (block + tag),
 /// outputs are the classification of the access (`None` for unprofiled and
 /// invalidating operations).
-type Space = QueryCache<MemOp, Option<HitMiss>>;
+type Trie = QueryCache<MemOp, Option<HitMiss>>;
 
-/// Chooses which namespace a bounded [`QueryStore`] forgets when it exceeds
-/// its entry cap.
-///
-/// The store drives the policy with namespace-*touch* events (every lookup
-/// or recording against a namespace touches it) and asks for a victim when
-/// over the cap.  [`PolicyEvictor`] adapts any registered replacement-policy
-/// simulator to this interface; custom strategies only need these four
-/// methods.
-pub trait EvictionPolicy: Send + std::fmt::Debug {
-    /// Records an access to `namespace` (insertion into tracking, or a
-    /// promotion if already tracked).
-    fn touch(&mut self, namespace: &str);
-
-    /// Names one tracked namespace to discard, removing it from tracking.
-    /// `None` when nothing is tracked.
-    fn victim(&mut self) -> Option<String>;
-
-    /// Drops `namespace` from tracking without an eviction (the store
-    /// cleared it for another reason).
-    fn forget(&mut self, namespace: &str);
-
-    /// Display name of the strategy (e.g. `LRU`).
-    fn name(&self) -> &'static str;
-}
-
-/// An [`EvictionPolicy`] backed by a replacement-policy simulator from
-/// [`policies`]: the namespaces currently tracked are the "lines" of one
-/// cache set, and the policy's victim selection decides which namespace the
-/// store forgets.
-///
-/// The tracking associativity bounds how many namespaces the policy can
-/// distinguish, not how many the store may hold — untracked namespaces are
-/// still evictable through the store's fallback scan.
+/// One namespace of the store: its trie, and when it was last touched.
 #[derive(Debug)]
-pub struct PolicyEvictor {
-    tracked: KeyedPolicy<String>,
-}
-
-/// Tracking associativity of [`PolicyEvictor::default`] (LRU@16): wider than
-/// any realistic concurrent-campaign namespace count, narrow enough that the
-/// linear way scan stays cheap.
-pub const DEFAULT_EVICTOR_WAYS: usize = 16;
-
-impl PolicyEvictor {
-    /// Wraps an explicit policy instance; tracking capacity is the policy's
-    /// associativity.
-    pub fn new(policy: Box<dyn ReplacementPolicy>) -> Self {
-        PolicyEvictor {
-            tracked: KeyedPolicy::new(policy),
-        }
-    }
-
-    /// Builds an evictor from a registered policy kind at `ways` tracking
-    /// associativity.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the kind does not support `ways` (e.g. PLRU at a
-    /// non-power-of-two).
-    pub fn of_kind(kind: PolicyKind, ways: usize) -> Result<Self, PolicyError> {
-        Ok(PolicyEvictor::new(kind.build(ways)?))
-    }
-
-    /// Parses an evictor spec of the form `POLICY` or `POLICY@WAYS` (e.g.
-    /// `lru`, `srrip-fp@8`) — the grammar of `cqd --store-evict`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message for unknown policies, malformed way
-    /// counts and unsupported associativities.
-    pub fn from_spec(spec: &str) -> Result<Self, String> {
-        let (name, ways) = match spec.split_once('@') {
-            None => (spec, DEFAULT_EVICTOR_WAYS),
-            Some((name, ways)) => (
-                name,
-                ways.parse::<usize>()
-                    .map_err(|_| format!("invalid way count in eviction spec '{spec}'"))?,
-            ),
-        };
-        let kind: PolicyKind = name.parse().map_err(|e| format!("{e}"))?;
-        PolicyEvictor::of_kind(kind, ways).map_err(|e| e.to_string())
-    }
-}
-
-impl Default for PolicyEvictor {
-    fn default() -> Self {
-        PolicyEvictor::of_kind(PolicyKind::Lru, DEFAULT_EVICTOR_WAYS)
-            .expect("LRU supports every associativity")
-    }
-}
-
-impl EvictionPolicy for PolicyEvictor {
-    fn touch(&mut self, namespace: &str) {
-        // A displaced key here only falls out of *tracking* (the policy can
-        // distinguish at most `ways` namespaces); the store's fallback scan
-        // keeps untracked namespaces evictable.
-        self.tracked.touch(namespace.to_string());
-    }
-
-    fn victim(&mut self) -> Option<String> {
-        self.tracked.evict()
-    }
-
-    fn forget(&mut self, namespace: &str) {
-        self.tracked.forget(&namespace.to_string());
-    }
-
-    fn name(&self) -> &'static str {
-        self.tracked.policy_name()
-    }
+struct Space {
+    trie: Trie,
+    /// The [`Bound::clock`] tick of the last lookup or recording; written
+    /// only by a capped store.
+    touched: AtomicU64,
 }
 
 /// Observer of a store's traffic, attached at construction via
@@ -200,7 +96,7 @@ impl EvictionPolicy for PolicyEvictor {
 ///
 /// The tap sees every lookup (with its hit/miss fate) and every successful
 /// recording — the event stream `storebench` captures from a live campaign
-/// and replays against capped stores to measure eviction-policy degradation.
+/// and replays against capped stores to measure how the hit rate degrades.
 /// A store without a tap pays one `Option` check per operation.
 pub trait StoreTap: Send + Sync + std::fmt::Debug {
     /// A lookup in `namespace`; `hit` is whether it was served from memory.
@@ -218,12 +114,10 @@ pub struct StoreOptions {
     /// Directory for the record log and snapshots; `None` keeps the store
     /// memory-only.
     pub dir: Option<PathBuf>,
-    /// Global entry (trie node) cap; `None` leaves the store unbounded.
+    /// Global entry (trie node) cap; `None` leaves the store unbounded.  A
+    /// capped store keeps under it by clearing whole namespaces, the least
+    /// recently touched first (see the module docs).
     pub max_entries: Option<u64>,
-    /// Eviction strategy for a bounded store; defaults to
-    /// [`PolicyEvictor::default`] (LRU@16).  Ignored when `max_entries` is
-    /// `None`.
-    pub evictor: Option<Box<dyn EvictionPolicy>>,
     /// Traffic observer (see [`StoreTap`]).
     pub tap: Option<Arc<dyn StoreTap>>,
 }
@@ -385,7 +279,7 @@ pub struct NamespaceUsage {
 #[derive(Debug, Clone)]
 pub struct StoreSpace {
     name: Arc<str>,
-    trie: Arc<Space>,
+    space: Arc<Space>,
     inner: Arc<StoreInner>,
 }
 
@@ -396,7 +290,7 @@ impl StoreSpace {
     /// Served answers are always consistent (inconsistent runs are never
     /// recorded).
     pub fn lookup(&self, query: &Query) -> Option<Vec<HitMiss>> {
-        self.served(query, self.trie.lookup(query))
+        self.served(query, self.space.trie.lookup(query))
     }
 
     /// [`lookup`](Self::lookup) resuming from `cursor`, whose last query
@@ -412,16 +306,16 @@ impl StoreSpace {
         lcp: usize,
         cursor: &mut TrieCursor,
     ) -> Option<Vec<HitMiss>> {
-        self.served(query, self.trie.lookup_resumed(query, lcp, cursor))
+        self.served(query, self.space.trie.lookup_resumed(query, lcp, cursor))
     }
 
-    /// Reports one lookup's fate to the tap and the evictor, and flattens
-    /// the trie outputs of a hit into profiled outcomes.
+    /// Reports one lookup's fate to the tap, touches the namespace, and
+    /// flattens the trie outputs of a hit into profiled outcomes.
     fn served(&self, query: &Query, outputs: Option<Vec<Option<HitMiss>>>) -> Option<Vec<HitMiss>> {
         if let Some(tap) = &self.inner.tap {
             tap.on_lookup(&self.name, query, outputs.is_some());
         }
-        self.inner.note_touch(&self.name);
+        self.inner.note_touch(&self.space);
         Some(outputs?.into_iter().flatten().collect())
     }
 
@@ -465,7 +359,7 @@ impl StoreSpace {
         query: &Query,
         outcomes: &[HitMiss],
         consistent: bool,
-        insert: impl FnOnce(&Space, &[Option<HitMiss>]) -> Result<usize, learning::OracleError>,
+        insert: impl FnOnce(&Trie, &[Option<HitMiss>]) -> Result<usize, learning::OracleError>,
     ) -> bool {
         if !consistent {
             return false;
@@ -477,7 +371,7 @@ impl StoreSpace {
             self.inner.conflicts.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        self.settle(query, outcomes, insert(&self.trie, &outputs))
+        self.settle(query, outcomes, insert(&self.space.trie, &outputs))
     }
 
     /// [`record_resumed`](Self::record_resumed) of a consistent answer whose
@@ -491,7 +385,7 @@ impl StoreSpace {
         lcp: usize,
         cursor: &mut TrieCursor,
     ) -> bool {
-        let inserted = self.trie.record_resumed(query, outputs, lcp, cursor);
+        let inserted = self.space.trie.record_resumed(query, outputs, lcp, cursor);
         self.settle(query, outcomes, inserted)
     }
 
@@ -517,7 +411,7 @@ impl StoreSpace {
                 if let Some(tap) = &self.inner.tap {
                     tap.on_record(&self.name, query, outcomes);
                 }
-                self.inner.note_touch(&self.name);
+                self.inner.note_touch(&self.space);
                 true
             }
             Err(_) => {
@@ -529,29 +423,29 @@ impl StoreSpace {
 
     /// Lookups served from memory in this namespace.
     pub fn hits(&self) -> u64 {
-        self.trie.hits()
+        self.space.trie.hits()
     }
 
     /// Lookups that missed in this namespace.
     pub fn misses(&self) -> u64 {
-        self.trie.misses()
+        self.space.trie.misses()
     }
 
     /// One consistent `(hits, misses)` snapshot of this namespace (see
     /// [`learning::QueryCache::counts`]).
     pub fn counts(&self) -> (u64, u64) {
-        self.trie.counts()
+        self.space.trie.counts()
     }
 
     /// Distinct cached access prefixes (trie nodes) in this namespace.
     pub fn entries(&self) -> u64 {
-        self.trie.entries()
+        self.space.trie.entries()
     }
 
     /// Estimated heap footprint of this namespace's trie, in bytes (see
     /// [`learning::QueryCache::approx_bytes`]).
     pub fn approx_bytes(&self) -> u64 {
-        self.trie.approx_bytes()
+        self.space.trie.approx_bytes()
     }
 
     /// Fraction of this namespace's lookups served from memory, computed
@@ -735,11 +629,15 @@ impl Drop for Persist {
     }
 }
 
-/// The entry cap and its eviction strategy.
+/// The entry cap, and the clock that orders namespace touches.
 #[derive(Debug)]
 struct Bound {
     max_entries: u64,
-    evictor: Mutex<Box<dyn EvictionPolicy>>,
+    /// Ticks once per touch.
+    clock: AtomicU64,
+    /// Held while clearing namespaces: touches that find the store over the
+    /// cap at once clear victims one at a time, each after re-checking it.
+    evicting: Mutex<()>,
 }
 
 /// Shared state behind a [`QueryStore`] and all its [`StoreSpace`] handles.
@@ -786,7 +684,7 @@ impl StoreInner {
         {
             let spaces = self.spaces.read().unwrap_or_else(PoisonError::into_inner);
             for (namespace, space) in spaces.iter() {
-                space.for_each_maximal(|query, outputs| {
+                space.trie.for_each_maximal(|query, outputs| {
                     let start = lines.len();
                     push_line(&mut lines, namespace, outputs.iter().flatten(), query);
                     spans.push(start..lines.len());
@@ -849,73 +747,43 @@ impl StoreInner {
         }
     }
 
-    /// Touches `namespace` on the eviction policy and enforces the entry cap
-    /// (no-op for unbounded stores).
-    fn note_touch(&self, namespace: &str) {
+    /// In a capped store, stamps `current` with the next clock tick and,
+    /// while the store is over its cap, clears namespaces: the least
+    /// recently touched one that holds entries, other than `current`;
+    /// `current` itself when no other holds any (the cap is smaller than
+    /// its working set).  No-op for an unbounded store.
+    fn note_touch(&self, current: &Space) {
         let Some(bound) = &self.bound else {
             return;
         };
-        let mut evictor = bound.evictor.lock().unwrap_or_else(PoisonError::into_inner);
-        evictor.touch(namespace);
+        let tick = bound.clock.fetch_add(1, Ordering::Relaxed) + 1;
+        current.touched.store(tick, Ordering::Relaxed);
+        if self.total_entries.load(Ordering::Relaxed) <= bound.max_entries {
+            return;
+        }
+        let _evicting = bound
+            .evicting
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         while self.total_entries.load(Ordering::Relaxed) > bound.max_entries {
-            if !self.evict_one(namespace, evictor.as_mut()) {
+            let victim = self
+                .spaces
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .values()
+                .filter(|space| !std::ptr::eq(&***space, current) && space.trie.entries() > 0)
+                .min_by_key(|space| space.touched.load(Ordering::Relaxed))
+                .cloned();
+            if !self.clear(victim.as_deref().unwrap_or(current)) {
                 break;
             }
         }
     }
 
-    /// Clears one victim namespace; returns whether any entries were freed.
-    ///
-    /// The policy's candidates are tried first (each rejected candidate has
-    /// already been dropped from tracking, so the loop terminates); when the
-    /// policy runs dry the store falls back to any other resident namespace,
-    /// and as a last resort clears `current` itself (the cap is smaller than
-    /// one campaign's working set).
-    fn evict_one(&self, current: &str, evictor: &mut dyn EvictionPolicy) -> bool {
-        let mut popped_current = false;
-        loop {
-            match evictor.victim() {
-                Some(name) if name == current => popped_current = true,
-                Some(name) => {
-                    if self.clear_namespace(&name) {
-                        if popped_current {
-                            evictor.touch(current);
-                        }
-                        return true;
-                    }
-                }
-                None => break,
-            }
-        }
-        let fallback = {
-            let spaces = self.spaces.read().unwrap_or_else(PoisonError::into_inner);
-            spaces
-                .iter()
-                .find(|(name, space)| name.as_str() != current && space.entries() > 0)
-                .map(|(name, _)| name.clone())
-        };
-        if let Some(name) = fallback {
-            if popped_current {
-                evictor.touch(current);
-            }
-            if self.clear_namespace(&name) {
-                return true;
-            }
-        }
-        self.clear_namespace(current)
-    }
-
-    /// Clears `namespace`'s trie in place (handles stay valid; subsequent
+    /// Clears `space`'s trie in place (handles stay valid; subsequent
     /// lookups miss).  Returns whether anything was dropped.
-    fn clear_namespace(&self, namespace: &str) -> bool {
-        let space = {
-            let spaces = self.spaces.read().unwrap_or_else(PoisonError::into_inner);
-            spaces.get(namespace).cloned()
-        };
-        let Some(space) = space else {
-            return false;
-        };
-        let dropped = space.clear();
+    fn clear(&self, space: &Space) -> bool {
+        let dropped = space.trie.clear();
         if dropped == 0 {
             return false;
         }
@@ -929,8 +797,7 @@ impl StoreInner {
 /// the single caching layer every query path of this reproduction goes
 /// through.  [`QueryStore::new`] is memory-only and unbounded;
 /// [`QueryStore::open`] adds the durable record log, and
-/// [`QueryStore::with_options`] additionally bounds memory with
-/// policy-driven eviction.
+/// [`QueryStore::with_options`] can also cap its entries.
 ///
 /// # Example
 ///
@@ -1013,12 +880,12 @@ impl QueryStore {
         let StoreOptions {
             dir,
             max_entries,
-            evictor,
             tap,
         } = options;
         let bound = max_entries.map(|max_entries| Bound {
             max_entries,
-            evictor: Mutex::new(evictor.unwrap_or_else(|| Box::<PolicyEvictor>::default())),
+            clock: AtomicU64::new(0),
+            evicting: Mutex::new(()),
         });
         let inner = Arc::new(StoreInner {
             bound,
@@ -1122,7 +989,7 @@ impl QueryStore {
         {
             return StoreSpace {
                 name: Arc::from(namespace),
-                trie: Arc::clone(space),
+                space: Arc::clone(space),
                 inner: Arc::clone(&self.inner),
             };
         }
@@ -1131,15 +998,16 @@ impl QueryStore {
             .spaces
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        let trie = Arc::clone(
-            spaces
-                .entry(namespace.to_string())
-                .or_insert_with(|| Arc::new(QueryCache::new())),
-        );
+        let space = Arc::clone(spaces.entry(namespace.to_string()).or_insert_with(|| {
+            Arc::new(Space {
+                trie: QueryCache::new(),
+                touched: AtomicU64::new(0),
+            })
+        }));
         drop(spaces);
         StoreSpace {
             name: Arc::from(namespace),
-            trie,
+            space,
             inner: Arc::clone(&self.inner),
         }
     }
@@ -1164,12 +1032,12 @@ impl QueryStore {
 
     /// Lookups served from memory, across all namespaces.
     pub fn hits(&self) -> u64 {
-        self.fold(|s| s.hits())
+        self.fold(Trie::hits)
     }
 
     /// Lookups that missed, across all namespaces.
     pub fn misses(&self) -> u64 {
-        self.fold(|s| s.misses())
+        self.fold(Trie::misses)
     }
 
     /// One `(hits, misses)` snapshot across all namespaces, each namespace
@@ -1183,14 +1051,14 @@ impl QueryStore {
             .read()
             .unwrap_or_else(PoisonError::into_inner);
         spaces.values().fold((0, 0), |(hits, misses), space| {
-            let (h, m) = space.counts();
+            let (h, m) = space.trie.counts();
             (hits + h, misses + m)
         })
     }
 
     /// Distinct cached access prefixes (trie nodes), across all namespaces.
     pub fn entries(&self) -> u64 {
-        self.fold(|s| s.entries())
+        self.fold(Trie::entries)
     }
 
     /// Namespaces cleared by the entry cap since the store opened.
@@ -1278,11 +1146,11 @@ impl QueryStore {
             .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(name, space)| {
-                let (hits, misses) = space.counts();
+                let (hits, misses) = space.trie.counts();
                 NamespaceUsage {
                     name: name.clone(),
-                    entries: space.entries(),
-                    bytes: space.approx_bytes(),
+                    entries: space.trie.entries(),
+                    bytes: space.trie.approx_bytes(),
                     hits,
                     misses,
                 }
@@ -1295,7 +1163,7 @@ impl QueryStore {
     /// Estimated heap footprint of the whole store, in bytes (sum over
     /// namespaces).
     pub fn approx_bytes(&self) -> u64 {
-        self.fold(|s| s.approx_bytes())
+        self.fold(Trie::approx_bytes)
     }
 
     /// Fraction of lookups served from memory, computed from one
@@ -1336,13 +1204,13 @@ impl QueryStore {
         importer.report
     }
 
-    fn fold(&self, per_space: impl Fn(&Space) -> u64) -> u64 {
+    fn fold(&self, per_trie: impl Fn(&Trie) -> u64) -> u64 {
         self.inner
             .spaces
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .values()
-            .map(|s| per_space(s))
+            .map(|space| per_trie(&space.trie))
             .sum()
     }
 }
@@ -2010,6 +1878,25 @@ mod tests {
     }
 
     #[test]
+    fn the_first_touched_of_seventeen_namespaces_is_the_one_cleared() {
+        let store = QueryStore::with_options(StoreOptions {
+            max_entries: Some(16),
+            ..StoreOptions::default()
+        })
+        .unwrap();
+        let namespaces: Vec<String> = (0..17).map(|set| format!("L1 set={set}")).collect();
+        for namespace in &namespaces {
+            store.record(namespace, &concrete("A?"), &[HitMiss::Miss], true);
+        }
+        assert_eq!((store.evictions(), store.entries()), (1, 16));
+        let cleared: Vec<&String> = namespaces
+            .iter()
+            .filter(|namespace| store.lookup(namespace, &concrete("A?")).is_none())
+            .collect();
+        assert_eq!(cleared, [&namespaces[0]]);
+    }
+
+    #[test]
     fn a_cap_wider_than_the_store_never_evicts() {
         let store = QueryStore::with_options(StoreOptions {
             max_entries: Some(1_000),
@@ -2142,21 +2029,6 @@ mod tests {
         // The long record was left to the snapshot `flush` took.
         assert_eq!((stats.appended, stats.dropped, stats.snapshots), (1, 1, 1));
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn evictor_specs_parse_policies_and_ways() {
-        assert_eq!(PolicyEvictor::from_spec("lru").unwrap().name(), "LRU");
-        assert_eq!(
-            PolicyEvictor::from_spec("srrip-fp@8").unwrap().name(),
-            "SRRIP-FP"
-        );
-        assert!(PolicyEvictor::from_spec("clairvoyant").is_err());
-        assert!(PolicyEvictor::from_spec("lru@zero").is_err());
-        assert!(
-            PolicyEvictor::from_spec("plru@3").is_err(),
-            "non-power-of-two"
-        );
     }
 
     #[derive(Debug, Default)]

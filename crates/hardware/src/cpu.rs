@@ -166,16 +166,6 @@ impl SimulatedCpu {
         };
     }
 
-    /// Whether the machine is currently quiesced.
-    pub fn is_quiesced(&self) -> bool {
-        self.quiesced
-    }
-
-    /// Overrides the timing model (useful in tests).
-    pub fn set_timing(&mut self, timing: TimingModel) {
-        self.timing = timing;
-    }
-
     /// Reserves a fresh virtual memory pool of `bytes` bytes and returns its
     /// base address.  Pages are mapped to physical frames on first access.
     pub fn allocate_pool(&mut self, bytes: u64) -> VirtAddr {

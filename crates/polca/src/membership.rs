@@ -43,11 +43,6 @@ impl<C: CacheOracle> PolcaOracle<C> {
     pub fn cache(&self) -> &C {
         &self.cache
     }
-
-    /// Consumes the oracle and returns the wrapped cache oracle.
-    pub fn into_cache(self) -> C {
-        self.cache
-    }
 }
 
 /// `findEvicted` (Algorithm 1): speculatively probes every tracked block and

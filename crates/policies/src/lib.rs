@@ -43,7 +43,6 @@
 
 mod alphabet;
 mod ast;
-mod eviction;
 mod exec;
 mod fifo;
 mod lip;
@@ -61,7 +60,6 @@ pub use ast::{
     AgeExpr, EvictRule, Guard, InsertRule, NormalizeOp, NormalizeRule, PolicyProgram, PromoteRule,
     RuleCase,
 };
-pub use eviction::KeyedPolicy;
 pub use exec::ProgramPolicy;
 pub use mealy_view::{policy_alphabet, policy_to_mealy, PolicyMealy};
 pub use packed::{PackedPolicy, PACKED_MAX_ASSOC};

@@ -35,9 +35,9 @@ use std::time::{Duration, Instant};
 
 use cache::{HitMiss, LevelId};
 use cachequery::{
-    encode_pattern, parse_command, Backend, Command, NoiseSpec, PolicyEvictor, QueryBackend,
-    QueryConfig, QueryEngine, QueryOutcome, QueryStore, ResetSequence, StoreOptions, StoreSpace,
-    Target, DEFAULT_NOISY_REPS, HELP_TEXT,
+    encode_pattern, parse_command, Backend, Command, NoiseSpec, QueryBackend, QueryConfig,
+    QueryEngine, QueryOutcome, QueryStore, ResetSequence, StoreOptions, StoreSpace, Target,
+    DEFAULT_NOISY_REPS, HELP_TEXT,
 };
 use hardware::{CpuModel, SimulatedCpu};
 use mbl::{expand_query, render_query, Query};
@@ -74,12 +74,9 @@ pub struct CqdConfig {
     /// replayed on the next start — so a restarted daemon serves yesterday's
     /// campaign from memory instead of re-executing it.
     pub store_dir: Option<PathBuf>,
-    /// When set, the shared store holds at most this many entries, evicting
-    /// whole namespaces chosen by [`CqdConfig::store_evict`].
+    /// When set, the shared store holds at most this many entries, clearing
+    /// whole namespaces, the least recently touched first.
     pub store_max_entries: Option<u64>,
-    /// Eviction policy spec for a bounded store (`POLICY` or `POLICY@WAYS`,
-    /// e.g. `lru`, `srrip-fp@8`); defaults to `lru@16`.
-    pub store_evict: Option<String>,
 }
 
 impl Default for CqdConfig {
@@ -90,7 +87,6 @@ impl Default for CqdConfig {
             trace_log: None,
             store_dir: None,
             store_max_entries: None,
-            store_evict: None,
         }
     }
 }
@@ -791,8 +787,8 @@ impl Drop for CqdHandle {
 /// # Errors
 ///
 /// Propagates the bind error if the configured address is unavailable, an
-/// I/O error from opening/replaying the durable store, an invalid
-/// `store_evict` spec, and the error of spawning the accept thread.
+/// I/O error from opening/replaying the durable store, and the error of
+/// spawning the accept thread.
 pub fn spawn(config: CqdConfig) -> std::io::Result<CqdHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
@@ -806,19 +802,13 @@ pub fn spawn(config: CqdConfig) -> std::io::Result<CqdHandle> {
             Some(Arc::new(Recorder::new(sink)))
         }
     };
-    let mut store_options = StoreOptions {
-        dir: config.store_dir.clone(),
-        max_entries: config.store_max_entries,
-        ..StoreOptions::default()
-    };
-    if let Some(spec) = &config.store_evict {
-        let evictor = PolicyEvictor::from_spec(spec)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        store_options.evictor = Some(Box::new(evictor));
-    }
     let shared = Arc::new(Shared {
         config: config.clone(),
-        store: Arc::new(QueryStore::with_options(store_options)?),
+        store: Arc::new(QueryStore::with_options(StoreOptions {
+            dir: config.store_dir.clone(),
+            max_entries: config.store_max_entries,
+            ..StoreOptions::default()
+        })?),
         metrics: ServerMetrics::default(),
         recorder,
         started: Instant::now(),
