@@ -1,10 +1,10 @@
 //! Reachability construction: turn a deterministic step function into a
 //! [`Mealy`] machine by breadth-first exploration.
 //!
-//! This is how ground-truth automata are obtained from executable replacement
-//! policies (used for the state counts of Table 2) and how synthesized
-//! explanation programs are converted back into automata for the equivalence
-//! check of §5.
+//! It builds the small machines of this crate's tests and examples.  The
+//! policy automata — the Table 2 ground truth and the machines of the §5
+//! synthesized programs — come from `policies::policy_to_mealy`, which runs
+//! the same breadth-first walk over a policy's state keys.
 
 use std::collections::HashMap;
 use std::fmt;

@@ -26,17 +26,9 @@ use polca::{map_cache, GroupOutcome, MapConfig, SetVerdict};
 use policies::{policy_to_mealy, PolicyKind};
 use server::Json;
 
-fn parse_cpu(name: Option<&str>) -> CpuModel {
-    match name.map(str::to_ascii_lowercase).as_deref() {
-        Some("haswell") => CpuModel::HaswellI7_4790,
-        Some("kabylake") | Some("kaby-lake") => CpuModel::KabyLakeI7_8550U,
-        _ => CpuModel::SkylakeI5_6500,
-    }
-}
-
 fn main() -> ExitCode {
     let args = Args::from_env();
-    let model = parse_cpu(args.value_of("cpu"));
+    let model = args.value_or("cpu", CpuModel::SkylakeI5_6500);
     let sample = args.value_or("sets", 48usize);
     let slice = args.value_or("slice", 0usize);
     // Default to CAT 2: the planted New2 policy at 2 ways is a 7-state

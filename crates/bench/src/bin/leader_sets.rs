@@ -1,31 +1,25 @@
 //! Appendix B: detecting leader sets of the adaptive last-level cache with
 //! thrashing queries.
 //!
-//! The harness samples cache sets of the simulated Skylake (or Kaby Lake /
-//! Haswell) L3, runs the two-phase thrashing experiment of Appendix B, and
-//! compares the sets it classifies as fixed thrash-vulnerable leaders against
-//! the selection formula the simulation implements (which is the formula the
-//! paper reports: `((set & 0x3e0) >> 5) ^ (set & 0x1f) == 0 && set & 0x2 == 0`).
+//! The harness samples cache sets of slice 0 of the simulated Skylake (or
+//! Kaby Lake / Haswell) L3, runs the two-phase thrashing experiment of
+//! Appendix B, and compares the sets it classifies as fixed
+//! thrash-vulnerable leaders against the roles the simulated machine
+//! planted.  On Skylake and Kaby Lake those follow the selection formula the
+//! paper reports (`((set & 0x3e0) >> 5) ^ (set & 0x1f) == 0 && set & 0x2 ==
+//! 0`); on Haswell the leaders are sets 512–575 of slice 0.
 //!
 //! Usage:
 //!   leader_sets [--cpu skylake|kabylake|haswell] [--sets N] [--cat WAYS] [--seed N]
 
 use bench::{Args, TextTable};
-use cache::{skylake_like_roles, DuelingRole, LevelId};
+use cache::{DuelingRole, LevelId};
 use cachequery::{detect_leader_sets, CacheQuery, LeaderClass};
 use hardware::{CpuModel, SimulatedCpu};
 
-fn parse_cpu(name: Option<&str>) -> CpuModel {
-    match name.map(str::to_ascii_lowercase).as_deref() {
-        Some("haswell") => CpuModel::HaswellI7_4790,
-        Some("kabylake") | Some("kaby-lake") => CpuModel::KabyLakeI7_8550U,
-        _ => CpuModel::SkylakeI5_6500,
-    }
-}
-
 fn main() {
     let args = Args::from_env();
-    let model = parse_cpu(args.value_of("cpu"));
+    let model = args.value_or("cpu", CpuModel::SkylakeI5_6500);
     let sample = args.value_or("sets", 48usize);
     let cat = args.value_or("cat", 4usize);
     let seed = args.value_or("seed", 99u64);
@@ -43,19 +37,20 @@ fn main() {
     }
 
     // Sample the first `sample` set indices of slice 0, which contains the
-    // first few leader sets of the published selection formula (0, 33, ...).
+    // first few Skylake leader sets of the published selection formula (0,
+    // 33, ...).
     let candidates: Vec<(usize, usize)> = (0..sample).map(|set| (set, 0)).collect();
     let report =
         detect_leader_sets(&mut tool, LevelId::L3, &candidates, 2).expect("detection runs");
 
+    // Ground truth straight from the simulated machine's dueling controller.
+    let truth_cpu = SimulatedCpu::new(model, seed);
     let sets_per_slice = model
         .spec()
         .level(LevelId::L3)
-        .unwrap()
+        .expect("the models have an L3")
         .geometry
         .sets_per_slice;
-    let slices = model.spec().level(LevelId::L3).unwrap().geometry.slices;
-    let expected_roles = skylake_like_roles(sets_per_slice, slices);
 
     let mut table = TextTable::new(&[
         "Set",
@@ -67,7 +62,7 @@ fn main() {
     let mut correct_leaders = 0usize;
     let mut reported_leaders = 0usize;
     for info in &report.sets {
-        let truth = match expected_roles[info.slice * sets_per_slice + info.set] {
+        let truth = match truth_cpu.l3_role(info.slice * sets_per_slice + info.set) {
             DuelingRole::LeaderPrimary => "leader (thrash-vulnerable)",
             DuelingRole::LeaderAlternate => "leader (thrash-resistant)",
             DuelingRole::Follower => "follower",
@@ -94,14 +89,14 @@ fn main() {
     println!("{}", table.render());
 
     println!(
-        "thrash-vulnerable leaders reported: {reported_leaders}, of which {correct_leaders} match the \
-         selection formula"
+        "thrash-vulnerable leaders reported: {reported_leaders}, of which {correct_leaders} are \
+         planted leaders"
     );
-    let formula_leaders: Vec<usize> = (0..sample)
-        .filter(|&set| expected_roles[set] == DuelingRole::LeaderPrimary)
+    let planted_leaders: Vec<usize> = (0..sample)
+        .filter(|&set| truth_cpu.l3_role(set) == DuelingRole::LeaderPrimary)
         .collect();
     println!(
-        "selection formula predicts leaders at sets {formula_leaders:?} within the sampled range"
+        "the simulated machine plants leaders at sets {planted_leaders:?} within the sampled range"
     );
     println!();
     println!("Paper reference (Appendix B / Table 4): leader sets 0, 33, 132, 165, 264, 297, 396,");

@@ -15,12 +15,6 @@
 use std::sync::atomic::{AtomicI32, Ordering};
 use std::sync::Arc;
 
-use policies::ReplacementPolicy;
-
-use crate::address::PhysAddr;
-use crate::geometry::CacheGeometry;
-use crate::set::{AccessResult, Block};
-
 /// Role of a cache set in the set-dueling scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DuelingRole {
@@ -146,136 +140,6 @@ impl SetDueling {
     pub fn force_psel(&self, value: i32) {
         self.psel
             .store(value.clamp(-self.max_abs, self.max_abs), Ordering::Relaxed);
-    }
-}
-
-/// One set of a [`DuelingCache`]: stored blocks plus *both* candidate
-/// policies, kept in lockstep so the set can switch allegiance at any miss.
-struct DuelingSet {
-    lines: Vec<Option<Block>>,
-    primary: Box<dyn ReplacementPolicy>,
-    alternate: Box<dyn ReplacementPolicy>,
-}
-
-/// An executable set-dueling cache: every set stores real blocks and keeps
-/// *two* replacement policies in lockstep, while the shared PSEL counter
-/// decides which of the two picks victims in follower sets.
-///
-/// This is the runnable counterpart of the [`SetDueling`] bookkeeping: leader
-/// sets always evict with their fixed policy, follower sets consult
-/// [`SetDueling::followers_use_alternate`] at each miss — so a follower whose
-/// winning policy never flips is behaviourally identical to a plain
-/// [`crate::CacheSet`] running that policy.  Both policies observe every hit
-/// and every insertion (the losing policy is told about the winner's victim
-/// line), which is what lets a set change allegiance mid-stream without
-/// resetting.
-pub struct DuelingCache {
-    geometry: CacheGeometry,
-    dueling: SetDueling,
-    sets: Vec<DuelingSet>,
-}
-
-impl DuelingCache {
-    /// Creates a dueling cache over `geometry` with the given per-set roles.
-    ///
-    /// `make_primary` and `make_alternate` are called once per flat set index
-    /// to build the two competing policies.  All sets start empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `roles` does not have exactly one role per set of the
-    /// geometry, or if either factory returns a policy whose associativity
-    /// disagrees with the geometry.
-    pub fn new(
-        geometry: CacheGeometry,
-        roles: Vec<DuelingRole>,
-        mut make_primary: impl FnMut(usize) -> Box<dyn ReplacementPolicy>,
-        mut make_alternate: impl FnMut(usize) -> Box<dyn ReplacementPolicy>,
-    ) -> Self {
-        assert_eq!(
-            roles.len(),
-            geometry.total_sets(),
-            "one role per set is required"
-        );
-        let sets = (0..geometry.total_sets())
-            .map(|flat| {
-                let primary = make_primary(flat);
-                let alternate = make_alternate(flat);
-                assert_eq!(
-                    primary.associativity(),
-                    geometry.associativity,
-                    "primary policy associativity must match the geometry"
-                );
-                assert_eq!(
-                    alternate.associativity(),
-                    geometry.associativity,
-                    "alternate policy associativity must match the geometry"
-                );
-                DuelingSet {
-                    lines: vec![None; geometry.associativity],
-                    primary,
-                    alternate,
-                }
-            })
-            .collect();
-        DuelingCache {
-            geometry,
-            dueling: SetDueling::new(SetDuelingConfig {
-                roles,
-                psel_bits: 10,
-            }),
-            sets,
-        }
-    }
-
-    /// The geometry accesses are mapped through.
-    pub fn geometry(&self) -> CacheGeometry {
-        self.geometry
-    }
-
-    /// The PSEL/role bookkeeping (shared counter, leader indices).
-    pub fn dueling(&self) -> &SetDueling {
-        &self.dueling
-    }
-
-    /// Accesses `addr`, updating both policies of its set and — on a leader
-    /// miss — the PSEL counter.
-    pub fn access(&mut self, addr: PhysAddr) -> AccessResult {
-        let flat = self.geometry.flat_index(addr);
-        let role = self.dueling.role(flat);
-        let block = Block::new(addr.line_base(self.geometry.line_size).0);
-        let set = &mut self.sets[flat];
-        if let Some(line) = set.lines.iter().position(|&b| b == Some(block)) {
-            set.primary.on_hit(line);
-            set.alternate.on_hit(line);
-            return AccessResult::Hit { line };
-        }
-        self.dueling.record_miss(role);
-        if let Some(line) = set.lines.iter().position(|b| b.is_none()) {
-            set.lines[line] = Some(block);
-            set.primary.on_insert(line);
-            set.alternate.on_insert(line);
-            return AccessResult::Miss {
-                line,
-                evicted: None,
-            };
-        }
-        let use_alternate = match role {
-            DuelingRole::LeaderPrimary => false,
-            DuelingRole::LeaderAlternate => true,
-            DuelingRole::Follower => self.dueling.followers_use_alternate(),
-        };
-        let line = if use_alternate {
-            let line = set.alternate.on_miss();
-            set.primary.on_insert(line);
-            line
-        } else {
-            let line = set.primary.on_miss();
-            set.alternate.on_insert(line);
-            line
-        };
-        let evicted = set.lines[line].replace(block);
-        AccessResult::Miss { line, evicted }
     }
 }
 
@@ -411,110 +275,5 @@ mod tests {
             roles: vec![DuelingRole::Follower],
             psel_bits: 0,
         });
-    }
-
-    use crate::{CacheSet, PhysAddr};
-    use policies::PolicyKind;
-
-    /// 2 ways x 4 sets x 64 B lines; `addr(set, tag)` builds an address of
-    /// the given set.
-    fn small_geometry() -> CacheGeometry {
-        CacheGeometry::new(2, 4, 1, 64)
-    }
-
-    fn addr(set: u64, tag: u64) -> PhysAddr {
-        PhysAddr((tag << 8) | (set << 6))
-    }
-
-    fn dueling_cache(roles: Vec<DuelingRole>) -> DuelingCache {
-        DuelingCache::new(
-            small_geometry(),
-            roles,
-            |_| PolicyKind::Lru.build(2).unwrap(),
-            |_| PolicyKind::Lip.build(2).unwrap(),
-        )
-    }
-
-    #[test]
-    fn leader_misses_tip_psel_and_flip_followers() {
-        let mut cache = dueling_cache(vec![
-            DuelingRole::LeaderPrimary,
-            DuelingRole::LeaderAlternate,
-            DuelingRole::Follower,
-            DuelingRole::Follower,
-        ]);
-        assert!(!cache.dueling().followers_use_alternate());
-        // Thrash the primary leader (set 0) with 3 congruent lines: every
-        // access past the fills misses under LRU and bumps PSEL.
-        for i in 0..30u64 {
-            cache.access(addr(0, i % 3));
-        }
-        assert!(cache.dueling().psel() > 0);
-        assert!(cache.dueling().followers_use_alternate());
-    }
-
-    #[test]
-    fn a_stable_follower_is_exactly_the_winning_policy() {
-        let mut cache = dueling_cache(vec![
-            DuelingRole::LeaderPrimary,
-            DuelingRole::LeaderAlternate,
-            DuelingRole::Follower,
-            DuelingRole::Follower,
-        ]);
-        // Tip PSEL towards the alternate policy (LIP) by thrashing the
-        // primary leader, then leave the leaders alone.
-        for i in 0..40u64 {
-            cache.access(addr(0, i % 3));
-        }
-        assert!(cache.dueling().followers_use_alternate());
-        // Follower misses never move PSEL, so the winner stays LIP for the
-        // whole follower stream: set 2 must now be indistinguishable from a
-        // standalone LIP set fed the same blocks.
-        let mut reference = CacheSet::new(PolicyKind::Lip.build(2).unwrap());
-        for i in [0u64, 1, 2, 0, 3, 1, 1, 4, 2, 0, 5, 3, 2, 2, 1, 0] {
-            let got = cache.access(addr(2, i));
-            let want = reference.access(Block::new(addr(2, i).line_base(64).0));
-            assert_eq!(got.outcome(), want.outcome(), "tag {i}");
-            assert_eq!(got.line(), want.line(), "tag {i}");
-        }
-        assert!(cache.dueling().followers_use_alternate(), "PSEL moved");
-    }
-
-    #[test]
-    fn leaders_ignore_psel() {
-        let mut cache = dueling_cache(vec![
-            DuelingRole::LeaderPrimary,
-            DuelingRole::LeaderAlternate,
-            DuelingRole::Follower,
-            DuelingRole::Follower,
-        ]);
-        // Even with PSEL saturated towards the alternate policy, the primary
-        // leader keeps evicting with LRU: an A B C A B C … scan over a 2-way
-        // set has zero hits under LRU, while LIP (insert-at-LRU) retains the
-        // first-installed block and would hit.
-        for i in 0..60u64 {
-            cache.access(addr(0, i % 3));
-        }
-        let mut hits = 0;
-        for i in 60..120u64 {
-            if cache.access(addr(0, i % 3)).outcome() == crate::HitMiss::Hit {
-                hits += 1;
-            }
-        }
-        assert_eq!(hits, 0, "a primary leader must keep thrashing under LRU");
-        // The alternate leader under the same stream does hit (LIP keeps A).
-        let mut hits = 0;
-        for i in 0..60u64 {
-            if cache.access(addr(1, i % 3)).outcome() == crate::HitMiss::Hit {
-                hits += 1;
-            }
-        }
-        assert!(hits > 0, "an alternate leader must benefit from LIP");
-    }
-
-    #[test]
-    #[should_panic(expected = "one role per set")]
-    fn dueling_cache_rejects_mismatched_roles() {
-        dueling_cache(vec![DuelingRole::Follower]);
     }
 }

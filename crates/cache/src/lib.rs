@@ -46,7 +46,7 @@ mod set;
 
 pub use address::{slice_hash, PhysAddr, SetIndex, SliceIndex};
 pub use dueling::{
-    haswell_like_roles, skylake_like_roles, DuelingCache, DuelingRole, SetDueling, SetDuelingConfig,
+    haswell_like_roles, skylake_like_roles, DuelingRole, SetDueling, SetDuelingConfig,
 };
 pub use geometry::CacheGeometry;
 pub use hierarchy::{AccessOutcome, Hierarchy, HierarchyConfig, LevelId};

@@ -48,6 +48,6 @@ mod timing;
 
 pub use adaptive::AdaptiveRrip;
 pub use cpu::{CatError, SimulatedCpu, VirtAddr};
-pub use models::{CpuModel, CpuSpec, LevelPolicy, LevelSpec};
+pub use models::{CpuModel, CpuSpec, LevelPolicy, LevelSpec, UnknownCpu};
 pub use pagetable::PageTable;
 pub use timing::{NoiseConfig, TimingModel};

@@ -1,6 +1,7 @@
 //! The three CPU models evaluated in the paper (Table 3 / Table 4).
 
 use std::fmt;
+use std::str::FromStr;
 
 use cache::{haswell_like_roles, skylake_like_roles, CacheGeometry, DuelingRole, LevelId};
 use policies::PolicyKind;
@@ -64,6 +65,36 @@ pub enum CpuModel {
 impl fmt::Display for CpuModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.spec().name)
+    }
+}
+
+/// A name that is none of the modelled CPUs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownCpu(pub String);
+
+impl fmt::Display for UnknownCpu {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "unknown CPU model '{}' (haswell|skylake|kabylake)",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for UnknownCpu {}
+
+/// Parses a [`CpuModel::short_name`], ignoring case and hyphens (so
+/// `kaby-lake` names the Kaby Lake too).
+impl FromStr for CpuModel {
+    type Err = UnknownCpu;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let name = s.to_ascii_lowercase().replace('-', "");
+        CpuModel::ALL
+            .into_iter()
+            .find(|model| model.short_name() == name)
+            .ok_or_else(|| UnknownCpu(s.to_string()))
     }
 }
 
@@ -229,6 +260,19 @@ mod tests {
                 .unwrap()
                 .policy,
             LevelPolicy::Fixed(PolicyKind::New1)
+        );
+    }
+
+    #[test]
+    fn every_model_parses_back_from_its_short_name() {
+        for model in CpuModel::ALL {
+            assert_eq!(model.short_name().parse(), Ok(model));
+            assert_eq!(model.short_name().to_ascii_uppercase().parse(), Ok(model));
+        }
+        assert_eq!("Kaby-Lake".parse(), Ok(CpuModel::KabyLakeI7_8550U));
+        assert_eq!(
+            "bogus".parse::<CpuModel>(),
+            Err(UnknownCpu("bogus".to_string()))
         );
     }
 

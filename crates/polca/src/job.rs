@@ -23,7 +23,7 @@ use cachequery::StoreSpace;
 use learning::LearnProgress;
 use policies::PolicyKind;
 
-use crate::cache_oracle::{CacheOracle, SimulatedCacheOracle};
+use crate::cache_oracle::CacheOracle;
 use crate::pipeline::{learn_policy, CampaignProfile, LearnOutcome, LearnSetup};
 
 /// Final result of a finished learning job, reduced to the plain facts a
@@ -100,10 +100,15 @@ struct JobState {
 /// # Example
 ///
 /// ```
-/// use polca::{spawn_simulated_learn_job, LearnSetup};
+/// use std::thread;
+///
+/// use polca::{spawn_learn_job_on, LearnSetup, SimulatedCacheOracle};
 /// use policies::PolicyKind;
 ///
-/// let job = spawn_simulated_learn_job(PolicyKind::Lru, 2, LearnSetup::default());
+/// let cache = SimulatedCacheOracle::new(PolicyKind::Lru, 2).unwrap();
+/// let candidates = vec![PolicyKind::Lru];
+/// let job = spawn_learn_job_on(thread::Builder::new(), cache, candidates, LearnSetup::default(), None)
+///     .expect("the job's thread starts");
 /// let outcome = job.join().expect("LRU/2 learns in milliseconds");
 /// assert_eq!(outcome.machine.num_states(), 2);
 /// ```
@@ -166,25 +171,11 @@ impl LearnJob {
             None => Err("learning thread exited without a result".to_string()),
         }
     }
-
-    /// A job that is already terminal with `error` — what spawners return
-    /// when the oracle cannot even be constructed or the job's thread
-    /// cannot start.
-    fn failed(error: String) -> LearnJob {
-        LearnJob {
-            state: Arc::new(JobState {
-                started: Instant::now(),
-                progress: Arc::new(LearnProgress::new()),
-                store: None,
-                outcome: Mutex::new(Some((Err(error), Duration::ZERO))),
-            }),
-            handle: None,
-        }
-    }
 }
 
 /// Spawns a background job learning the policy of an arbitrary cache oracle
-/// (the asynchronous form of [`learn_policy`]).
+/// (the asynchronous form of [`learn_policy`]) on a thread made by
+/// `builder`, which sets its name and stack size.
 ///
 /// After a successful run the learned machine is matched against
 /// `candidates` with [`identify_policy`](crate::identify_policy), so the
@@ -195,27 +186,8 @@ impl LearnJob {
 ///
 /// # Errors
 ///
-/// Returns the error of starting the job's thread (the process is out of
-/// threads or memory).
-pub fn spawn_learn_job<C>(
-    cache: C,
-    candidates: Vec<PolicyKind>,
-    setup: LearnSetup,
-    store: Option<StoreSpace>,
-) -> io::Result<LearnJob>
-where
-    C: CacheOracle + Clone + Send + 'static,
-{
-    let builder = thread::Builder::new().name(format!("learn-{}", cache.associativity()));
-    spawn_learn_job_on(builder, cache, candidates, setup, store)
-}
-
-/// [`spawn_learn_job`] on a thread made by `builder`, which sets its name
-/// and stack size.
-///
-/// # Errors
-///
-/// Returns the error of `builder`'s spawn.
+/// Returns the error of `builder`'s spawn (the process is out of threads
+/// or memory).
 pub fn spawn_learn_job_on<C>(
     builder: thread::Builder,
     cache: C,
@@ -273,31 +245,34 @@ where
     })
 }
 
-/// Spawns a background job learning `kind` at `associativity` from a
-/// noiseless simulated cache (the asynchronous form of
-/// [`learn_simulated_policy`](crate::learn_simulated_policy)).
-pub fn spawn_simulated_learn_job(
-    kind: PolicyKind,
-    associativity: usize,
-    setup: LearnSetup,
-) -> LearnJob {
-    match SimulatedCacheOracle::new(kind, associativity) {
-        Ok(cache) => spawn_learn_job(cache, vec![kind], setup, None)
-            .unwrap_or_else(|e| LearnJob::failed(format!("cannot start a learning job: {e}"))),
-        Err(e) => LearnJob::failed(e.to_string()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sim_backend::PolicySimBackend;
-    use crate::CacheQueryOracle;
+    use crate::{CacheQueryOracle, SimulatedCacheOracle};
     use cachequery::QueryEngine;
+
+    /// Starts a job learning `kind` at `associativity` on a noiseless
+    /// simulated cache.
+    fn spawn_simulated(kind: PolicyKind, associativity: usize, setup: LearnSetup) -> LearnJob {
+        let cache = SimulatedCacheOracle::new(kind, associativity).unwrap();
+        spawn_learn_job_on(thread::Builder::new(), cache, vec![kind], setup, None).unwrap()
+    }
+
+    /// Polls `job` until it reaches a terminal state.
+    fn wait_terminal(job: &LearnJob) -> JobStatus {
+        loop {
+            let status = job.status();
+            if status.is_terminal() {
+                return status;
+            }
+            thread::sleep(Duration::from_millis(2));
+        }
+    }
 
     #[test]
     fn jobs_run_to_completion_and_identify() {
-        let job = spawn_simulated_learn_job(PolicyKind::Fifo, 2, LearnSetup::default());
+        let job = spawn_simulated(PolicyKind::Fifo, 2, LearnSetup::default());
         // Status polling is non-destructive while the job runs or after it
         // finished.
         let _ = job.status();
@@ -307,27 +282,20 @@ mod tests {
 
     #[test]
     fn finished_jobs_report_done_with_a_summary() {
-        let job = spawn_simulated_learn_job(PolicyKind::Lru, 2, LearnSetup::default());
+        let job = spawn_simulated(PolicyKind::Lru, 2, LearnSetup::default());
         // Wait for the terminal state via polling (exercises the status path).
-        loop {
-            let status = job.status();
-            if status.is_terminal() {
-                match status {
-                    JobStatus::Done { result, .. } => {
-                        assert_eq!(result.states, 2);
-                        assert!(result.membership_queries > 0);
-                        assert_eq!(result.identified.as_deref(), Some("LRU"));
-                        assert_eq!(
-                            result.profile.total_queries(),
-                            result.membership_queries,
-                            "the campaign profile partitions the run exactly"
-                        );
-                    }
-                    other => panic!("unexpected terminal status: {other:?}"),
-                }
-                break;
+        match wait_terminal(&job) {
+            JobStatus::Done { result, .. } => {
+                assert_eq!(result.states, 2);
+                assert!(result.membership_queries > 0);
+                assert_eq!(result.identified.as_deref(), Some("LRU"));
+                assert_eq!(
+                    result.profile.total_queries(),
+                    result.membership_queries,
+                    "the campaign profile partitions the run exactly"
+                );
             }
-            std::thread::sleep(Duration::from_millis(2));
+            other => panic!("unexpected terminal status: {other:?}"),
         }
         // The machine stays retrievable (non-destructively) after completion.
         let machine = job.machine().expect("done jobs expose their machine");
@@ -338,20 +306,24 @@ mod tests {
         );
     }
 
+    /// A setup under which LRU/4 (24 states) fails while learning.
+    fn too_few_states() -> LearnSetup {
+        LearnSetup {
+            max_states: 2,
+            ..LearnSetup::default()
+        }
+    }
+
     #[test]
     fn failed_jobs_expose_no_machine() {
-        let job = spawn_simulated_learn_job(PolicyKind::Plru, 3, LearnSetup::default());
-        assert!(job.status().is_terminal());
+        let job = spawn_simulated(PolicyKind::Lru, 4, too_few_states());
+        assert!(matches!(wait_terminal(&job), JobStatus::Failed { .. }));
         assert!(job.machine().is_none());
     }
 
     #[test]
     fn failing_jobs_report_the_error() {
-        let setup = LearnSetup {
-            max_states: 2,
-            ..LearnSetup::default()
-        };
-        let job = spawn_simulated_learn_job(PolicyKind::Lru, 4, setup);
+        let job = spawn_simulated(PolicyKind::Lru, 4, too_few_states());
         let error = job.join().unwrap_err();
         assert!(error.contains("state"), "unexpected error: {error}");
     }
@@ -373,20 +345,14 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_associativities_fail_immediately() {
-        let job = spawn_simulated_learn_job(PolicyKind::Plru, 3, LearnSetup::default());
-        assert!(job.status().is_terminal());
-        assert!(job.join().is_err());
-    }
-
-    #[test]
     fn engine_backed_jobs_report_progress_and_store_hit_rate() {
         let engine = QueryEngine::new(PolicySimBackend::new(PolicyKind::Lru, 2).unwrap());
         let store = engine
             .store()
             .space(&PolicySimBackend::config_for(PolicyKind::Lru, 2).to_string());
         let oracle = CacheQueryOracle::from_engine(engine).unwrap();
-        let job = spawn_learn_job(
+        let job = spawn_learn_job_on(
+            thread::Builder::new(),
             oracle,
             vec![PolicyKind::Lru],
             LearnSetup::default(),

@@ -29,10 +29,10 @@
 //!   [`learn_hardware_policy`] — the complete learning loop (L* + Wp-method
 //!   behind the learner's prefix-trie query cache) over either kind of
 //!   cache;
-//! * [`spawn_simulated_learn_job`] — the job-oriented asynchronous form of
-//!   the pipeline (a background thread plus a pollable [`JobStatus`]), which
-//!   the `cqd` server uses to run learning campaigns without blocking its
-//!   query traffic;
+//! * [`spawn_learn_job_on`] — the job-oriented asynchronous form of the
+//!   pipeline (a background thread plus a pollable [`JobStatus`]), which the
+//!   `cqd` server uses to run learning campaigns without blocking its query
+//!   traffic;
 //! * [`identify_policy`] — matching a learned automaton against the library
 //!   of reference policies, up to the renaming of cache lines induced by the
 //!   reset sequence;
@@ -84,9 +84,7 @@ pub use conformance::{
 };
 pub use hierarchy_backend::HierarchyBackend;
 pub use identify::{identify_policy, LinePermutation};
-pub use job::{
-    spawn_learn_job, spawn_learn_job_on, spawn_simulated_learn_job, JobResult, JobStatus, LearnJob,
-};
+pub use job::{spawn_learn_job_on, JobResult, JobStatus, LearnJob};
 pub use membership::PolcaOracle;
 pub use pipeline::{
     learn_hardware_policy, learn_hierarchy_policy, learn_noisy_policy, learn_policy,

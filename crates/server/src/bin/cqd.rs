@@ -4,7 +4,8 @@
 //! [--store-dir DIR] [--store-max-entries N] [--until-eof]`
 //!
 //! `--workers` caps how many sessions execute store misses on the
-//! simulated machines at once (default 4); the others wait for a slot.
+//! simulated machines at once (default 4, at least 1); the others wait for
+//! a slot.
 //!
 //! With `--store-dir`, the shared query store is durable: answers append to
 //! a record log in DIR, are compacted into snapshots, and replay on the next
@@ -19,6 +20,8 @@
 //! given, which is how the smoke tests drive a bounded run).  An unknown
 //! flag, a missing value or a value that does not parse exits with status 2
 //! and the usage line.
+
+use std::num::NonZeroUsize;
 
 use server::{spawn, CqdConfig};
 
@@ -40,7 +43,7 @@ fn parse_args(args: &[String]) -> Result<(CqdConfig, bool), String> {
         match flag.as_str() {
             "--until-eof" => until_eof = true,
             "--addr" => config.addr = value()?.clone(),
-            "--workers" => config.workers = parsed(flag, value()?)?,
+            "--workers" => config.workers = parsed::<NonZeroUsize>(flag, value()?)?.get(),
             "--trace-log" => config.trace_log = Some(value()?.into()),
             "--store-dir" => config.store_dir = Some(value()?.into()),
             "--store-max-entries" => config.store_max_entries = Some(parsed(flag, value()?)?),

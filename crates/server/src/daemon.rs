@@ -63,7 +63,8 @@ pub struct CqdConfig {
     /// Address to bind (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
     /// How many sessions may execute store misses on the backend pool at
-    /// once (at least 1); the others wait for a slot (backpressure).
+    /// once; the others wait for a slot (backpressure).  [`spawn`] refuses
+    /// 0.
     pub workers: usize,
     /// When set, the daemon appends structured span events (one JSON object
     /// per line) covering request handling, engine batches and learning
@@ -187,15 +188,6 @@ impl ResolvedSpec {
     }
 }
 
-fn parse_model(name: &str) -> Option<CpuModel> {
-    match name.to_ascii_lowercase().as_str() {
-        "haswell" => Some(CpuModel::HaswellI7_4790),
-        "skylake" => Some(CpuModel::SkylakeI5_6500),
-        "kabylake" | "kaby-lake" => Some(CpuModel::KabyLakeI7_8550U),
-        _ => None,
-    }
-}
-
 /// Parses the `+noise(key=value,…)` suffix of a policy spec into a
 /// [`NoiseSpec`] plus the engine's repetition count.  Rates are fractions
 /// (`flip=0.05`), stored as permille; `seed` and `reps` are integers; every
@@ -310,12 +302,7 @@ pub(crate) fn resolve_with_limits(
             assoc,
         });
     }
-    let model = parse_model(&spec.model).ok_or_else(|| {
-        format!(
-            "unknown CPU model '{}' (haswell|skylake|kabylake)",
-            spec.model
-        )
-    })?;
+    let model = spec.model.parse::<CpuModel>().map_err(|e| e.to_string())?;
     let level = LevelId::parse(&spec.level)
         .ok_or_else(|| format!("unknown cache level '{}' (L1|L2|L3)", spec.level))?;
     let cpu_spec = model.spec();
@@ -591,7 +578,7 @@ impl Shared {
     fn enter_gate(&self) -> MissSlot<'_> {
         let gate = &self.gate;
         let mut taken = lock_unpoisoned(&gate.taken, &self.metrics.lock_poisoned);
-        while *taken >= self.config.workers.max(1) {
+        while *taken >= self.config.workers {
             taken = gate.freed.wait(taken).unwrap_or_else(|e| {
                 self.metrics.lock_poisoned.inc();
                 e.into_inner()
@@ -786,10 +773,17 @@ impl Drop for CqdHandle {
 ///
 /// # Errors
 ///
-/// Propagates the bind error if the configured address is unavailable, an
-/// I/O error from opening/replaying the durable store, and the error of
-/// spawning the accept thread.
+/// Returns an [`InvalidInput`](std::io::ErrorKind::InvalidInput) error for
+/// 0 [`workers`](CqdConfig::workers), and propagates the bind error if the
+/// configured address is unavailable, an I/O error from opening/replaying
+/// the durable store, and the error of spawning the accept thread.
 pub fn spawn(config: CqdConfig) -> std::io::Result<CqdHandle> {
+    if config.workers == 0 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "a daemon needs at least one worker",
+        ));
+    }
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let default_spec = resolve(&SessionSpec::default())
@@ -1609,10 +1603,13 @@ fn handle_map(
     slice: u64,
     sets: u64,
 ) -> Response {
-    let Some(model) = parse_model(model) else {
-        return Response::Error {
-            message: format!("unknown CPU model '{model}' (haswell|skylake|kabylake)"),
-        };
+    let model = match model.parse::<CpuModel>() {
+        Ok(model) => model,
+        Err(e) => {
+            return Response::Error {
+                message: e.to_string(),
+            }
+        }
     };
     let cpu_spec = model.spec();
     let geometry = cpu_spec

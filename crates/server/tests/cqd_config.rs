@@ -1,8 +1,9 @@
 //! The daemon's configuration, end to end.
 //!
 //! * `cqd` refuses a command line it cannot use — an unknown flag, a value
-//!   that does not parse — with exit status 2 and the usage line, instead
-//!   of starting with a default nobody asked for.
+//!   that does not parse, 0 workers — with exit status 2 and the usage line,
+//!   instead of starting with a default nobody asked for; `spawn` refuses 0
+//!   workers too.
 //! * A daemon with a capped store answers exactly as an unbounded one while
 //!   it clears namespaces to stay under the cap.
 
@@ -29,6 +30,7 @@ fn cqd_refuses_flags_and_values_it_cannot_use() {
     for (args, message) in [
         (&["--store-evict", "lru"][..], "unknown flag --store-evict"),
         (&["--workers", "x"][..], "cannot parse --workers `x`"),
+        (&["--workers", "0"][..], "cannot parse --workers `0`"),
         (
             &["--store-max-entries", "2e6"][..],
             "cannot parse --store-max-entries `2e6`",
@@ -44,6 +46,17 @@ fn cqd_refuses_flags_and_values_it_cannot_use() {
     // the end of its (null) stdin.
     let (code, stderr) = cqd(&["--workers", "2", "--store-max-entries", "2000000"]);
     assert_eq!(code, Some(0), "{stderr}");
+}
+
+#[test]
+fn a_daemon_without_workers_does_not_start() {
+    let Err(error) = spawn(CqdConfig {
+        workers: 0,
+        ..CqdConfig::default()
+    }) else {
+        panic!("a daemon with 0 workers started");
+    };
+    assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! The trace container and its binary/text serializations.
+//! The trace container and its text serialization.
 //!
 //! A [`Trace`] is an ordered sequence of physical addresses — one memory
 //! load per entry, no timestamps, no read/write distinction.  That is
@@ -6,45 +6,17 @@
 //! data-independence symmetry of §5), so anything richer would be dead
 //! weight for replay.
 //!
-//! Two serializations are provided:
-//!
-//! * **binary** (`.ctr`): a 16-byte header (`b"CQTR"`, format version,
-//!   record count) followed by fixed-width 8-byte little-endian addresses.
-//!   Fixed-width records make the format *seekable*: access `i` lives at
-//!   byte `16 + 8 * i`, which [`TraceReader::get`] exploits to read
-//!   arbitrary positions of a multi-gigabyte trace without loading it.
-//! * **text** (`.trace`): one lowercase hex address per line, `#` comments
-//!   and blank lines ignored — the format golden fixtures are checked in as,
-//!   because a reviewer can read and edit it.
+//! The text form (`.trace`) is one lowercase hex address per line, with `#`
+//! comments and blank lines ignored — the format golden fixtures are checked
+//! in as, because people can read and edit it.
 
 use std::fmt;
-use std::io::{self, Read, Seek, SeekFrom, Write};
 
 use cache::PhysAddr;
 
-/// Magic bytes opening every binary trace.
-pub const TRACE_MAGIC: [u8; 4] = *b"CQTR";
-
-/// Binary format version written by this crate.
-pub const TRACE_VERSION: u8 = 1;
-
-/// Size of the binary header in bytes (magic, version, padding, count).
-pub const TRACE_HEADER_LEN: usize = 16;
-
-/// A malformed trace (binary or text).
+/// A malformed text trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
-    /// The binary header is missing or does not start with [`TRACE_MAGIC`].
-    BadMagic,
-    /// The binary header announces an unsupported format version.
-    BadVersion(u8),
-    /// The payload is shorter than the header's record count promises.
-    Truncated {
-        /// Records promised by the header.
-        expected: u64,
-        /// Records actually present.
-        found: u64,
-    },
     /// A text line is not a hex address.
     BadLine {
         /// 1-based line number.
@@ -52,36 +24,19 @@ pub enum TraceError {
         /// The offending content.
         content: String,
     },
-    /// An I/O error from the underlying reader or writer.
-    Io(String),
 }
 
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceError::BadMagic => write!(f, "not a trace: missing CQTR magic"),
-            TraceError::BadVersion(v) => write!(f, "unsupported trace format version {v}"),
-            TraceError::Truncated { expected, found } => {
-                write!(
-                    f,
-                    "truncated trace: header promises {expected} records, found {found}"
-                )
-            }
             TraceError::BadLine { line, content } => {
                 write!(f, "line {line}: '{content}' is not a hex address")
             }
-            TraceError::Io(e) => write!(f, "trace i/o error: {e}"),
         }
     }
 }
 
 impl std::error::Error for TraceError {}
-
-impl From<io::Error> for TraceError {
-    fn from(e: io::Error) -> Self {
-        TraceError::Io(e.to_string())
-    }
-}
 
 /// An in-memory access trace: the ordered physical addresses of a workload.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -113,41 +68,6 @@ impl Trace {
     /// Appends one access.
     pub fn push(&mut self, addr: PhysAddr) {
         self.accesses.push(addr);
-    }
-
-    /// Serializes the trace into the binary format.
-    pub fn to_binary(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(TRACE_HEADER_LEN + 8 * self.accesses.len());
-        out.extend_from_slice(&TRACE_MAGIC);
-        out.push(TRACE_VERSION);
-        out.extend_from_slice(&[0u8; 3]);
-        out.extend_from_slice(&(self.accesses.len() as u64).to_le_bytes());
-        for addr in &self.accesses {
-            out.extend_from_slice(&addr.0.to_le_bytes());
-        }
-        out
-    }
-
-    /// Parses a binary trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TraceError`] for a bad magic, unsupported version or a
-    /// payload shorter than the header's record count.
-    pub fn from_binary(bytes: &[u8]) -> Result<Trace, TraceError> {
-        let (count, payload) = parse_header(bytes)?;
-        let found = (payload.len() / 8) as u64;
-        if found < count {
-            return Err(TraceError::Truncated {
-                expected: count,
-                found,
-            });
-        }
-        let accesses = payload[..(count as usize) * 8]
-            .chunks_exact(8)
-            .map(|chunk| PhysAddr(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"))))
-            .collect();
-        Ok(Trace { accesses })
     }
 
     /// Serializes the trace into the text format (one hex address per line).
@@ -183,159 +103,9 @@ impl Trace {
     }
 }
 
-fn parse_header(bytes: &[u8]) -> Result<(u64, &[u8]), TraceError> {
-    if bytes.len() < TRACE_HEADER_LEN || bytes[..4] != TRACE_MAGIC {
-        return Err(TraceError::BadMagic);
-    }
-    if bytes[4] != TRACE_VERSION {
-        return Err(TraceError::BadVersion(bytes[4]));
-    }
-    let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte count"));
-    Ok((count, &bytes[TRACE_HEADER_LEN..]))
-}
-
-/// A streaming binary-trace writer.
-///
-/// The header's record count is back-patched by [`TraceWriter::finish`], so
-/// the writer needs [`Seek`] but never buffers the whole trace — a generator
-/// can stream hundreds of millions of accesses straight to disk.
-#[derive(Debug)]
-pub struct TraceWriter<W: Write + Seek> {
-    inner: W,
-    written: u64,
-}
-
-impl<W: Write + Seek> TraceWriter<W> {
-    /// Starts a binary trace on `inner`, writing a header with a zero count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn new(mut inner: W) -> Result<Self, TraceError> {
-        inner.write_all(&TRACE_MAGIC)?;
-        inner.write_all(&[TRACE_VERSION, 0, 0, 0])?;
-        inner.write_all(&0u64.to_le_bytes())?;
-        Ok(TraceWriter { inner, written: 0 })
-    }
-
-    /// Appends one access.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn push(&mut self, addr: PhysAddr) -> Result<(), TraceError> {
-        self.inner.write_all(&addr.0.to_le_bytes())?;
-        self.written += 1;
-        Ok(())
-    }
-
-    /// Number of accesses written so far.
-    pub fn len(&self) -> u64 {
-        self.written
-    }
-
-    /// Whether nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.written == 0
-    }
-
-    /// Back-patches the record count and returns the underlying writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn finish(mut self) -> Result<W, TraceError> {
-        self.inner.seek(SeekFrom::Start(8))?;
-        self.inner.write_all(&self.written.to_le_bytes())?;
-        self.inner.seek(SeekFrom::End(0))?;
-        self.inner.flush()?;
-        Ok(self.inner)
-    }
-}
-
-/// A seekable binary-trace reader: random access to any record without
-/// loading the trace.
-#[derive(Debug)]
-pub struct TraceReader<R: Read + Seek> {
-    inner: R,
-    count: u64,
-}
-
-impl<R: Read + Seek> TraceReader<R> {
-    /// Opens a binary trace, validating the header.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TraceError`] for I/O failures, a bad magic or an
-    /// unsupported version.
-    pub fn new(mut inner: R) -> Result<Self, TraceError> {
-        let mut header = [0u8; TRACE_HEADER_LEN];
-        inner.seek(SeekFrom::Start(0))?;
-        inner
-            .read_exact(&mut header)
-            .map_err(|_| TraceError::BadMagic)?;
-        let (count, _) = parse_header(&header)?;
-        Ok(TraceReader { inner, count })
-    }
-
-    /// Number of accesses in the trace.
-    pub fn len(&self) -> u64 {
-        self.count
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Reads the access at position `index` (this is the seek: record `i`
-    /// lives at byte `16 + 8i`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Truncated`] past the end and propagates I/O
-    /// errors.
-    pub fn get(&mut self, index: u64) -> Result<PhysAddr, TraceError> {
-        if index >= self.count {
-            return Err(TraceError::Truncated {
-                expected: self.count,
-                found: index,
-            });
-        }
-        self.inner
-            .seek(SeekFrom::Start(TRACE_HEADER_LEN as u64 + 8 * index))?;
-        let mut record = [0u8; 8];
-        self.inner.read_exact(&mut record)?;
-        Ok(PhysAddr(u64::from_le_bytes(record)))
-    }
-
-    /// Reads the whole trace into memory.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Truncated`] if the payload is shorter than the
-    /// header promised, and propagates I/O errors.
-    pub fn read_all(&mut self) -> Result<Trace, TraceError> {
-        self.inner.seek(SeekFrom::Start(TRACE_HEADER_LEN as u64))?;
-        let mut accesses = Vec::with_capacity(self.count as usize);
-        let mut record = [0u8; 8];
-        for found in 0..self.count {
-            self.inner
-                .read_exact(&mut record)
-                .map_err(|_| TraceError::Truncated {
-                    expected: self.count,
-                    found,
-                })?;
-            accesses.push(PhysAddr(u64::from_le_bytes(record)));
-        }
-        Ok(Trace { accesses })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
     fn sample() -> Trace {
         Trace::new(vec![
@@ -344,14 +114,6 @@ mod tests {
             PhysAddr(0xdead_beef),
             PhysAddr(u64::MAX),
         ])
-    }
-
-    #[test]
-    fn binary_round_trips() {
-        let trace = sample();
-        let bytes = trace.to_binary();
-        assert_eq!(&bytes[..4], b"CQTR");
-        assert_eq!(Trace::from_binary(&bytes).unwrap(), trace);
     }
 
     #[test]
@@ -369,50 +131,5 @@ mod tests {
             Trace::from_text("0x40\nnot-hex\n"),
             Err(TraceError::BadLine { line: 2, .. })
         ));
-    }
-
-    #[test]
-    fn binary_rejects_bad_magic_version_and_truncation() {
-        assert_eq!(
-            Trace::from_binary(b"nope").unwrap_err(),
-            TraceError::BadMagic
-        );
-        let mut bytes = sample().to_binary();
-        bytes[4] = 9;
-        assert_eq!(
-            Trace::from_binary(&bytes).unwrap_err(),
-            TraceError::BadVersion(9)
-        );
-        let bytes = sample().to_binary();
-        assert!(matches!(
-            Trace::from_binary(&bytes[..bytes.len() - 1]),
-            Err(TraceError::Truncated {
-                expected: 4,
-                found: 3
-            })
-        ));
-    }
-
-    #[test]
-    fn writer_streams_and_backpatches_the_count() {
-        let trace = sample();
-        let mut writer = TraceWriter::new(Cursor::new(Vec::new())).unwrap();
-        for &addr in trace.accesses() {
-            writer.push(addr).unwrap();
-        }
-        assert_eq!(writer.len(), 4);
-        let bytes = writer.finish().unwrap().into_inner();
-        assert_eq!(bytes, trace.to_binary());
-    }
-
-    #[test]
-    fn reader_seeks_to_arbitrary_records() {
-        let trace = sample();
-        let mut reader = TraceReader::new(Cursor::new(trace.to_binary())).unwrap();
-        assert_eq!(reader.len(), 4);
-        assert_eq!(reader.get(2).unwrap(), PhysAddr(0xdead_beef));
-        assert_eq!(reader.get(0).unwrap(), PhysAddr(0));
-        assert!(reader.get(4).is_err());
-        assert_eq!(reader.read_all().unwrap(), trace);
     }
 }

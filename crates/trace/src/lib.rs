@@ -7,15 +7,13 @@
 //! traffic** through both the learned machine and its source policy and
 //! demanding access-for-access agreement.  Three layers:
 //!
-//! * [`mod@format`] — a compact, seekable binary trace container (`CQTR`,
-//!   one fixed-width record per access) plus a line-oriented text form for
-//!   fixtures and hand-written traces;
+//! * [`mod@format`] — the [`Trace`] container and its line-oriented text
+//!   form (one hex address per line) for fixtures and hand-written traces;
 //! * [`mod@generate`] — seeded synthetic generators (sequential, strided,
 //!   zipfian, pointer-chase), each a pure function of its [`TraceSpec`];
 //! * [`mod@replay`] — the engines: a ground-truth policy simulator
 //!   ([`SimReplayer`]), a learned-machine executor ([`MachineReplayer`]),
-//!   the differential harness ([`differential_replay`]) and a hierarchy
-//!   replayer ([`replay_hierarchy`]).
+//!   and the differential harness ([`differential_replay`]).
 //!
 //! # Example
 //!
@@ -44,10 +42,9 @@ pub mod format;
 pub mod generate;
 pub mod replay;
 
-pub use format::{Trace, TraceError, TraceReader, TraceWriter, TRACE_MAGIC, TRACE_VERSION};
+pub use format::{Trace, TraceError};
 pub use generate::{generate, GeneratorKind, TraceSpec, UnknownGenerator};
 pub use replay::{
-    differential_replay, replay, replay_hierarchy, replay_policy, replay_traced, set_and_tag,
-    DifferentialReport, HierarchyReport, LevelCounts, MachineReplayer, ReplayCounts,
-    ReplayDivergence, ReplayError, ReplayEvent, Replayer, SimReplayer, PRIME_BASE,
+    differential_replay, replay, replay_policy, set_and_tag, DifferentialReport, MachineReplayer,
+    ReplayCounts, ReplayDivergence, ReplayError, ReplayEvent, Replayer, SimReplayer, PRIME_BASE,
 };

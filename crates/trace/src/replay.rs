@@ -1,6 +1,6 @@
-//! The replay engine: drive a trace through policy simulators, learned
-//! Mealy machines, and whole hierarchies, counting hits and reporting the
-//! first divergence access-for-access.
+//! The replay engine: drive a trace through policy simulators and learned
+//! Mealy machines, counting hits and reporting the first divergence
+//! access-for-access.
 //!
 //! Two single-level replayers share one contract:
 //!
@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use automata::StateId;
-use cache::{AccessResult, Block, CacheGeometry, CacheSet, Hierarchy, HitMiss, LevelId, PhysAddr};
+use cache::{AccessResult, Block, CacheGeometry, CacheSet, HitMiss, PhysAddr};
 use policies::{PolicyError, PolicyInput, PolicyKind, PolicyMealy, PolicyOutput};
 
 use crate::format::Trace;
@@ -104,25 +104,9 @@ pub trait Replayer {
 
 /// Replays a whole trace through `replayer`.
 pub fn replay(trace: &Trace, replayer: &mut impl Replayer) -> ReplayCounts {
-    replay_traced(trace, replayer, None)
-}
-
-/// [`replay`], wrapped in a `trace.replay` span when a recorder is given:
-/// the span carries the access count and the resulting hit/miss totals.
-pub fn replay_traced(
-    trace: &Trace,
-    replayer: &mut impl Replayer,
-    recorder: Option<&obs::Recorder>,
-) -> ReplayCounts {
-    let mut span = obs::maybe_span(recorder, "trace.replay");
     let mut counts = ReplayCounts::default();
     for &addr in trace.accesses() {
         counts.record(replayer.access(addr));
-    }
-    if let Some(span) = span.as_mut() {
-        span.set("accesses", counts.accesses);
-        span.set("hits", counts.hits);
-        span.set("misses", counts.misses);
     }
     counts
 }
@@ -449,77 +433,6 @@ pub fn replay_policy(
 ) -> Result<ReplayCounts, PolicyError> {
     let mut sim = SimReplayer::new(kind, geometry)?;
     Ok(replay(trace, &mut sim))
-}
-
-/// Per-level counters of a hierarchy replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LevelCounts {
-    /// The level.
-    pub level: LevelId,
-    /// Hits served by this level.
-    pub hits: u64,
-    /// Lookups that missed this level.
-    pub misses: u64,
-}
-
-/// Aggregate result of replaying a trace through a [`Hierarchy`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HierarchyReport {
-    /// Accesses replayed.
-    pub accesses: u64,
-    /// Counters per level, L1 outward.  A level's `hits + misses` can be
-    /// smaller than `accesses`: levels behind a hit are never consulted.
-    pub per_level: Vec<LevelCounts>,
-    /// Accesses no level served (cold misses to memory).
-    pub memory_accesses: u64,
-}
-
-impl HierarchyReport {
-    /// Total hits across all levels (accesses that did not go to memory).
-    pub fn total_hits(&self) -> u64 {
-        self.accesses - self.memory_accesses
-    }
-
-    /// Counters of one level, if the hierarchy has it.
-    pub fn level(&self, level: LevelId) -> Option<LevelCounts> {
-        self.per_level.iter().copied().find(|c| c.level == level)
-    }
-}
-
-/// Replays `trace` through `hierarchy` (which keeps whatever content it
-/// already has — pass a fresh hierarchy for a cold-start replay).
-pub fn replay_hierarchy(trace: &Trace, hierarchy: &mut Hierarchy) -> HierarchyReport {
-    let mut per_level: Vec<LevelCounts> = Vec::new();
-    let mut memory_accesses = 0u64;
-    for &addr in trace.accesses() {
-        let outcome = hierarchy.access(addr);
-        if outcome.served_by().is_none() {
-            memory_accesses += 1;
-        }
-        for &(level, hit_miss) in &outcome.per_level {
-            let counts = match per_level.iter_mut().find(|c| c.level == level) {
-                Some(counts) => counts,
-                None => {
-                    per_level.push(LevelCounts {
-                        level,
-                        hits: 0,
-                        misses: 0,
-                    });
-                    per_level.last_mut().expect("just pushed")
-                }
-            };
-            match hit_miss {
-                HitMiss::Hit => counts.hits += 1,
-                HitMiss::Miss => counts.misses += 1,
-            }
-        }
-    }
-    per_level.sort_by_key(|c| c.level);
-    HierarchyReport {
-        accesses: trace.len() as u64,
-        per_level,
-        memory_accesses,
-    }
 }
 
 #[cfg(test)]

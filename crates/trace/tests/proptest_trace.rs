@@ -1,6 +1,6 @@
 //! Property-based tests of the trace layer: generator determinism for
-//! arbitrary specs, lossless binary and text round-trips for arbitrary
-//! traces, and set-index validity of every generated access under every
+//! arbitrary specs, lossless text round-trips for arbitrary traces, and
+//! set-index validity of every generated access under every
 //! cache geometry.
 
 use proptest::prelude::*;
@@ -84,13 +84,6 @@ proptest! {
             prop_assert!(addr.0 < 1 << 63);
             prop_assert_eq!((addr.0 - spec.base) % spec.line_size, 0);
         }
-    }
-
-    /// Binary encode → decode is lossless for arbitrary traces.
-    #[test]
-    fn binary_round_trips(trace in arbitrary_trace()) {
-        let bytes = trace.to_binary();
-        prop_assert_eq!(Trace::from_binary(&bytes).unwrap(), trace);
     }
 
     /// Text encode → decode is lossless for arbitrary traces.

@@ -24,17 +24,8 @@ use policies::PolicyKind;
 
 const USAGE: &str = "usage: learn_hardware [skylake|haswell|kabylake] [L1|L2|L3] [SET] [CAT_WAYS]";
 
-fn parse_cpu(name: &str) -> Option<CpuModel> {
-    match name.to_ascii_lowercase().as_str() {
-        "skylake" => Some(CpuModel::SkylakeI5_6500),
-        "haswell" => Some(CpuModel::HaswellI7_4790),
-        "kabylake" | "kaby-lake" => Some(CpuModel::KabyLakeI7_8550U),
-        _ => None,
-    }
-}
-
 fn main() {
-    let cpu = positional_with(0, CpuModel::SkylakeI5_6500, USAGE, parse_cpu);
+    let cpu = positional(0, CpuModel::SkylakeI5_6500, USAGE);
     let level = positional_with(1, LevelId::L3, USAGE, LevelId::parse);
     let set: usize = positional(2, 33, USAGE);
     let cat_ways: Option<usize> = positional_with(3, None, USAGE, |w| w.parse().ok().map(Some));

@@ -1,22 +1,24 @@
 //! The interactive CacheQuery shell (the "interactive mode" of §4.2).
 //!
 //! Run with: `cargo run --example mbl_repl -- [CPU]` and type MBL queries or
-//! configuration commands (`help` lists them, `quit` exits).
+//! configuration commands (`help` lists them, `quit` exits).  CPU is
+//! skylake (the default), haswell or kabylake; a name that does not parse
+//! exits with status 2.
+
+mod common;
 
 use std::io::{self, BufRead, Write};
 
 use cachequery::{process_command, CacheQuery, ReplSession};
+use common::positional;
 use hardware::{CpuModel, SimulatedCpu};
 
 fn main() {
-    let cpu_name = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "skylake".to_string());
-    let model = match cpu_name.to_ascii_lowercase().as_str() {
-        "haswell" => CpuModel::HaswellI7_4790,
-        "kabylake" | "kaby-lake" => CpuModel::KabyLakeI7_8550U,
-        _ => CpuModel::SkylakeI5_6500,
-    };
+    let model = positional(
+        0,
+        CpuModel::SkylakeI5_6500,
+        "usage: mbl_repl [skylake|haswell|kabylake]",
+    );
     println!(
         "CacheQuery interactive shell on the simulated {}",
         model.spec().name

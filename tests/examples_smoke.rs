@@ -60,7 +60,6 @@ fn run_example(name: &str, args: &[&str], stdin: Option<&str>) -> String {
 /// derives the actual list from `examples/` and fails when a new example is
 /// added without a smoke test here, so examples cannot silently rot.
 const COVERED: &[&str] = &[
-    "leader_sets",
     "learn_hardware",
     "learn_noisy",
     "learn_over_server",
@@ -114,7 +113,7 @@ fn learn_simulated_rejects_a_bad_argument() {
         ("learn_simulated", &["BOGUS", "2"], "BOGUS"),
         ("learn_hardware", &["skylake", "L3", "x", "2"], "`x`"),
         ("replay_trace", &["x", "2", "16"], "`x`"),
-        ("leader_sets", &["eight"], "eight"),
+        ("mbl_repl", &["bogus"], "bogus"),
         ("learn_over_server", &["BOGUS", "2"], "BOGUS"),
         ("server_client", &["BOGUS"], "BOGUS"),
     ];
@@ -148,12 +147,6 @@ fn learn_hardware_runs() {
 fn synthesize_policy_runs() {
     let stdout = run_example("synthesize_policy", &["FIFO", "2"], None);
     assert!(stdout.contains("template program"), "stdout:\n{stdout}");
-}
-
-#[test]
-fn leader_sets_runs() {
-    let stdout = run_example("leader_sets", &["8"], None);
-    assert!(stdout.contains("Thrashing"), "stdout:\n{stdout}");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! End-to-end trace replay: learned machines vs. their source simulators
 //! under synthetic traffic, pinned hit counts on golden traces, and the
-//! hierarchy/dueling replay invariants.
+//! hierarchy replay invariant.
 //!
 //! Three layers of guarantee:
 //!
@@ -12,23 +12,14 @@
 //!    checked into `tests/fixtures/`: a hand-written pattern mix and a
 //!    generated zipfian trace (which is also pinned byte-for-byte against
 //!    regeneration, so generator drift cannot slip by).
-//! 3. **Composite caches** — replaying through a two-level hierarchy and a
-//!    set-dueling cache preserves their defining invariants: an inclusive
-//!    L2 never loses hits over L1 alone, and dueling followers become the
-//!    winning leader policy.
+//! 3. **Composite caches** — replaying through a two-level hierarchy
+//!    preserves its defining invariant: an inclusive L2 never loses hits
+//!    over L1 alone.
 
-use std::collections::HashMap;
-
-use cache::{
-    AccessResult, Block, CacheGeometry, CacheLevel, CacheSet, DuelingCache, DuelingRole, Hierarchy,
-    HierarchyConfig, HitMiss, LevelConfig, LevelId, PhysAddr,
-};
+use cache::{CacheGeometry, CacheLevel, Hierarchy, HierarchyConfig, HitMiss, LevelConfig, LevelId};
 use polca::{exact_learn_setup, learn_simulated_policy};
 use policies::PolicyKind;
-use trace::{
-    differential_replay, generate, replay, replay_hierarchy, replay_policy, GeneratorKind,
-    ReplayEvent, Replayer, Trace, TraceSpec,
-};
+use trace::{differential_replay, generate, replay_policy, GeneratorKind, Trace, TraceSpec};
 
 /// The replay geometry: 16 sets of `assoc` ways.  A 48-line working set
 /// overflows it at 2 ways, exactly fills it at 3 and fits at 4, so the
@@ -212,6 +203,42 @@ fn small_l1() -> CacheLevel {
     )
 }
 
+/// Per-level hits and misses of a trace replayed through a hierarchy,
+/// indexed by [`LevelId::index`], plus the accesses no level served.
+#[derive(Default)]
+struct PerLevel {
+    accesses: u64,
+    hits: [u64; 3],
+    misses: [u64; 3],
+    memory_accesses: u64,
+}
+
+impl PerLevel {
+    /// Replays `trace` through `hierarchy`, one [`Hierarchy::access`] each.
+    fn replay(trace: &Trace, hierarchy: &mut Hierarchy) -> Self {
+        let mut counts = PerLevel::default();
+        for &addr in trace.accesses() {
+            let outcome = hierarchy.access(addr);
+            counts.accesses += 1;
+            if outcome.served_by().is_none() {
+                counts.memory_accesses += 1;
+            }
+            for (level, hit_miss) in outcome.per_level {
+                match hit_miss {
+                    HitMiss::Hit => counts.hits[level.index()] += 1,
+                    HitMiss::Miss => counts.misses[level.index()] += 1,
+                }
+            }
+        }
+        counts
+    }
+
+    /// Accesses some level served (those that did not go to memory).
+    fn total_hits(&self) -> u64 {
+        self.accesses - self.memory_accesses
+    }
+}
+
 #[test]
 fn an_inclusive_l2_never_loses_hits_over_l1_alone() {
     let trace = generate(&spec(GeneratorKind::Zipfian, 20_000, 256, 3));
@@ -219,7 +246,7 @@ fn an_inclusive_l2_never_loses_hits_over_l1_alone() {
     let mut solo = Hierarchy::new(HierarchyConfig {
         levels: vec![small_l1()],
     });
-    let solo_report = replay_hierarchy(&trace, &mut solo);
+    let solo_report = PerLevel::replay(&trace, &mut solo);
 
     // 8 ways x 64 sets = 512 lines: the whole 256-line working set fits, so
     // the L2 never evicts and never back-invalidates the L1.
@@ -234,7 +261,7 @@ fn an_inclusive_l2_never_loses_hits_over_l1_alone() {
     let mut pair = Hierarchy::new(HierarchyConfig {
         levels: vec![small_l1(), l2],
     });
-    let pair_report = replay_hierarchy(&trace, &mut pair);
+    let pair_report = PerLevel::replay(&trace, &mut pair);
 
     assert_eq!(solo_report.accesses, 20_000);
     assert_eq!(pair_report.accesses, 20_000);
@@ -242,131 +269,13 @@ fn an_inclusive_l2_never_loses_hits_over_l1_alone() {
     assert!(pair_report.total_hits() >= solo_report.total_hits());
     // A fitting inclusive L2 never evicts, so the L1 sees the exact same
     // stream of fills as it did alone...
-    let solo_l1 = solo_report.level(LevelId::L1).unwrap();
-    let pair_l1 = pair_report.level(LevelId::L1).unwrap();
-    assert_eq!(solo_l1.hits, pair_l1.hits);
-    assert_eq!(pair_l1.hits + pair_l1.misses, pair_report.accesses);
+    let (l1, l2) = (LevelId::L1.index(), LevelId::L2.index());
+    assert_eq!(solo_report.hits[l1], pair_report.hits[l1]);
+    assert_eq!(
+        pair_report.hits[l1] + pair_report.misses[l1],
+        pair_report.accesses
+    );
     // ...and only the 256 cold fills ever reach memory.
     assert_eq!(pair_report.memory_accesses, 256);
-    let pair_l2 = pair_report.level(LevelId::L2).unwrap();
-    assert_eq!(pair_l2.hits, pair_l1.misses - 256);
-}
-
-/// Adapts a composite cache to the [`Replayer`] interface so traces drive
-/// it through [`trace::replay`].
-struct DuelingReplayer(DuelingCache);
-
-impl Replayer for DuelingReplayer {
-    fn access(&mut self, addr: PhysAddr) -> ReplayEvent {
-        match self.0.access(addr) {
-            AccessResult::Hit { .. } => ReplayEvent {
-                outcome: HitMiss::Hit,
-                evicted_line: None,
-            },
-            AccessResult::Miss { line, evicted } => ReplayEvent {
-                outcome: HitMiss::Miss,
-                evicted_line: evicted.map(|_| line),
-            },
-        }
-    }
-}
-
-/// A cold-start single-policy reference: one fresh [`CacheSet`] per touched
-/// set, all running `kind` — what a dueling follower must behave like once
-/// the PSEL counter has settled on `kind`.
-struct FreshSets {
-    kind: PolicyKind,
-    geometry: CacheGeometry,
-    sets: HashMap<usize, CacheSet>,
-}
-
-impl FreshSets {
-    fn new(kind: PolicyKind, geometry: CacheGeometry) -> Self {
-        FreshSets {
-            kind,
-            geometry,
-            sets: HashMap::new(),
-        }
-    }
-}
-
-impl Replayer for FreshSets {
-    fn access(&mut self, addr: PhysAddr) -> ReplayEvent {
-        let (kind, assoc) = (self.kind, self.geometry.associativity);
-        let flat = self.geometry.flat_index(addr);
-        let set = self
-            .sets
-            .entry(flat)
-            .or_insert_with(|| CacheSet::new(kind.build(assoc).unwrap()));
-        let block = Block::new(addr.line_base(self.geometry.line_size).0);
-        match set.access(block) {
-            AccessResult::Hit { .. } => ReplayEvent {
-                outcome: HitMiss::Hit,
-                evicted_line: None,
-            },
-            AccessResult::Miss { line, evicted } => ReplayEvent {
-                outcome: HitMiss::Miss,
-                evicted_line: evicted.map(|_| line),
-            },
-        }
-    }
-}
-
-#[test]
-fn dueling_followers_become_the_winning_policy_under_traffic() {
-    // 2 ways x 16 sets; set 0 leads the primary (LRU), set 1 leads the
-    // alternate (LIP), the remaining 14 sets follow the PSEL counter.
-    let geometry = CacheGeometry::new(2, 16, 1, 64);
-    let mut roles = vec![DuelingRole::Follower; 16];
-    roles[0] = DuelingRole::LeaderPrimary;
-    roles[1] = DuelingRole::LeaderAlternate;
-    let cache = DuelingCache::new(
-        geometry,
-        roles,
-        |_| PolicyKind::Lru.build(2).unwrap(),
-        |_| PolicyKind::Lip.build(2).unwrap(),
-    );
-    let mut dueling = DuelingReplayer(cache);
-
-    // Phase 1: a strided scan whose stride (16 lines) wraps the 16 sets, so
-    // every access lands in set 0 — three congruent lines thrashing the
-    // 2-way primary leader.  Each leader miss tips PSEL towards LIP.
-    let thrash = generate(&TraceSpec {
-        generator: GeneratorKind::Strided,
-        accesses: 60,
-        lines: 48,
-        stride: 16,
-        seed: 2,
-        ..TraceSpec::default()
-    });
-    let thrash_counts = replay(&thrash, &mut dueling);
-    assert_eq!(thrash_counts.hits, 0, "the leader thrash must be hitless");
-    assert!(dueling.0.dueling().followers_use_alternate());
-    let psel_after_thrash = dueling.0.dueling().psel();
-
-    // Phase 2: drive every follower set with the tag pattern A B C D A —
-    // LIP's insert-at-LRU sacrifices each newcomer and pins A (1 hit per
-    // set) where LRU's insert-at-MRU churns everything and goes hitless.
-    // Addresses are tag << 10 | set << 6 for this geometry; sets 2..15
-    // stay followers.
-    let pattern = [0u64, 1, 2, 3, 0];
-    let mut addresses = Vec::new();
-    for &tag in &pattern {
-        for set in 2..16u64 {
-            addresses.push(PhysAddr((tag << 10) | (set << 6)));
-        }
-    }
-    let followers = Trace::new(addresses);
-
-    let follower_counts = replay(&followers, &mut dueling);
-    let lip_counts = replay(&followers, &mut FreshSets::new(PolicyKind::Lip, geometry));
-    let lru_counts = replay(&followers, &mut FreshSets::new(PolicyKind::Lru, geometry));
-
-    // The followers are exactly the winning (alternate) policy, and the
-    // two candidate policies genuinely disagree on this pattern.
-    assert_eq!(follower_counts, lip_counts);
-    assert_eq!(lip_counts.hits, 14);
-    assert_eq!(lru_counts.hits, 0);
-    // Follower misses never move PSEL.
-    assert_eq!(dueling.0.dueling().psel(), psel_after_thrash);
+    assert_eq!(pair_report.hits[l2], pair_report.misses[l1] - 256);
 }
