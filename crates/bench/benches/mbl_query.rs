@@ -2,7 +2,7 @@
 //! of executing `@ M _?` against each cache level of the simulated Skylake.
 
 use cache::LevelId;
-use cachequery::{CacheQuery, Target};
+use cachequery::{Backend, QueryEngine, Target};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hardware::{CpuModel, SimulatedCpu};
 
@@ -11,14 +11,16 @@ fn bench_mbl_query(c: &mut Criterion) {
     group.sample_size(20);
     for level in LevelId::ALL {
         let cpu = SimulatedCpu::new(CpuModel::SkylakeI5_6500, 1);
-        let mut tool = CacheQuery::new(cpu);
-        tool.enable_cache(false);
-        tool.set_target(Target::new(level, 5, 0))
+        let mut engine = QueryEngine::new(Backend::new(cpu));
+        engine.set_memoize(false);
+        engine
+            .backend_mut()
+            .select_target(Target::new(level, 5, 0))
             .expect("valid target");
         group.bench_with_input(
             BenchmarkId::new("at_m_wildcard", level.to_string()),
             &level,
-            |b, _| b.iter(|| tool.query("@ M _?").expect("query runs").len()),
+            |b, _| b.iter(|| engine.query_mbl("@ M _?").expect("query runs").len()),
         );
     }
     group.finish();

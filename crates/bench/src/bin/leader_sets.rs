@@ -11,37 +11,46 @@
 //!
 //! Usage:
 //!   leader_sets [--cpu skylake|kabylake|haswell] [--sets N] [--cat WAYS] [--seed N]
+//!
+//! `--cat` applies only on a model with CAT (not the Haswell).
 
 use bench::{Args, TextTable};
 use cache::{DuelingRole, LevelId};
-use cachequery::{detect_leader_sets, CacheQuery, LeaderClass};
+use cachequery::{detect_leader_sets, Backend, LeaderClass, QueryEngine};
 use hardware::{CpuModel, SimulatedCpu};
 
 fn main() {
     let args = Args::from_env();
     let model = args.value_or("cpu", CpuModel::SkylakeI5_6500);
     let sample = args.value_or("sets", 48usize);
-    let cat = args.value_or("cat", 4usize);
+    // The CAT restriction applied, if the model supports one.
+    let cat = model
+        .spec()
+        .supports_cat
+        .then_some(args.value_or("cat", 4usize));
     let seed = args.value_or("seed", 99u64);
 
+    let cat_note = cat.map_or_else(String::new, |ways| format!("CAT {ways} ways, "));
     println!("Appendix B: leader-set detection on the simulated {model} L3");
-    println!("(thrashing working set = associativity + 1, CAT {cat} ways, {sample} sampled sets)");
+    println!("(thrashing working set = associativity + 1, {cat_note}{sample} sampled sets)");
     println!();
 
-    let cpu = SimulatedCpu::new(model, seed);
-    let mut tool = CacheQuery::new(cpu);
-    if model.spec().supports_cat {
-        tool.apply_cat(cat).expect("CAT is supported on this model");
+    let mut backend = Backend::new(SimulatedCpu::new(model, seed));
+    if let Some(ways) = cat {
+        backend
+            .apply_cat(ways)
+            .expect("CAT is supported on this model");
     } else {
         println!("note: {model} does not support CAT; thrashing runs at full associativity");
     }
+    let mut engine = QueryEngine::new(backend);
 
     // Sample the first `sample` set indices of slice 0, which contains the
     // first few Skylake leader sets of the published selection formula (0,
     // 33, ...).
     let candidates: Vec<(usize, usize)> = (0..sample).map(|set| (set, 0)).collect();
     let report =
-        detect_leader_sets(&mut tool, LevelId::L3, &candidates, 2).expect("detection runs");
+        detect_leader_sets(&mut engine, LevelId::L3, &candidates, 2).expect("detection runs");
 
     // Ground truth straight from the simulated machine's dueling controller.
     let truth_cpu = SimulatedCpu::new(model, seed);
@@ -98,6 +107,14 @@ fn main() {
     println!(
         "the simulated machine plants leaders at sets {planted_leaders:?} within the sampled range"
     );
+    if planted_leaders.is_empty() {
+        // Only primary leaders' misses vote the duel towards the
+        // thrash-resistant policy between the two phases.
+        println!(
+            "no sampled set is a primary leader, so the duel cannot move: followers keep one \
+             policy through both phases and read as fixed"
+        );
+    }
     println!();
     println!("Paper reference (Appendix B / Table 4): leader sets 0, 33, 132, 165, 264, 297, 396,");
     println!("429, 528, 561, 660, 693, 792, 825, 924, 957 per slice on Skylake and Kaby Lake;");

@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use bench::{format_duration, Args, TextTable};
 use cache::LevelId;
-use cachequery::{CacheQuery, ResetSequence, Target};
+use cachequery::{Backend, QueryEngine, ResetSequence, Target};
 use hardware::{CpuModel, SimulatedCpu};
 use polca::{learn_hardware_policy, learn_simulated_policy, HardwareTarget, LearnSetup};
 use policies::PolicyKind;
@@ -89,19 +89,21 @@ fn main() {
     ]);
     for level in LevelId::ALL {
         let cpu = SimulatedCpu::new(CpuModel::SkylakeI5_6500, seed);
-        let mut tool = CacheQuery::new(cpu);
-        tool.enable_cache(false);
-        tool.set_target(Target::new(level, 5, 0))
+        let mut engine = QueryEngine::new(Backend::new(cpu));
+        engine.set_memoize(false);
+        engine
+            .backend_mut()
+            .select_target(Target::new(level, 5, 0))
             .expect("valid target");
-        let loads_before = tool.stats().backend_loads;
-        let cycles_before = tool.backend().cpu().rdtsc();
+        let loads_before = engine.backend().query_loads();
+        let cycles_before = engine.backend().cpu().rdtsc();
         let start = Instant::now();
         for _ in 0..repeats {
-            tool.query("@ M _?").expect("query runs");
+            engine.query_mbl("@ M _?").expect("query runs");
         }
         let elapsed = start.elapsed();
-        let loads = tool.stats().backend_loads - loads_before;
-        let cycles = tool.backend().cpu().rdtsc() - cycles_before;
+        let loads = engine.backend().query_loads() - loads_before;
+        let cycles = engine.backend().cpu().rdtsc() - cycles_before;
         table.add_row(&[
             level.to_string(),
             format!("{:.3} ms", elapsed.as_secs_f64() * 1000.0 / repeats as f64),

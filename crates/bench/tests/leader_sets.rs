@@ -1,5 +1,6 @@
 //! `bench --bin leader_sets` labels every sampled set with the role that the
-//! simulated machine it measured planted, not with another model's roles.
+//! simulated machine it measured planted, not with another model's roles,
+//! and its header names CAT only on a model that applied it.
 
 use std::process::Command;
 
@@ -20,6 +21,16 @@ fn haswell_ground_truth_comes_from_the_haswell_model() {
     assert!(!stdout.contains("| leader ("), "{stdout}");
     assert!(
         stdout.contains("plants leaders at sets [] within the sampled range"),
+        "{stdout}"
+    );
+    // The Haswell has no CAT, so the header names none.
+    assert!(
+        stdout.contains("(thrashing working set = associativity + 1, 34 sampled sets)\n"),
+        "{stdout}"
+    );
+    // Without a primary leader nothing votes the duel between the phases.
+    assert!(
+        stdout.contains("no sampled set is a primary leader, so the duel cannot move"),
         "{stdout}"
     );
 }

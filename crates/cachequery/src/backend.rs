@@ -23,9 +23,10 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use cache::{CacheGeometry, HitMiss, LevelId};
-use hardware::{CatError, SimulatedCpu, VirtAddr};
+use hardware::{CatError, CpuModel, SimulatedCpu, VirtAddr};
 use mbl::{BlockId, ExpandError, MemOp, Query, Tag};
 
+use crate::engine::QueryConfig;
 use crate::reset::ResetSequence;
 
 /// A cache set chosen as the target of queries: a level, a set index within a
@@ -199,8 +200,6 @@ pub struct Backend {
     reset: ResetSequence,
     /// Total number of loads issued for queries (excludes calibration).
     query_loads: u64,
-    /// Total number of queries executed (after repetition).
-    queries_run: u64,
 }
 
 impl Backend {
@@ -217,7 +216,6 @@ impl Backend {
             repetitions: 3,
             reset: ResetSequence::default(),
             query_loads: 0,
-            queries_run: 0,
         };
         backend.grow_pool();
         backend
@@ -228,21 +226,28 @@ impl Backend {
         &self.cpu
     }
 
-    /// Number of times each query is executed for the majority vote.
-    pub fn repetitions(&self) -> usize {
-        self.repetitions
-    }
-
-    /// Sets the number of repetitions (values are rounded up to an odd
-    /// number; 0 is treated as 1).
+    /// Sets the number of repetitions, rounded by [`odd_repetitions`].
     pub fn set_repetitions(&mut self, repetitions: usize) {
-        let r = repetitions.max(1);
-        self.repetitions = if r.is_multiple_of(2) { r + 1 } else { r };
+        self.repetitions = odd_repetitions(repetitions);
     }
 
-    /// The reset sequence applied before every query execution.
-    pub fn reset_sequence(&self) -> &ResetSequence {
-        &self.reset
+    /// The memoization namespace of a backend configured this way — exposed
+    /// so servers can compute a session's namespace without a machine.
+    pub fn config_for(
+        model: CpuModel,
+        seed: u64,
+        cat: Option<usize>,
+        reset: &ResetSequence,
+        reps: usize,
+        target: Target,
+    ) -> QueryConfig {
+        let cat = cat.map_or_else(|| "-".to_string(), |ways| ways.to_string());
+        QueryConfig {
+            backend: format!("{} seed={seed} cat={cat}", model.short_name()),
+            reset: reset.to_string(),
+            reps,
+            target,
+        }
     }
 
     /// Sets the reset sequence.
@@ -284,12 +289,6 @@ impl Backend {
     /// Number of loads issued on behalf of queries so far.
     pub fn query_loads(&self) -> u64 {
         self.query_loads
-    }
-
-    /// Number of query executions so far: one per [`Backend::run_single`]
-    /// call, i.e. one per engine-level voting repetition.
-    pub fn queries_run(&self) -> u64 {
-        self.queries_run
     }
 
     /// Selects the target cache set: binds abstract blocks to congruent
@@ -410,7 +409,6 @@ impl Backend {
             return Err(BackendError::NoTarget);
         }
         self.ensure_blocks(query)?;
-        self.queries_run += 1;
         Ok(self.run_once(query))
     }
 
@@ -668,6 +666,12 @@ impl Backend {
     }
 }
 
+/// The repetition count a vote actually uses: `reps` rounded up to an odd
+/// number, so a majority always exists (0 counts as 1).
+pub fn odd_repetitions(reps: usize) -> usize {
+    reps | 1
+}
+
 impl crate::engine::QueryBackend for Backend {
     fn execute(&mut self, query: &Query) -> Result<(Vec<HitMiss>, bool), BackendError> {
         // One raw measurement: the engine repeats and votes per
@@ -675,22 +679,16 @@ impl crate::engine::QueryBackend for Backend {
         self.run_single(query).map(|outcomes| (outcomes, true))
     }
 
-    fn config(&self) -> Result<crate::engine::QueryConfig, BackendError> {
+    fn config(&self) -> Result<QueryConfig, BackendError> {
         let target = self.target().ok_or(BackendError::NoTarget)?;
-        let cat = self
-            .cpu()
-            .cat_ways()
-            .map_or_else(|| "-".to_string(), |ways| ways.to_string());
-        Ok(crate::engine::QueryConfig {
-            backend: format!(
-                "{} seed={} cat={cat}",
-                self.cpu().model().short_name(),
-                self.cpu().seed()
-            ),
-            reset: self.reset_sequence().to_string(),
-            reps: self.repetitions(),
+        Ok(Backend::config_for(
+            self.cpu.model(),
+            self.cpu.seed(),
+            self.cpu.cat_ways(),
+            &self.reset,
+            self.repetitions,
             target,
-        })
+        ))
     }
 
     fn associativity(&self) -> Result<usize, BackendError> {
@@ -797,11 +795,9 @@ mod tests {
 
     #[test]
     fn repetitions_are_forced_odd() {
-        let mut b = Backend::new(SimulatedCpu::new(CpuModel::SkylakeI5_6500, 99));
-        b.set_repetitions(4);
-        assert_eq!(b.repetitions(), 5);
-        b.set_repetitions(0);
-        assert_eq!(b.repetitions(), 1);
+        assert_eq!(odd_repetitions(4), 5);
+        assert_eq!(odd_repetitions(5), 5);
+        assert_eq!(odd_repetitions(0), 1);
     }
 
     #[test]

@@ -501,11 +501,6 @@ impl<B: QueryBackend> QueryEngine<B> {
         self.recorder = recorder;
     }
 
-    /// The recorder this engine emits spans into, if any.
-    pub fn recorder(&self) -> Option<&Arc<Recorder>> {
-        self.recorder.as_ref()
-    }
-
     /// This engine's local work counters.
     pub fn stats(&self) -> EngineStats {
         self.stats

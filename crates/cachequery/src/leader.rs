@@ -10,8 +10,8 @@
 use cache::{HitMiss, LevelId};
 use mbl::{BlockId, MemOp, Query};
 
-use crate::backend::{BackendError, Target};
-use crate::frontend::CacheQuery;
+use crate::backend::{Backend, BackendError, Target};
+use crate::engine::QueryEngine;
 
 /// Classification of a cache set by the thrashing experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,7 +111,7 @@ const WARMUP_ROUNDS: usize = 3;
 
 /// Builds the thrashing query: a working set of `assoc + 1` blocks accessed
 /// cyclically, with the last round profiled.
-fn thrashing_query(assoc: usize) -> Query {
+pub fn thrashing_query(assoc: usize) -> Query {
     let working_set = assoc + 1;
     let mut query = Vec::new();
     for round in 0..=WARMUP_ROUNDS {
@@ -135,11 +135,10 @@ fn miss_rate(outcomes: &[HitMiss]) -> f64 {
 }
 
 /// Measures the thrashing miss rate of one target set.
-fn thrash_rate(cq: &mut CacheQuery, target: Target) -> Result<f64, BackendError> {
-    cq.set_target(target)?;
-    let assoc = cq.associativity()?;
-    let query = thrashing_query(assoc);
-    let outcome = cq.run_query(&query)?;
+fn thrash_rate(engine: &mut QueryEngine<Backend>, target: Target) -> Result<f64, BackendError> {
+    engine.backend_mut().select_target(target)?;
+    let query = thrashing_query(engine.backend().associativity()?);
+    let outcome = engine.run(&query)?;
     Ok(miss_rate(&outcome.outcomes))
 }
 
@@ -158,13 +157,13 @@ fn thrash_rate(cq: &mut CacheQuery, target: Target) -> Result<f64, BackendError>
 ///
 /// Propagates backend errors (invalid sets, address-selection failures).
 pub fn detect_leader_sets(
-    cq: &mut CacheQuery,
+    engine: &mut QueryEngine<Backend>,
     level: LevelId,
     candidates: &[(usize, usize)],
     extra_duel_rounds: usize,
 ) -> Result<LeaderReport, BackendError> {
     detect_leader_sets_with(
-        cq,
+        engine,
         level,
         candidates,
         &LeaderDetectConfig {
@@ -180,21 +179,37 @@ pub fn detect_leader_sets(
 /// arbitrary initial duel (PSEL) state, which is what the cartography
 /// campaign relies on.
 ///
+/// The experiment runs with memoization off (a memoized phase 2 would return
+/// phase-1 answers); the engine's own setting is restored afterwards, on
+/// success and on error.
+///
 /// # Errors
 ///
 /// Propagates backend errors (invalid sets, address-selection failures).
 pub fn detect_leader_sets_with(
-    cq: &mut CacheQuery,
+    engine: &mut QueryEngine<Backend>,
     level: LevelId,
     candidates: &[(usize, usize)],
     config: &LeaderDetectConfig,
 ) -> Result<LeaderReport, BackendError> {
-    // Response caching would make phase 2 return phase-1 answers.
-    cq.enable_cache(false);
+    let memoize = engine.memoize();
+    engine.set_memoize(false);
+    let report = detect(engine, level, candidates, config);
+    engine.set_memoize(memoize);
+    report
+}
 
+/// The experiment of [`detect_leader_sets_with`], on an engine that does not
+/// memoize.
+fn detect(
+    engine: &mut QueryEngine<Backend>,
+    level: LevelId,
+    candidates: &[(usize, usize)],
+    config: &LeaderDetectConfig,
+) -> Result<LeaderReport, BackendError> {
     let mut initial = Vec::with_capacity(candidates.len());
     for &(set, slice) in candidates {
-        initial.push(thrash_rate(cq, Target::new(level, set, slice))?);
+        initial.push(thrash_rate(engine, Target::new(level, set, slice))?);
     }
 
     // Drive the duel further towards the thrash-resistant policy by thrashing
@@ -203,14 +218,14 @@ pub fn detect_leader_sets_with(
     for _round in 0..config.extra_duel_rounds {
         for (i, &(set, slice)) in candidates.iter().enumerate() {
             if initial[i] >= THRASH_THRESHOLD {
-                let _ = thrash_rate(cq, Target::new(level, set, slice))?;
+                let _ = thrash_rate(engine, Target::new(level, set, slice))?;
             }
         }
     }
 
     let mut sets = Vec::with_capacity(candidates.len());
     for (i, &(set, slice)) in candidates.iter().enumerate() {
-        let after = thrash_rate(cq, Target::new(level, set, slice))?;
+        let after = thrash_rate(engine, Target::new(level, set, slice))?;
         let class = match (initial[i] >= THRASH_THRESHOLD, after >= THRASH_THRESHOLD) {
             (true, true) => LeaderClass::ThrashVulnerable,
             (false, false) => LeaderClass::ThrashResistant,
@@ -242,12 +257,12 @@ pub fn detect_leader_sets_with(
             for _round in 0..config.down_drive_rounds {
                 for &i in &resistant {
                     let info = &sets[i];
-                    let _ = thrash_rate(cq, Target::new(level, info.set, info.slice))?;
+                    let _ = thrash_rate(engine, Target::new(level, info.set, info.slice))?;
                 }
             }
             for &i in &resistant {
                 let (set, slice) = (sets[i].set, sets[i].slice);
-                let rate = thrash_rate(cq, Target::new(level, set, slice))?;
+                let rate = thrash_rate(engine, Target::new(level, set, slice))?;
                 if rate >= THRASH_THRESHOLD {
                     sets[i].class = LeaderClass::Adaptive;
                     sets[i].miss_rate_after_duel = rate;
@@ -275,12 +290,12 @@ pub fn detect_leader_sets_with(
             for _round in 0..config.up_drive_rounds {
                 for &i in &vulnerable {
                     let info = &sets[i];
-                    let _ = thrash_rate(cq, Target::new(level, info.set, info.slice))?;
+                    let _ = thrash_rate(engine, Target::new(level, info.set, info.slice))?;
                 }
             }
             for &i in &vulnerable {
                 let (set, slice) = (sets[i].set, sets[i].slice);
-                let rate = thrash_rate(cq, Target::new(level, set, slice))?;
+                let rate = thrash_rate(engine, Target::new(level, set, slice))?;
                 if rate < THRASH_THRESHOLD {
                     sets[i].class = LeaderClass::Adaptive;
                     sets[i].miss_rate_after_duel = rate;
@@ -289,7 +304,6 @@ pub fn detect_leader_sets_with(
         }
     }
 
-    cq.enable_cache(true);
     Ok(LeaderReport { level, sets })
 }
 
@@ -315,15 +329,31 @@ mod tests {
         assert_eq!(miss_rate(&[HitMiss::Miss, HitMiss::Hit]), 0.5);
     }
 
+    fn skylake_engine(seed: u64) -> QueryEngine<Backend> {
+        let cpu = SimulatedCpu::new(CpuModel::SkylakeI5_6500, seed);
+        let mut engine = QueryEngine::new(Backend::new(cpu));
+        engine.backend_mut().apply_cat(4).unwrap();
+        engine
+    }
+
+    #[test]
+    fn detection_leaves_the_memoization_setting_alone() {
+        let mut engine = skylake_engine(11);
+        engine.set_memoize(false);
+        detect_leader_sets(&mut engine, LevelId::L3, &[(0, 0)], 0).unwrap();
+        assert!(!engine.memoize(), "a successful detection switched it on");
+        engine.set_memoize(true);
+        assert!(detect_leader_sets(&mut engine, LevelId::L3, &[(1 << 20, 0)], 0).is_err());
+        assert!(engine.memoize(), "a failing detection left it off");
+    }
+
     #[test]
     fn detects_skylake_style_leaders_on_the_simulated_l3() {
-        let cpu = SimulatedCpu::new(CpuModel::SkylakeI5_6500, 11);
-        let mut cq = CacheQuery::new(cpu);
-        cq.apply_cat(4).unwrap();
+        let mut engine = skylake_engine(11);
         // Candidate sets: two known primary leaders (0 and 33, Table 4) and
         // two ordinary follower sets.
         let candidates = [(0, 0), (33, 0), (1, 0), (7, 0)];
-        let report = detect_leader_sets(&mut cq, LevelId::L3, &candidates, 2).unwrap();
+        let report = detect_leader_sets(&mut engine, LevelId::L3, &candidates, 2).unwrap();
         let vulnerable = report.thrash_vulnerable();
         assert!(
             vulnerable.contains(&(0, 0)),

@@ -17,27 +17,31 @@
 //!   executes it, measures latencies and classifies them against calibrated
 //!   thresholds.  It is one implementation of the [`QueryBackend`] trait —
 //!   the abstraction every "scarce oracle" of this repo implements.
-//! * [`QueryEngine`] is the single memoization layer (the LevelDB role of
-//!   §4.2): a namespaced prefix-trie [`QueryStore`] in front of any
-//!   [`QueryBackend`].  Engines that should share answers — concurrent `cqd`
-//!   sessions, learning jobs, per-worker oracle clones — share one store.
-//! * [`CacheQuery`] is the frontend: a thin MBL shell (expansion, batching,
-//!   the interactive/batch entry points) over one engine.
+//! * [`QueryEngine`] is the frontend and the single memoization layer (the
+//!   LevelDB role of §4.2): it expands MBL ([`QueryEngine::query_mbl`]),
+//!   batches, votes over repetitions, and keeps a namespaced prefix-trie
+//!   [`QueryStore`] in front of any [`QueryBackend`].  Engines that should
+//!   share answers — concurrent `cqd` sessions, learning jobs — share one
+//!   store.  The shell's command language lives in [`parse_command`]; the
+//!   `cqd` daemon interprets it.
 //! * [`leader`](detect_leader_sets) implements the thrashing-based leader-set
 //!   detection of Appendix B.
 //!
 //! # Example
 //!
 //! ```
-//! use cachequery::{CacheQuery, Target};
+//! use cachequery::{Backend, QueryEngine, Target};
 //! use cache::LevelId;
 //! use hardware::{CpuModel, SimulatedCpu};
 //!
 //! let cpu = SimulatedCpu::new(CpuModel::SkylakeI5_6500, 7);
-//! let mut cq = CacheQuery::new(cpu);
-//! cq.set_target(Target::new(LevelId::L1, 13, 0)).unwrap();
+//! let mut engine = QueryEngine::new(Backend::new(cpu));
+//! engine
+//!     .backend_mut()
+//!     .select_target(Target::new(LevelId::L1, 13, 0))
+//!     .unwrap();
 //! // Fill the set, access one more block, and probe whether A survived.
-//! let results = cq.query("@ X A?").unwrap();
+//! let results = engine.query_mbl("@ X A?").unwrap();
 //! assert_eq!(results.len(), 1);        // one expanded query
 //! assert_eq!(results[0].outcomes.len(), 1); // one profiled access
 //! ```
@@ -47,7 +51,6 @@
 
 mod backend;
 mod engine;
-mod frontend;
 mod leader;
 mod noise;
 pub mod persist;
@@ -55,18 +58,17 @@ mod repl;
 mod reset;
 mod store;
 
-pub use backend::{Backend, BackendError, Target};
+pub use backend::{odd_repetitions, Backend, BackendError, Target};
 pub use engine::{
     EngineStats, QueryBackend, QueryConfig, QueryEngine, QueryOutcome, QueryStepper, StepSession,
     VoteConfig, VoteEvidence,
 };
-pub use frontend::{CacheQuery, QueryStats};
 pub use leader::{
-    detect_leader_sets, detect_leader_sets_with, LeaderClass, LeaderDetectConfig, LeaderReport,
-    LeaderSetInfo,
+    detect_leader_sets, detect_leader_sets_with, thrashing_query, LeaderClass, LeaderDetectConfig,
+    LeaderReport, LeaderSetInfo,
 };
 pub use noise::{NoiseSpec, NoiseStats, NoisyBackend, DEFAULT_NOISY_REPS};
-pub use repl::{execute_command, parse_command, process_command, Command, ReplSession, HELP_TEXT};
+pub use repl::{parse_command, Command, HELP_TEXT};
 pub use reset::ResetSequence;
 pub use store::{
     decode_pattern, encode_pattern, ImportReport, NamespaceUsage, PersistStats, QueryStore,

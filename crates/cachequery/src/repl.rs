@@ -1,66 +1,19 @@
-//! A tiny command interpreter for interactive use of CacheQuery.
+//! The command language of the CacheQuery shell (§4.2): configuration
+//! commands that change the target cache set on the fly, and MBL queries.
 //!
-//! The original frontend offers a REPL shell for executing queries and
-//! changing the target cache set on the fly (§4.2).  This module splits the
-//! string protocol into two pure halves so that every consumer of the command
-//! language shares one implementation:
-//!
-//! * [`parse_command`] turns one command line into a [`Command`] value (the
-//!   *syntax* of the protocol), and
-//! * [`execute_command`] interprets a [`Command`] against a [`ReplSession`]
-//!   (the *semantics* over an in-process [`CacheQuery`]).
-//!
-//! [`process_command`] composes the two for the interactive `mbl_repl`
-//! example; the `cqd` network daemon (the `server` crate) reuses
-//! [`parse_command`] and maps the same [`Command`] values onto its
-//! session-routing machinery instead.
+//! [`parse_command`] turns one command line into a [`Command`] value.  The
+//! `cqd` daemon (the `server` crate) interprets those values against a
+//! session in its `repl` request, and the interactive `mbl_repl` example
+//! sends each line it reads to an in-process daemon as such a request.
 
-use cache::{HitMiss, LevelId};
+use cache::LevelId;
 
-use crate::backend::Target;
-use crate::frontend::CacheQuery;
 use crate::reset::ResetSequence;
-
-/// State of an interactive session: the tool plus the staged target
-/// selection.
-#[derive(Debug)]
-pub struct ReplSession {
-    /// The underlying CacheQuery instance.
-    pub tool: CacheQuery,
-    level: LevelId,
-    set: usize,
-    slice: usize,
-    target_dirty: bool,
-}
-
-impl ReplSession {
-    /// Creates a session targeting L1 set 0 by default.
-    pub fn new(tool: CacheQuery) -> Self {
-        ReplSession {
-            tool,
-            level: LevelId::L1,
-            set: 0,
-            slice: 0,
-            target_dirty: true,
-        }
-    }
-
-    fn ensure_target(&mut self) -> Result<(), String> {
-        if self.target_dirty {
-            self.tool
-                .set_target(Target::new(self.level, self.set, self.slice))
-                .map_err(|e| e.to_string())?;
-            self.target_dirty = false;
-        }
-        Ok(())
-    }
-}
 
 /// One parsed command of the CacheQuery string protocol (§4.2).
 ///
-/// The same command language is spoken by the interactive `mbl_repl` example
-/// and by `cqd` sessions; both go through [`parse_command`], so the protocol
-/// cannot drift between the two frontends.
+/// `cqd` sessions speak this language in their `repl` request, and the
+/// interactive `mbl_repl` example forwards every line to such a session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
     /// `help`: list the available commands.
@@ -150,166 +103,9 @@ pub fn parse_command(line: &str) -> Option<Command> {
     })
 }
 
-/// Renders a hit/miss vector the way the paper prints traces
-/// (`Hit Hit Miss …`).
-fn render_outcomes(outcomes: &[HitMiss]) -> String {
-    if outcomes.is_empty() {
-        return "(no profiled accesses)".to_string();
-    }
-    outcomes
-        .iter()
-        .map(|o| o.to_string())
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-/// Interprets one parsed [`Command`] against an in-process session and
-/// returns the textual response.
-pub fn execute_command(session: &mut ReplSession, command: &Command) -> String {
-    match command {
-        Command::Help => HELP_TEXT.to_string(),
-        Command::Usage(usage) => (*usage).to_string(),
-        Command::Level(level) => {
-            session.level = *level;
-            session.target_dirty = true;
-            format!("target level set to {level}")
-        }
-        Command::Set(set) => {
-            session.set = *set;
-            session.target_dirty = true;
-            format!("target set index set to {set}")
-        }
-        Command::Slice(slice) => {
-            session.slice = *slice;
-            session.target_dirty = true;
-            format!("target slice set to {slice}")
-        }
-        Command::Assoc => match session.ensure_target() {
-            Ok(()) => format!(
-                "associativity: {}",
-                session.tool.associativity().expect("target just selected")
-            ),
-            Err(e) => format!("error: {e}"),
-        },
-        Command::Reps(reps) => {
-            session.tool.set_repetitions(*reps);
-            format!(
-                "repetitions set to {}",
-                session.tool.backend().repetitions()
-            )
-        }
-        Command::Reset(reset) => {
-            session.tool.set_reset_sequence(reset.clone());
-            format!("reset sequence set to {reset}")
-        }
-        Command::Cat(ways) => match session.tool.apply_cat(*ways) {
-            Ok(()) => {
-                session.target_dirty = true;
-                format!("last-level cache restricted to {ways} ways")
-            }
-            Err(e) => format!("error: {e}"),
-        },
-        Command::Target => format!(
-            "target: {} set {} slice {}",
-            session.level, session.set, session.slice
-        ),
-        Command::Stats => {
-            let stats = session.tool.stats();
-            format!(
-                "queries: {} (cache hits: {}), backend queries: {}, loads: {}",
-                stats.queries, stats.cache_hits, stats.backend_queries, stats.backend_loads
-            )
-        }
-        Command::Query(mbl) => {
-            if let Err(e) = session.ensure_target() {
-                return format!("error: {e}");
-            }
-            match session.tool.query(mbl) {
-                Ok(results) => results
-                    .iter()
-                    .map(|r| format!("{} -> {}", r.rendered, render_outcomes(&r.outcomes)))
-                    .collect::<Vec<_>>()
-                    .join("\n"),
-                Err(e) => format!("error: {e}"),
-            }
-        }
-    }
-}
-
-/// Processes one command line and returns the textual response.
-///
-/// Supported commands: `help`, `level <L1|L2|L3>`, `set <n>`, `slice <n>`,
-/// `assoc`, `reps <n>`, `reset <F+R | mbl sequence>`, `cat <ways>`, `stats`,
-/// `target`; anything else is treated as an MBL query.
-pub fn process_command(session: &mut ReplSession, line: &str) -> String {
-    match parse_command(line) {
-        Some(command) => execute_command(session, &command),
-        None => String::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hardware::{CpuModel, SimulatedCpu};
-
-    fn session() -> ReplSession {
-        let cpu = SimulatedCpu::new(CpuModel::SkylakeI5_6500, 3);
-        ReplSession::new(CacheQuery::new(cpu))
-    }
-
-    #[test]
-    fn configures_target_and_runs_queries() {
-        let mut s = session();
-        assert!(process_command(&mut s, "level L1").contains("L1"));
-        assert!(process_command(&mut s, "set 12").contains("12"));
-        assert!(process_command(&mut s, "assoc").contains('8'));
-        let out = process_command(&mut s, "A B C A?");
-        assert!(out.contains("Hit"), "unexpected output: {out}");
-    }
-
-    #[test]
-    fn figure_1_trace_via_the_repl() {
-        let mut s = session();
-        process_command(&mut s, "level L2");
-        process_command(&mut s, "set 63");
-        // A B C A on an empty 4-way set: the first three accesses are not
-        // profiled, the re-access of A hits.
-        let out = process_command(&mut s, "A B C A?");
-        assert!(out.ends_with("Hit"), "unexpected output: {out}");
-    }
-
-    #[test]
-    fn unknown_levels_and_malformed_numbers_are_reported() {
-        let mut s = session();
-        assert!(process_command(&mut s, "level L9").contains("usage"));
-        assert!(process_command(&mut s, "set x").contains("usage"));
-        assert!(process_command(&mut s, "reps").contains("usage"));
-    }
-
-    #[test]
-    fn stats_and_help_are_available() {
-        let mut s = session();
-        assert!(process_command(&mut s, "help").contains("MBL"));
-        process_command(&mut s, "A?");
-        assert!(process_command(&mut s, "stats").contains("queries: 1"));
-    }
-
-    #[test]
-    fn reset_and_cat_commands() {
-        let mut s = session();
-        assert!(process_command(&mut s, "reset D C B A @").contains("D C B A @"));
-        assert!(process_command(&mut s, "cat 4").contains("4 ways"));
-        process_command(&mut s, "level L3");
-        assert!(process_command(&mut s, "assoc").contains('4'));
-    }
-
-    #[test]
-    fn bad_mbl_queries_report_errors() {
-        let mut s = session();
-        let out = process_command(&mut s, "A (");
-        assert!(out.contains("error"), "unexpected output: {out}");
-    }
 
     #[test]
     fn parsing_is_a_pure_function_of_the_line() {

@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 
 use cache::{skylake_like_roles, CacheGeometry, DuelingRole, LevelId};
-use cachequery::{detect_leader_sets_with, CacheQuery, LeaderClass, LeaderDetectConfig};
+use cachequery::{detect_leader_sets_with, Backend, LeaderClass, LeaderDetectConfig, QueryEngine};
 use hardware::{CpuModel, CpuSpec, LevelPolicy, LevelSpec, SimulatedCpu};
 use policies::PolicyKind;
 
@@ -69,7 +69,7 @@ fn assert_layout_recovered(
     config: &LeaderDetectConfig,
 ) -> Result<(), TestCaseError> {
     let cpu = SimulatedCpu::new_planted(roles, seed);
-    let mut cq = CacheQuery::new(cpu);
+    let mut cq = QueryEngine::new(Backend::new(cpu));
     cq.backend()
         .cpu()
         .l3_dueling()

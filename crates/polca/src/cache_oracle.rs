@@ -19,9 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cache::{Block, CacheSet, HitMiss};
-use cachequery::{
-    Backend, CacheQuery, QueryBackend, QueryEngine, QueryStepper, StepSession, Target,
-};
+use cachequery::{Backend, QueryBackend, QueryEngine, QueryStepper, StepSession, Target};
 use learning::{NonDeterminism, OracleError};
 use mbl::{BlockId, MemOp, Query};
 use policies::PolicyKind;
@@ -275,7 +273,8 @@ impl<B: Clone> Clone for CacheQueryOracle<B> {
 }
 
 impl CacheQueryOracle<Backend> {
-    /// Wraps a CacheQuery instance that already has its target selected.
+    /// Selects `target` on the engine's hardware backend and wraps the
+    /// engine.
     ///
     /// The number of repetitions per query is raised to 5 so that stray
     /// measurement outliers are outvoted instead of being mistaken for
@@ -283,21 +282,14 @@ impl CacheQueryOracle<Backend> {
     ///
     /// # Errors
     ///
-    /// Returns an error if no target is selected.
-    pub fn new(mut tool: CacheQuery) -> Result<Self, OracleError> {
-        tool.set_repetitions(5);
-        Self::from_engine(tool.into_engine())
-    }
-
-    /// Selects a target and wraps the tool.
-    ///
-    /// # Errors
-    ///
     /// Propagates target-selection failures.
-    pub fn with_target(mut tool: CacheQuery, target: Target) -> Result<Self, OracleError> {
-        tool.set_target(target)
+    pub fn new(mut engine: QueryEngine<Backend>, target: Target) -> Result<Self, OracleError> {
+        let backend = engine.backend_mut();
+        backend
+            .select_target(target)
             .map_err(|e| OracleError::new(e.to_string()))?;
-        Self::new(tool)
+        backend.set_repetitions(5);
+        Self::from_engine(engine)
     }
 }
 
@@ -330,11 +322,6 @@ impl<B: QueryBackend> CacheQueryOracle<B> {
     /// or adjust the vote configuration before learning starts).
     pub fn engine_mut(&mut self) -> &mut QueryEngine<B> {
         &mut self.engine
-    }
-
-    /// Consumes the oracle and returns the wrapped engine.
-    pub fn into_engine(self) -> QueryEngine<B> {
-        self.engine
     }
 
     /// Builds the MBL query corresponding to a probe: access every block,
@@ -541,12 +528,16 @@ mod tests {
         assert_eq!(oracle.block_accesses(), 8);
     }
 
+    /// An oracle on L1 set 17 of a simulated Skylake.
+    fn skylake_l1_oracle() -> CacheQueryOracle {
+        let cpu = SimulatedCpu::new(CpuModel::SkylakeI5_6500, 21);
+        let engine = QueryEngine::new(Backend::new(cpu));
+        CacheQueryOracle::new(engine, Target::new(LevelId::L1, 17, 0)).unwrap()
+    }
+
     #[test]
     fn cachequery_oracle_probes_the_simulated_hardware() {
-        let cpu = SimulatedCpu::new(CpuModel::SkylakeI5_6500, 21);
-        let mut tool = CacheQuery::new(cpu);
-        tool.set_target(Target::new(LevelId::L1, 17, 0)).unwrap();
-        let mut oracle = CacheQueryOracle::new(tool).unwrap();
+        let mut oracle = skylake_l1_oracle();
         assert_eq!(oracle.associativity(), 8);
         // Within-set probe: the initial content 0..7 is established by the
         // reset sequence, so probing block 3 hits.
@@ -557,10 +548,7 @@ mod tests {
 
     #[test]
     fn cachequery_sessions_replay_the_whole_trace() {
-        let cpu = SimulatedCpu::new(CpuModel::SkylakeI5_6500, 21);
-        let mut tool = CacheQuery::new(cpu);
-        tool.set_target(Target::new(LevelId::L1, 17, 0)).unwrap();
-        let mut oracle = CacheQueryOracle::new(tool).unwrap();
+        let mut oracle = skylake_l1_oracle();
         let mut session = oracle.begin();
         assert_eq!(session.access(BlockId(11)).unwrap(), HitMiss::Miss);
         assert_eq!(session.access(BlockId(11)).unwrap(), HitMiss::Hit);

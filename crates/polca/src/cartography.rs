@@ -29,12 +29,11 @@ use std::sync::Arc;
 
 use cache::LevelId;
 use cachequery::{
-    detect_leader_sets_with, BackendError, CacheQuery, LeaderClass, LeaderDetectConfig,
-    QueryBackend, QueryStore, Target,
+    detect_leader_sets_with, thrashing_query, Backend, BackendError, LeaderClass,
+    LeaderDetectConfig, QueryBackend, QueryEngine, QueryStore, Target,
 };
 use hardware::SimulatedCpu;
 use learning::{LearnError, NonDeterminism};
-use mbl::{BlockId, MemOp, Query};
 use policies::PolicyKind;
 
 use crate::cache_oracle::CacheQueryOracle;
@@ -199,24 +198,13 @@ impl CacheMap {
     }
 }
 
-/// The thrashing probe used for follower flip evidence: a working set of
-/// `assoc + 1` blocks accessed cyclically, with the last round profiled
-/// (the same shape leader detection uses).
-fn flip_probe(assoc: usize) -> Query {
-    const WARMUP_ROUNDS: usize = 3;
-    let working_set = assoc + 1;
-    let mut query = Vec::new();
-    for round in 0..=WARMUP_ROUNDS {
-        for b in 0..working_set {
-            let op = if round == WARMUP_ROUNDS {
-                MemOp::profiled(BlockId(b as u32))
-            } else {
-                MemOp::access(BlockId(b as u32))
-            };
-            query.push(op);
-        }
+/// A fresh machine of the campaign's model and seed, with its CAT applied.
+fn machine(config: &MapConfig) -> Result<Backend, BackendError> {
+    let mut backend = Backend::new(SimulatedCpu::new(config.model, config.seed));
+    if let Some(ways) = config.cat_ways {
+        backend.apply_cat(ways)?;
     }
-    query
+    Ok(backend)
 }
 
 /// Learns one leader group's policy on a fresh CPU sharing `store`.
@@ -225,29 +213,16 @@ fn learn_group(
     representative: (usize, usize),
     store: &Arc<QueryStore>,
 ) -> (String, GroupOutcome) {
-    let cpu = SimulatedCpu::new(config.model, config.seed);
-    let mut tool = CacheQuery::with_store(cpu, Arc::clone(store));
-    if let Some(ways) = config.cat_ways {
-        if let Err(e) = tool.apply_cat(ways) {
-            return (
-                String::new(),
-                GroupOutcome::Failed {
-                    error: e.to_string(),
-                },
-            );
-        }
-    }
     let target = Target::new(LevelId::L3, representative.0, representative.1);
-    let oracle = match CacheQueryOracle::with_target(tool, target) {
+    let oracle = machine(config)
+        .map_err(|e| e.to_string())
+        .and_then(|backend| {
+            let engine = QueryEngine::with_store(backend, Arc::clone(store));
+            CacheQueryOracle::new(engine, target).map_err(|e| e.to_string())
+        });
+    let oracle = match oracle {
         Ok(oracle) => oracle,
-        Err(e) => {
-            return (
-                String::new(),
-                GroupOutcome::Failed {
-                    error: e.to_string(),
-                },
-            );
-        }
+        Err(error) => return (String::new(), GroupOutcome::Failed { error }),
     };
     let namespace = oracle
         .engine()
@@ -291,18 +266,18 @@ pub fn map_cache(config: &MapConfig, store: Arc<QueryStore>) -> Result<CacheMap,
         span.set("sets", config.sets.len() as u64);
         span.set("model", config.model.short_name());
     }
-    let cpu = SimulatedCpu::new(config.model, config.seed);
-    let mut cq = CacheQuery::with_store(cpu, Arc::clone(&store));
-    if let Some(ways) = config.cat_ways {
-        cq.apply_cat(ways)?;
-    }
+    // Detection and flip probes are stateful experiments: they run on an
+    // engine of their own, without memoization, and never reach `store`.
+    let backend = machine(config)?;
     // The dueling handle must be taken *after* CAT: applying CAT rebuilds
     // the hierarchy and its dueling controller.
-    let dueling = cq.backend().cpu().l3_dueling();
+    let dueling = backend.cpu().l3_dueling();
+    let mut engine = QueryEngine::new(backend);
+    engine.set_memoize(false);
 
     let candidates: Vec<(usize, usize)> = config.sets.iter().map(|&s| (s, config.slice)).collect();
     let detect_span = root.as_ref().map(|r| r.child("polca.detect_leaders"));
-    let report = detect_leader_sets_with(&mut cq, LevelId::L3, &candidates, &config.detect)?;
+    let report = detect_leader_sets_with(&mut engine, LevelId::L3, &candidates, &config.detect)?;
     drop(detect_span);
 
     // Phase 2: one learning campaign per leader group.
@@ -344,24 +319,25 @@ pub fn map_cache(config: &MapConfig, store: Arc<QueryStore>) -> Result<CacheMap,
         if let Some(span) = probe_span.as_mut() {
             span.set("followers", followers.len() as u64);
         }
-        cq.enable_cache(false);
-        let probe = flip_probe(cq.associativity().unwrap_or(4).max(1));
+        let probe = thrashing_query(engine.backend().associativity().unwrap_or(4).max(1));
         for &(set, slice) in &followers {
-            cq.set_target(Target::new(LevelId::L3, set, slice))?;
+            engine
+                .backend_mut()
+                .select_target(Target::new(LevelId::L3, set, slice))?;
             let mut disagreements = 0u64;
             let mut total = 0u64;
             for _round in 0..config.probe_rounds.max(1) {
                 let (primary, alternate) = match &dueling {
                     Some(d) => {
                         d.force_psel(i32::MIN / 2);
-                        let primary = cq.run_query(&probe)?;
+                        let primary = engine.run(&probe)?;
                         d.force_psel(i32::MAX / 2);
-                        let alternate = cq.run_query(&probe)?;
+                        let alternate = engine.run(&probe)?;
                         (primary, alternate)
                     }
                     // No duel on this CPU: probe twice without forcing (the
                     // outcomes will agree, correctly yielding 0‰ evidence).
-                    None => (cq.run_query(&probe)?, cq.run_query(&probe)?),
+                    None => (engine.run(&probe)?, engine.run(&probe)?),
                 };
                 for (a, b) in primary.outcomes.iter().zip(&alternate.outcomes) {
                     total += 1;
@@ -376,7 +352,6 @@ pub fn map_cache(config: &MapConfig, store: Arc<QueryStore>) -> Result<CacheMap,
         if let Some(d) = &dueling {
             d.force_psel(0);
         }
-        cq.enable_cache(true);
     }
 
     // Assemble the per-set verdicts.
@@ -438,13 +413,6 @@ pub fn map_cache(config: &MapConfig, store: Arc<QueryStore>) -> Result<CacheMap,
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn flip_probe_has_the_thrashing_shape() {
-        let q = flip_probe(4);
-        assert_eq!(q.len(), 5 * 4);
-        assert_eq!(q.iter().filter(|op| op.tag.is_some()).count(), 5);
-    }
 
     #[test]
     fn map_config_defaults() {

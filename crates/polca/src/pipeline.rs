@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use automata::minimize;
 use cache::LevelId;
-use cachequery::{CacheQuery, ResetSequence, Target};
+use cachequery::{Backend, QueryEngine, ResetSequence, Target};
 use hardware::{CpuModel, SimulatedCpu};
 use learning::{
     learn_mealy, LearnError, LearnOptions, LearnPhase, LearnProgress, LearnStats, WpMethodOracle,
@@ -281,16 +281,15 @@ pub fn learn_hardware_policy(
     hardware: &HardwareTarget,
     setup: &LearnSetup,
 ) -> Result<LearnOutcome, LearnError> {
-    let cpu = SimulatedCpu::new(hardware.model, hardware.seed);
-    let mut tool = CacheQuery::new(cpu);
-    tool.set_reset_sequence(hardware.reset.clone());
+    let mut backend = Backend::new(SimulatedCpu::new(hardware.model, hardware.seed));
+    backend.set_reset_sequence(hardware.reset.clone());
     if let Some(ways) = hardware.cat_ways {
-        tool.apply_cat(ways)
+        backend
+            .apply_cat(ways)
             .map_err(|e| LearnError::Oracle(learning::OracleError::new(e.to_string())))?;
     }
-    tool.set_target(hardware.target)
-        .map_err(|e| LearnError::Oracle(learning::OracleError::new(e.to_string())))?;
-    let mut oracle = CacheQueryOracle::new(tool).map_err(LearnError::Oracle)?;
+    let mut oracle = CacheQueryOracle::new(QueryEngine::new(backend), hardware.target)
+        .map_err(LearnError::Oracle)?;
     oracle.engine_mut().set_recorder(setup.recorder.clone());
     learn_policy(oracle, setup)
 }

@@ -35,11 +35,11 @@ use std::time::{Duration, Instant};
 
 use cache::{HitMiss, LevelId};
 use cachequery::{
-    encode_pattern, parse_command, Backend, Command, NoiseSpec, QueryBackend, QueryConfig,
-    QueryEngine, QueryOutcome, QueryStore, ResetSequence, StoreOptions, StoreSpace, Target,
-    DEFAULT_NOISY_REPS, HELP_TEXT,
+    encode_pattern, odd_repetitions, parse_command, Backend, Command, NoiseSpec, QueryBackend,
+    QueryConfig, QueryEngine, QueryOutcome, QueryStore, ResetSequence, StoreOptions, StoreSpace,
+    Target, DEFAULT_NOISY_REPS, HELP_TEXT,
 };
-use hardware::{CpuModel, SimulatedCpu};
+use hardware::{CpuModel, CpuSpec, SimulatedCpu};
 use mbl::{expand_query, render_query, Query};
 use obs::{Counter, MetricKind, Recorder, WriterSink};
 use polca::{
@@ -163,23 +163,13 @@ pub(crate) struct ResolvedSpec {
 
 impl ResolvedSpec {
     /// The memoization namespace this spec shares with every engine driving
-    /// an identically-configured backend.  For hardware specs this renders
-    /// byte-identically to `Backend`'s own
-    /// [`QueryBackend::config`](cachequery::QueryBackend::config), which is
-    /// what makes session-side store lookups and pooled-engine recordings
-    /// meet in one namespace.
+    /// an identically-configured backend: the one session-side store lookups
+    /// and pooled-engine recordings meet in.
     pub(crate) fn config(&self) -> QueryConfig {
         match &self.backend {
-            ResolvedBackend::Hardware { model, seed, cat } => QueryConfig {
-                backend: format!(
-                    "{} seed={seed} cat={}",
-                    model.short_name(),
-                    cat.map_or_else(|| "-".to_string(), |ways| ways.to_string())
-                ),
-                reset: self.reset.to_string(),
-                reps: self.reps,
-                target: self.target,
-            },
+            ResolvedBackend::Hardware { model, seed, cat } => {
+                Backend::config_for(*model, *seed, *cat, &self.reset, self.reps, self.target)
+            }
             ResolvedBackend::Policy { kind, assoc, noise } => match noise {
                 None => PolicySimBackend::config_for(*kind, *assoc),
                 Some((spec, reps)) => noisy_sim_config_for(*kind, *assoc, spec, *reps),
@@ -275,6 +265,28 @@ pub(crate) fn parse_policy_spec(spec: &str, max_assoc: usize) -> Result<PolicySp
     Ok((kind, assoc, noise))
 }
 
+/// Checks a CAT restriction of `cpu_spec`'s last-level cache: `None` leaves
+/// it whole, `Some(ways)` needs CAT support and 1 to the L3's ways.
+fn resolve_cat(cpu_spec: &CpuSpec, cat: Option<u64>) -> Result<Option<usize>, String> {
+    let Some(ways) = cat else {
+        return Ok(None);
+    };
+    if !cpu_spec.supports_cat {
+        return Err(format!("{} does not support Intel CAT", cpu_spec.name));
+    }
+    let l3 = cpu_spec
+        .level(LevelId::L3)
+        .expect("all modelled CPUs have an L3")
+        .geometry;
+    if ways == 0 || ways as usize > l3.associativity {
+        return Err(format!(
+            "CAT ways {ways} out of range (L3 has {} ways)",
+            l3.associativity
+        ));
+    }
+    Ok(Some(ways as usize))
+}
+
 pub(crate) fn resolve(spec: &SessionSpec) -> Result<ResolvedSpec, String> {
     resolve_with_limits(spec, MAX_LEARN_ASSOC)
 }
@@ -322,25 +334,7 @@ pub(crate) fn resolve_with_limits(
             spec.slice, geometry.slices
         ));
     }
-    let cat = match spec.cat {
-        None => None,
-        Some(ways) => {
-            if !cpu_spec.supports_cat {
-                return Err(format!("{} does not support Intel CAT", cpu_spec.name));
-            }
-            let l3 = cpu_spec
-                .level(LevelId::L3)
-                .expect("all modelled CPUs have an L3")
-                .geometry;
-            if ways == 0 || ways as usize > l3.associativity {
-                return Err(format!(
-                    "CAT ways {ways} out of range (L3 has {} ways)",
-                    l3.associativity
-                ));
-            }
-            Some(ways as usize)
-        }
-    };
+    let cat = resolve_cat(&cpu_spec, spec.cat)?;
     let assoc = if level == LevelId::L3 {
         cat.unwrap_or(geometry.associativity)
     } else {
@@ -352,16 +346,9 @@ pub(crate) fn resolve_with_limits(
             spec.reps
         ));
     }
-    // Mirror the backend's repetition rounding so equal effective settings
-    // share one store namespace.
-    let reps = {
-        let r = (spec.reps as usize).max(1);
-        if r.is_multiple_of(2) {
-            r + 1
-        } else {
-            r
-        }
-    };
+    // The backend's repetition rounding, so equal effective settings share
+    // one store namespace.
+    let reps = odd_repetitions(spec.reps as usize);
     let reset = if spec.reset.eq_ignore_ascii_case("f+r") {
         ResetSequence::FlushRefill
     } else {
@@ -1222,9 +1209,10 @@ fn run_mbl(
     Ok(results)
 }
 
-/// Maps one line of the shared REPL command language onto the session: the
-/// same [`Command`] values `mbl_repl` executes in-process reconfigure this
-/// session's spec or run queries through the store/backend path.
+/// Interprets one line of the CacheQuery shell's command language against
+/// the session: configuration [`Command`]s reconfigure the session's spec,
+/// and queries run through the store/backend path.  This is the shell's one
+/// interpreter; the `mbl_repl` example forwards every line it reads here.
 fn handle_repl(shared: &Arc<Shared>, session: &mut Session, line: &str) -> Response {
     let Some(command) = parse_command(line) else {
         return Response::Done {
@@ -1251,11 +1239,7 @@ fn handle_repl(shared: &Arc<Shared>, session: &mut Session, line: &str) -> Respo
         }
         Command::Reps(reps) => {
             candidate.reps = (*reps as u64).max(1);
-            // Report the effective (odd-rounded) count, like the in-process
-            // shell does after Backend::set_repetitions.
-            let r = (*reps).max(1);
-            let effective = if r.is_multiple_of(2) { r + 1 } else { r };
-            Ok(format!("repetitions set to {effective}"))
+            Ok(format!("repetitions set to {}", odd_repetitions(*reps)))
         }
         Command::Reset(reset) => {
             candidate.reset = reset.to_string();
@@ -1616,24 +1600,9 @@ fn handle_map(
         .level(LevelId::L3)
         .expect("all modelled CPUs have an L3")
         .geometry;
-    let cat_ways = match cat {
-        None => None,
-        Some(ways) => {
-            if !cpu_spec.supports_cat {
-                return Response::Error {
-                    message: format!("{} does not support Intel CAT", cpu_spec.name),
-                };
-            }
-            if ways == 0 || ways as usize > geometry.associativity {
-                return Response::Error {
-                    message: format!(
-                        "CAT ways {ways} out of range (L3 has {} ways)",
-                        geometry.associativity
-                    ),
-                };
-            }
-            Some(ways as usize)
-        }
+    let cat_ways = match resolve_cat(&cpu_spec, cat) {
+        Ok(cat_ways) => cat_ways,
+        Err(message) => return Response::Error { message },
     };
     // The leader groups are learned at the effective associativity; hold it
     // to the same ceiling as `learn` so a map request cannot smuggle in a
@@ -1849,6 +1818,16 @@ mod tests {
             ..SessionSpec::default()
         };
         assert!(resolve(&haswell_cat).unwrap_err().contains("CAT"));
+        for ways in [0, 13] {
+            let skylake_cat = SessionSpec {
+                cat: Some(ways),
+                ..SessionSpec::default()
+            };
+            assert_eq!(
+                resolve(&skylake_cat).unwrap_err(),
+                format!("CAT ways {ways} out of range (L3 has 12 ways)")
+            );
+        }
         // The vote count is bounded: past it, one query would pin a worker.
         let most_reps = SessionSpec {
             reps: MAX_REPS as u64,

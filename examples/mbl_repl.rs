@@ -3,15 +3,28 @@
 //! Run with: `cargo run --example mbl_repl -- [CPU]` and type MBL queries or
 //! configuration commands (`help` lists them, `quit` exits).  CPU is
 //! skylake (the default), haswell or kabylake; a name that does not parse
-//! exits with status 2.
+//! exits with status 2.  Every line goes to an in-process `cqd` as a `repl`
+//! request, so the shell and the daemon share one interpreter.
 
 mod common;
 
 use std::io::{self, BufRead, Write};
 
-use cachequery::{process_command, CacheQuery, ReplSession};
+use cachequery::decode_pattern;
 use common::positional;
-use hardware::{CpuModel, SimulatedCpu};
+use hardware::CpuModel;
+use server::{spawn, Client, ClientError, CqdConfig, Response, SessionSpec};
+
+/// Renders a hit/miss pattern the way the paper prints traces
+/// (`Hit Hit Miss …`).
+fn render_pattern(pattern: &str) -> String {
+    let outcomes = decode_pattern(pattern).expect("cqd answers with hit/miss patterns");
+    if outcomes.is_empty() {
+        return "(no profiled accesses)".to_string();
+    }
+    let names: Vec<String> = outcomes.iter().map(ToString::to_string).collect();
+    names.join(" ")
+}
 
 fn main() {
     let model = positional(
@@ -25,7 +38,14 @@ fn main() {
     );
     println!("type 'help' for commands, 'quit' to exit");
 
-    let mut session = ReplSession::new(CacheQuery::new(SimulatedCpu::new(model, 7)));
+    let daemon = spawn(CqdConfig::default()).expect("an ephemeral port is always bindable");
+    let mut client = Client::connect(daemon.addr()).expect("the daemon accepts connections");
+    client
+        .target(&SessionSpec {
+            model: model.short_name().to_string(),
+            ..SessionSpec::default()
+        })
+        .expect("every model has an L1 set 0");
     let stdin = io::stdin();
     loop {
         print!("cachequery> ");
@@ -38,9 +58,21 @@ fn main() {
         if line == "quit" || line == "exit" {
             break;
         }
-        let response = process_command(&mut session, line);
-        if !response.is_empty() {
-            println!("{response}");
+        match client.repl(line) {
+            Ok(Response::Done { message }) if message.is_empty() => {}
+            Ok(Response::Done { message }) => println!("{message}"),
+            Ok(Response::Outcomes { results }) => {
+                for result in results {
+                    println!("{} -> {}", result.query, render_pattern(&result.pattern));
+                }
+            }
+            Ok(other) => println!("error: unexpected answer {other:?}"),
+            Err(ClientError::Server(message)) => println!("error: {message}"),
+            Err(error) => {
+                eprintln!("{error}");
+                std::process::exit(1);
+            }
         }
     }
+    daemon.shutdown();
 }

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use cache::LevelId;
-use cachequery::{CacheQuery, Target};
+use cachequery::{Backend, QueryEngine, Target};
 use hardware::{CpuModel, SimulatedCpu};
 use learning::MembershipOracle;
 use polca::{
@@ -21,11 +21,13 @@ fn main() {
     // traces measured on the (simulated) hardware. -------------------------
     println!("== CacheQuery (Figure 1c) ==");
     let cpu = SimulatedCpu::new(CpuModel::SkylakeI5_6500, 42);
-    let mut cq = CacheQuery::new(cpu);
-    cq.set_target(Target::new(LevelId::L2, 63, 0))
+    let mut engine = QueryEngine::new(Backend::new(cpu));
+    engine
+        .backend_mut()
+        .select_target(Target::new(LevelId::L2, 63, 0))
         .expect("the simulated Skylake has an L2 set 63");
     for pattern in ["A B C (A)?", "A B C (B)?"] {
-        let results = cq.query(pattern).expect("query runs");
+        let results = engine.query_mbl(pattern).expect("query runs");
         for r in &results {
             println!("  {:<12} -> {:?}", r.rendered, r.outcomes);
         }

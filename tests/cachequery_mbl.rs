@@ -1,12 +1,19 @@
-//! Integration tests spanning the MBL language, the CacheQuery tool and the
-//! simulated hardware.
+//! Integration tests spanning the MBL language, the query engine over the
+//! CacheQuery backend, and the simulated hardware.
 
 use cache::{HitMiss, LevelId};
-use cachequery::{detect_leader_sets, CacheQuery, LeaderClass, Target};
+use cachequery::{detect_leader_sets, Backend, LeaderClass, QueryEngine, Target};
 use hardware::{CpuModel, SimulatedCpu};
 
-fn tool(model: CpuModel, seed: u64) -> CacheQuery {
-    CacheQuery::new(SimulatedCpu::new(model, seed))
+fn tool(model: CpuModel, seed: u64) -> QueryEngine<Backend> {
+    QueryEngine::new(Backend::new(SimulatedCpu::new(model, seed)))
+}
+
+/// Selects set `set` of slice 0 of `level` as the tool's target.
+fn select(cq: &mut QueryEngine<Backend>, level: LevelId, set: usize) {
+    cq.backend_mut()
+        .select_target(Target::new(level, set, 0))
+        .unwrap();
 }
 
 #[test]
@@ -16,9 +23,9 @@ fn example_4_1_against_every_cache_level() {
     // extra block, at every cache level of the simulated Skylake.
     let mut cq = tool(CpuModel::SkylakeI5_6500, 3);
     for (level, set) in [(LevelId::L1, 7), (LevelId::L2, 100), (LevelId::L3, 33)] {
-        cq.set_target(Target::new(level, set, 0)).unwrap();
-        let results = cq.query("@ X _?").unwrap();
-        let assoc = cq.associativity().unwrap();
+        select(&mut cq, level, set);
+        let results = cq.query_mbl("@ X _?").unwrap();
+        let assoc = cq.backend().associativity().unwrap();
         assert_eq!(results.len(), assoc, "wrong expansion count at {level}");
         let misses = results
             .iter()
@@ -36,12 +43,12 @@ fn l2_behaviour_differs_between_haswell_and_skylake() {
     // two simulated CPUs purely from hit/miss observations.
     let query = "A B C D E (A)?";
     let mut haswell = tool(CpuModel::HaswellI7_4790, 5);
-    haswell.set_target(Target::new(LevelId::L2, 50, 0)).unwrap();
-    let hw = &haswell.query(query).unwrap()[0].outcomes;
+    select(&mut haswell, LevelId::L2, 50);
+    let hw = &haswell.query_mbl(query).unwrap()[0].outcomes;
 
     let mut skylake = tool(CpuModel::SkylakeI5_6500, 5);
-    skylake.set_target(Target::new(LevelId::L2, 50, 0)).unwrap();
-    let sky = &skylake.query(query).unwrap()[0].outcomes;
+    select(&mut skylake, LevelId::L2, 50);
+    let sky = &skylake.query_mbl(query).unwrap()[0].outcomes;
 
     assert_eq!(
         hw,
@@ -58,22 +65,22 @@ fn l2_behaviour_differs_between_haswell_and_skylake() {
 #[test]
 fn query_cache_survives_export_import_across_tools() {
     let mut cq = tool(CpuModel::SkylakeI5_6500, 9);
-    cq.set_target(Target::new(LevelId::L1, 2, 0)).unwrap();
-    cq.query("@ X _?").unwrap();
-    let exported = cq.export_cache();
-    assert!(cq.cache_len() > 0);
+    select(&mut cq, LevelId::L1, 2);
+    cq.query_mbl("@ X _?").unwrap();
+    let exported = cq.store().export();
+    assert!(cq.store().entries() > 0);
 
     let mut other = tool(CpuModel::SkylakeI5_6500, 9);
-    other.set_target(Target::new(LevelId::L1, 2, 0)).unwrap();
-    other.import_cache(&exported);
-    let results = other.query("@ X _?").unwrap();
+    select(&mut other, LevelId::L1, 2);
+    other.store().import(&exported);
+    let results = other.query_mbl("@ X _?").unwrap();
     assert!(results.iter().all(|r| r.from_cache));
 }
 
 #[test]
 fn leader_detection_flags_the_formula_sets() {
     let mut cq = tool(CpuModel::SkylakeI5_6500, 17);
-    cq.apply_cat(4).unwrap();
+    cq.backend_mut().apply_cat(4).unwrap();
     let candidates = [(0, 0), (33, 0), (2, 0), (40, 0)];
     let report = detect_leader_sets(&mut cq, LevelId::L3, &candidates, 1).unwrap();
     let vulnerable = report.thrash_vulnerable();

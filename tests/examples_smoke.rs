@@ -182,4 +182,10 @@ fn mbl_repl_runs_a_scripted_session() {
         Some("help\nlevel L1\nset 3\n@ X A?\nquit\n"),
     );
     assert!(stdout.contains("cachequery>"), "stdout:\n{stdout}");
+    assert!(stdout.contains(cachequery::HELP_TEXT), "stdout:\n{stdout}");
+    // `@` fills the 8-way L1 set with A..H, X evicts PLRU's victim A.
+    assert!(
+        stdout.contains("cachequery> A B C D E F G H X A? -> Miss\n"),
+        "stdout:\n{stdout}"
+    );
 }

@@ -80,17 +80,16 @@ fn skylake_l2_with_the_table_4_reset_sequence_starts_learning_cleanly() {
     // rejects Flush+Refill answers membership queries consistently.  (The
     // complete 160-state learning run lives in the table4 benchmark binary;
     // here we verify a healthy prefix of the interaction.)
-    use cachequery::CacheQuery;
+    use cachequery::{Backend, QueryEngine};
     use hardware::SimulatedCpu;
     use learning::MembershipOracle;
     use polca::{CacheQueryOracle, PolcaOracle};
     use policies::PolicyInput;
 
-    let cpu = SimulatedCpu::new(CpuModel::SkylakeI5_6500, 11);
-    let mut tool = CacheQuery::new(cpu);
-    tool.set_reset_sequence(ResetSequence::Custom("D C B A @".to_string()));
-    tool.set_target(Target::new(LevelId::L2, 63, 0)).unwrap();
-    let oracle = CacheQueryOracle::new(tool).unwrap();
+    let mut backend = Backend::new(SimulatedCpu::new(CpuModel::SkylakeI5_6500, 11));
+    backend.set_reset_sequence(ResetSequence::Custom("D C B A @".to_string()));
+    let oracle =
+        CacheQueryOracle::new(QueryEngine::new(backend), Target::new(LevelId::L2, 63, 0)).unwrap();
     let mut polca = PolcaOracle::new(oracle);
     // A batch of words that exercises hits, misses and findEvicted; asking
     // twice must give identical answers (the determinism the learner needs).

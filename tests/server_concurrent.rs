@@ -1,13 +1,14 @@
 //! Integration test of the `cqd` daemon: many concurrent sessions with
 //! overlapping workloads must get answers byte-identical to an in-process
-//! `CacheQuery`, while the shared cross-session store absorbs the overlap.
+//! `QueryEngine<Backend>`, while the shared cross-session store absorbs the
+//! overlap.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::thread;
 
 use cache::LevelId;
-use cachequery::{CacheQuery, Target};
+use cachequery::{encode_pattern, Backend, QueryEngine, Target};
 use hardware::{CpuModel, SimulatedCpu};
 use server::{spawn, Client, CqdConfig, Response, SessionSpec};
 
@@ -83,21 +84,19 @@ fn run_clients(addr: SocketAddr, clients: usize, seeds: &[u64]) -> Vec<Answers> 
 fn direct_answers(seeds: &[u64]) -> Answers {
     let mut expected: Answers = BTreeMap::new();
     for &seed in seeds {
-        let mut oracle = CacheQuery::new(SimulatedCpu::new(CpuModel::SkylakeI5_6500, seed));
+        let cpu = SimulatedCpu::new(CpuModel::SkylakeI5_6500, seed);
+        let mut oracle = QueryEngine::new(Backend::new(cpu));
         for &set in SETS {
             oracle
-                .set_target(Target::new(LevelId::L1, set as usize, 0))
+                .backend_mut()
+                .select_target(Target::new(LevelId::L1, set as usize, 0))
                 .unwrap();
             for &expr in EXPRESSIONS {
-                let results = oracle.query(expr).unwrap();
+                let results = oracle.query_mbl(expr).unwrap();
                 let rendered: Vec<String> = results
                     .iter()
                     .map(|r| {
-                        let pattern: String = r
-                            .outcomes
-                            .iter()
-                            .map(|o| if *o == cache::HitMiss::Hit { 'H' } else { 'M' })
-                            .collect();
+                        let pattern = encode_pattern(&r.outcomes);
                         format!("{} -> {} ({})", r.rendered, pattern, r.consistent)
                     })
                     .collect();
@@ -124,7 +123,7 @@ fn concurrent_sessions_agree_with_the_direct_oracle() {
     for (client_index, collected) in answers.iter().enumerate() {
         assert_eq!(
             collected, &expected,
-            "client {client_index} diverged from the direct CacheQuery oracle"
+            "client {client_index} diverged from the direct engine"
         );
     }
 
@@ -155,7 +154,7 @@ fn two_machines_take_turns_on_one_miss_slot() {
     for (client_index, collected) in answers.iter().enumerate() {
         assert_eq!(
             collected, &expected,
-            "client {client_index} diverged from the direct CacheQuery oracles"
+            "client {client_index} diverged from the direct engines"
         );
     }
     assert_eq!(daemon.backend_instances(), 2);
@@ -181,20 +180,12 @@ fn stats_jobs_batch_and_repl_work_over_the_wire() {
     assert_eq!(groups[0].len(), 1);
     assert_eq!(groups[1].len(), 8);
 
-    // The REPL command language is shared with the in-process shell.
-    match client.repl("set 5").unwrap() {
-        Response::Done { message } => assert!(message.contains('5')),
-        other => panic!("unexpected repl response: {other:?}"),
-    }
-    match client.repl("assoc").unwrap() {
-        Response::Done { message } => assert!(message.contains('8')),
-        other => panic!("unexpected repl response: {other:?}"),
-    }
+    // The REPL command language (the server crate's tests/repl.rs covers
+    // each command); invalid configurations are rejected eagerly.
     match client.repl("A B C A?").unwrap() {
         Response::Outcomes { results } => assert_eq!(results[0].pattern, "H"),
         other => panic!("unexpected repl response: {other:?}"),
     }
-    // Invalid configurations are rejected eagerly.
     assert!(client.repl("set 100000").is_err());
 
     // Learning jobs run asynchronously and stream status over `wait`.

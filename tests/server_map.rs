@@ -110,14 +110,25 @@ fn map_rejects_bad_arguments() {
     let daemon = spawn(CqdConfig::default()).unwrap();
     let mut client = Client::connect(daemon.addr()).unwrap();
 
+    let mut error = |model: &str, cat: Option<u64>, slice: u64| {
+        client.map(model, 1, cat, slice, 4).unwrap_err().to_string()
+    };
     // Unknown model.
-    assert!(client.map("pentium", 1, Some(2), 0, 4).is_err());
+    assert!(error("pentium", Some(2), 0).contains("pentium"));
     // Haswell has no CAT.
-    assert!(client.map("haswell", 1, Some(2), 0, 4).is_err());
-    // CAT ways beyond the Skylake L3's 12 ways.
-    assert!(client.map("skylake", 1, Some(13), 0, 4).is_err());
+    assert_eq!(
+        error("haswell", Some(2), 0),
+        "server error: i7-4790 (Haswell) does not support Intel CAT"
+    );
+    // CAT ways beyond the Skylake L3's 12 ways, and none at all.
+    for ways in [0, 13] {
+        assert_eq!(
+            error("skylake", Some(ways), 0),
+            format!("server error: CAT ways {ways} out of range (L3 has 12 ways)")
+        );
+    }
     // No CAT restriction: learning at 12 ways exceeds the server's limit.
-    assert!(client.map("skylake", 1, None, 0, 4).is_err());
+    assert!(error("skylake", None, 0).contains("learning limit"));
     // Slice out of range (the Skylake L3 has 8 slices).
-    assert!(client.map("skylake", 1, Some(2), 9, 4).is_err());
+    assert!(error("skylake", Some(2), 9).contains("slice 9 out of range"));
 }
