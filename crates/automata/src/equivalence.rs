@@ -7,8 +7,8 @@
 //!
 //! For policies learned from hardware the numbering of cache lines is an
 //! artifact of the reset sequence (the i-th line is "the line that holds the
-//! i-th block of the initial content"), so we also provide equivalence *up to
-//! a permutation of the alphabets* ([`equivalent_up_to_relabelling`]).
+//! i-th block of the initial content"); `polca::identify_policy` searches the
+//! line permutations, which it knows from the policy alphabet.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -26,17 +26,6 @@ pub struct Counterexample<I, O> {
     pub left_output: O,
     /// Output of the right machine on the last symbol of `word`.
     pub right_output: O,
-}
-
-/// A relabelling (bijection described as two maps) of inputs and outputs under
-/// which two machines were found equivalent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Relabelling<I, O> {
-    /// Pairs `(left_input, right_input)` identifying which input of the left
-    /// machine corresponds to which input of the right machine.
-    pub input_map: Vec<(I, I)>,
-    /// Pairs `(left_output, right_output)` for outputs.
-    pub output_map: Vec<(O, O)>,
 }
 
 /// Checks trace equivalence and returns a counterexample if the machines
@@ -126,55 +115,6 @@ where
     check_equivalence(a, b).is_none()
 }
 
-/// Checks equivalence of `a` and `b` up to a simultaneous relabelling of
-/// inputs and outputs.
-///
-/// `candidates` enumerates the relabellings to try: each candidate is a pair
-/// of functions mapping the left machine's inputs/outputs into the right
-/// machine's alphabets.  The first relabelling under which the machines are
-/// trace-equivalent is returned.
-///
-/// For replacement policies the natural candidate set is "all permutations of
-/// cache-line indices applied consistently to `Ln(i)` inputs and to line
-/// outputs"; that enumeration lives in the `polca` crate, which knows the
-/// policy alphabet.
-pub fn equivalent_up_to_relabelling<I, O, FI, FO>(
-    a: &Mealy<I, O>,
-    b: &Mealy<I, O>,
-    candidates: impl IntoIterator<Item = (FI, FO)>,
-) -> Option<Relabelling<I, O>>
-where
-    I: Clone + Eq + Hash + fmt::Debug,
-    O: Clone + Eq + Hash + fmt::Debug,
-    FI: Fn(&I) -> I,
-    FO: Fn(&O) -> O,
-{
-    for (fi, fo) in candidates {
-        let relabelled = a.map_alphabets(|i| fi(i), |o| fo(o));
-        if equivalent(&relabelled, b) {
-            let input_map = a
-                .inputs()
-                .iter()
-                .map(|i| (i.clone(), fi(i)))
-                .collect::<Vec<_>>();
-            let mut outs: Vec<O> = Vec::new();
-            for s in a.states() {
-                for (_, o) in a.row(s) {
-                    if !outs.contains(o) {
-                        outs.push(o.clone());
-                    }
-                }
-            }
-            let output_map = outs.into_iter().map(|o| (o.clone(), fo(&o))).collect();
-            return Some(Relabelling {
-                input_map,
-                output_map,
-            });
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,18 +181,6 @@ mod tests {
         // followed by an eviction: LRU evicts line 1, FIFO evicts line 0.
         let cex = check_equivalence(&lru2(), &fifo2()).unwrap();
         assert_eq!(cex.word.len(), 2);
-    }
-
-    #[test]
-    fn equivalence_up_to_relabelling_finds_a_swap() {
-        let a = machine(["x", "y"]);
-        let b = machine(["y", "x"]);
-        assert!(!equivalent(&a, &b));
-        // Swap the two inputs (outputs unchanged).
-        let swap_in = |i: &&'static str| if *i == "a" { "b" } else { "a" };
-        let id_out = |o: &&'static str| *o;
-        let found = equivalent_up_to_relabelling(&a, &b, vec![(swap_in, id_out)]);
-        assert!(found.is_some());
     }
 
     #[test]

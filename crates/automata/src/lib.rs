@@ -11,14 +11,13 @@
 //! * [`Mealy`] — a compact, table-based deterministic Mealy machine over
 //!   arbitrary input/output alphabets;
 //! * [`explore`] — reachability construction that turns any deterministic
-//!   step function into a [`Mealy`] (used to derive ground-truth automata from
-//!   executable policies and from synthesized programs);
-//! * [`equivalent`] — product-based trace-equivalence checking, including
-//!   equivalence up to a relabelling of the input/output alphabets (needed to
-//!   compare policies learned from hardware, whose cache-line numbering is an
-//!   artifact of the reset sequence, against reference policies);
+//!   step function into a [`Mealy`] (it builds the small machines of tests
+//!   and examples; the policy automata come from `policies::policy_to_mealy`);
+//! * [`equivalent`] — product-based trace-equivalence checking (the search
+//!   over cache-line relabellings lives in `polca::identify_policy`);
 //! * [`minimize`] — partition-refinement minimization;
-//! * [`to_dot`] — Graphviz export of learned and reference models.
+//! * [`to_dot`] and [`render_mealy`] — Graphviz and plain-text export of
+//!   learned and reference models.
 //!
 //! # Example
 //!
@@ -56,11 +55,9 @@ mod text;
 mod walk;
 
 pub use dot::to_dot;
-pub use equivalence::{
-    check_equivalence, equivalent, equivalent_up_to_relabelling, Counterexample, Relabelling,
-};
+pub use equivalence::{check_equivalence, equivalent, Counterexample};
 pub use explore::{explore, ExploreError, ExploreLimit};
 pub use mealy::{Mealy, MealyBuildError, MealyBuilder, StateId};
 pub use minimize::minimize;
-pub use text::{parse_mealy, render_mealy, TextFormatError};
+pub use text::render_mealy;
 pub use walk::{random_walk_check, WalkDivergence};

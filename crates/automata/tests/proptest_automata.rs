@@ -77,13 +77,4 @@ proptest! {
         let prefix_outputs = machine.output_word(word[..cut].iter());
         prop_assert_eq!(&outputs[..cut], &prefix_outputs[..]);
     }
-
-    /// The text serialization round-trips.
-    #[test]
-    fn text_format_round_trips(machine in machine_strategy()) {
-        let mapped = machine.map_alphabets(|i| i.to_string(), |o| *o);
-        let text = automata::render_mealy(&mapped);
-        let parsed: Mealy<String, u8> = automata::parse_mealy(&text).expect("parses");
-        prop_assert!(equivalent(&mapped, &parsed));
-    }
 }

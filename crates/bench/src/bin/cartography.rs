@@ -12,6 +12,9 @@
 //!   cartography [--cpu skylake|kabylake|haswell] [--sets N] [--slice N]
 //!               [--cat WAYS] [--seed N] [--probe-rounds N]
 //!               [--learn-budget SECS] [--json PATH]
+//!
+//! `--cat` applies only on a model with CAT (not the Haswell); a way count
+//! the model cannot apply exits with status 2.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -20,7 +23,7 @@ use std::time::{Duration, Instant};
 use automata::minimize;
 use bench::{merge_report, Args, TextTable};
 use cache::{DuelingRole, LevelId};
-use cachequery::{LeaderClass, QueryStore};
+use cachequery::{BackendError, LeaderClass, QueryStore};
 use hardware::{CpuModel, SimulatedCpu};
 use polca::{map_cache, GroupOutcome, MapConfig, SetVerdict};
 use policies::{policy_to_mealy, PolicyKind};
@@ -31,11 +34,15 @@ fn main() -> ExitCode {
     let model = args.value_or("cpu", CpuModel::SkylakeI5_6500);
     let sample = args.value_or("sets", 48usize);
     let slice = args.value_or("slice", 0usize);
-    // Default to CAT 2: the planted New2 policy at 2 ways is a 7-state
-    // machine that learns in well under a second, while 4 ways is a
-    // 175-state machine whose campaign takes tens of minutes (the Table 4
-    // regime, with its 30-minute budget).  The gate must stay CI-honest.
-    let cat = args.value_or("cat", 2usize);
+    // The CAT restriction applied, if the model supports one.  Default to
+    // CAT 2: the planted New2 policy at 2 ways is a 7-state machine that
+    // learns in well under a second, while 4 ways is a 175-state machine
+    // whose campaign takes tens of minutes (the Table 4 regime, with its
+    // 30-minute budget).  The gate must stay CI-honest.
+    let cat = model
+        .spec()
+        .supports_cat
+        .then_some(args.value_or("cat", 2usize));
     let seed = args.value_or("seed", 99u64);
     let probe_rounds = args.value_or("probe-rounds", 3usize);
     let learn_budget = args.value_or("learn-budget", 600u64);
@@ -44,26 +51,32 @@ fn main() -> ExitCode {
         .unwrap_or("BENCH_cartography.json")
         .to_string();
 
+    let cat_note = cat.map_or_else(String::new, |ways| format!("CAT {ways} ways, "));
     println!("Whole-cache policy cartography on the simulated {model} L3");
-    println!("({sample} sets of slice {slice}, CAT {cat} ways, seed {seed})");
+    println!("({sample} sets of slice {slice}, {cat_note}seed {seed})");
     println!();
 
-    let supports_cat = model.spec().supports_cat;
     let mut config = MapConfig::new(model, seed, (0..sample).collect());
     config.slice = slice;
-    config.cat_ways = if supports_cat { Some(cat) } else { None };
+    config.cat_ways = cat;
     config.probe_rounds = probe_rounds;
     // Bound the per-group campaigns so a surprise (say, an unplanted policy
     // with a huge automaton) fails the gate instead of hanging it.
     config.setup.max_states = 4096;
     config.setup.time_budget = Some(Duration::from_secs(learn_budget));
-    if !supports_cat {
+    if cat.is_none() {
         println!("note: {model} does not support CAT; learning at full associativity");
     }
 
     let started = Instant::now();
     let store = Arc::new(QueryStore::new());
-    let map = map_cache(&config, Arc::clone(&store)).expect("the campaign runs");
+    let map = match map_cache(&config, Arc::clone(&store)) {
+        Err(BackendError::Cat(error)) => {
+            eprintln!("--cat {}: {error}", cat.unwrap_or_default());
+            return ExitCode::from(2);
+        }
+        map => map.expect("the campaign runs"),
+    };
     let elapsed = started.elapsed();
 
     // Ground truth straight from the simulator's dueling controller.

@@ -12,7 +12,8 @@
 //! Usage:
 //!   leader_sets [--cpu skylake|kabylake|haswell] [--sets N] [--cat WAYS] [--seed N]
 //!
-//! `--cat` applies only on a model with CAT (not the Haswell).
+//! `--cat` applies only on a model with CAT (not the Haswell); a way count
+//! the model cannot apply exits with status 2.
 
 use bench::{Args, TextTable};
 use cache::{DuelingRole, LevelId};
@@ -37,9 +38,10 @@ fn main() {
 
     let mut backend = Backend::new(SimulatedCpu::new(model, seed));
     if let Some(ways) = cat {
-        backend
-            .apply_cat(ways)
-            .expect("CAT is supported on this model");
+        if let Err(error) = backend.apply_cat(ways) {
+            eprintln!("--cat {ways}: {error}");
+            std::process::exit(2);
+        }
     } else {
         println!("note: {model} does not support CAT; thrashing runs at full associativity");
     }

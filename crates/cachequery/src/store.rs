@@ -1125,15 +1125,6 @@ impl QueryStore {
             .len()
     }
 
-    /// Every namespace with its entry (trie node) count, sorted by name —
-    /// the per-namespace breakdown the `cqd` `stats` command reports.
-    pub fn namespace_entries(&self) -> Vec<(String, u64)> {
-        self.namespace_usage()
-            .into_iter()
-            .map(|usage| (usage.name, usage.entries))
-            .collect()
-    }
-
     /// Every namespace with its size and lifetime lookup counters, sorted by
     /// name (see [`NamespaceUsage`]) — what `cqd stats` reports so operators
     /// can see which backend configuration is eating the memory and which is
@@ -1573,10 +1564,12 @@ mod tests {
         let store = QueryStore::new();
         store.record(NS, &concrete("A B A?"), &[HitMiss::Hit], true);
         store.record(NS2, &concrete("A?"), &[HitMiss::Miss], true);
-        assert_eq!(
-            store.namespace_entries(),
-            vec![(NS.to_string(), 3), (NS2.to_string(), 1)]
-        );
+        let entries: Vec<(String, u64)> = store
+            .namespace_usage()
+            .into_iter()
+            .map(|usage| (usage.name, usage.entries))
+            .collect();
+        assert_eq!(entries, vec![(NS.to_string(), 3), (NS2.to_string(), 1)]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Active learning is query-bound (§3.1): the dominant cost of a run is the
 //! number of words the teacher has to execute, and both the observation table
-//! and the conformance test suites of the W/Wp-method re-ask heavily
+//! and the conformance test suites of the Wp-method re-ask heavily
 //! overlapping words.  Because the systems under learning are deterministic,
 //! output words are *prefix-consistent*: the answer to `w` determines the
 //! answer to every prefix of `w`.  A prefix trie therefore memoizes an entire

@@ -1,6 +1,6 @@
-//! Equivalence oracles: conformance testing (W/Wp-method) and random walks.
+//! The equivalence oracle: Wp-method conformance testing.
 //!
-//! The conformance oracles hand their lazily generated suite to
+//! The oracle hands its lazily generated suite to
 //! [`QueryPool::run_tests`], which answers each word from the prefix trie
 //! where it can, skips the suite's repeated words there, and stops at the
 //! first failing test (§3.3 — the test suite is *exponentially* large in the
@@ -10,12 +10,10 @@ use std::fmt;
 use std::hash::Hash;
 
 use automata::Mealy;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::oracle::{EquivalenceOracle, OracleError};
-use crate::pool::{shortest_failing_prefix, QueryPool};
-use crate::wmethod::{w_method_suite_iter, wp_method_suite_iter};
+use crate::pool::QueryPool;
+use crate::wmethod::wp_method_suite_iter;
 
 /// Conformance-testing equivalence oracle using the Wp-method with a
 /// configurable extra depth `k` (the "depth of the suite" of §3.4; the paper's
@@ -49,85 +47,6 @@ where
     ) -> Result<Option<Vec<I>>, OracleError> {
         let outcome = pool.run_tests(hypothesis, wp_method_suite_iter(hypothesis, self.depth))?;
         Ok(outcome.counterexample)
-    }
-}
-
-/// Conformance-testing equivalence oracle using the plain W-method (larger
-/// suites than Wp; kept for the ablation benchmarks).
-#[derive(Debug, Clone)]
-pub struct WMethodOracle {
-    depth: usize,
-}
-
-impl WMethodOracle {
-    /// Creates the oracle with extra depth `depth`.
-    pub fn new(depth: usize) -> Self {
-        WMethodOracle { depth }
-    }
-}
-
-impl<I, O> EquivalenceOracle<I, O> for WMethodOracle
-where
-    I: Clone + Eq + Hash + fmt::Debug,
-    O: Clone + Eq + Hash + fmt::Debug,
-{
-    fn find_counterexample(
-        &mut self,
-        pool: &mut QueryPool<'_, I, O>,
-        hypothesis: &Mealy<I, O>,
-    ) -> Result<Option<Vec<I>>, OracleError> {
-        let outcome = pool.run_tests(hypothesis, w_method_suite_iter(hypothesis, self.depth))?;
-        Ok(outcome.counterexample)
-    }
-}
-
-/// Randomized equivalence oracle: samples random words of bounded length.
-///
-/// This is the "random walk" alternative the paper mentions in §6 as enabling
-/// faster hypothesis refinement at the cost of the completeness guarantee of
-/// Theorem 3.3.  A given seed always explores the same words.
-#[derive(Debug, Clone)]
-pub struct RandomWalkOracle {
-    walks: usize,
-    max_length: usize,
-    rng: StdRng,
-}
-
-impl RandomWalkOracle {
-    /// Creates an oracle that tries `walks` random words of length up to
-    /// `max_length`.
-    pub fn new(walks: usize, max_length: usize, seed: u64) -> Self {
-        RandomWalkOracle {
-            walks,
-            max_length: max_length.max(1),
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl<I, O> EquivalenceOracle<I, O> for RandomWalkOracle
-where
-    I: Clone + Eq + Hash + fmt::Debug,
-    O: Clone + Eq + fmt::Debug,
-{
-    fn find_counterexample(
-        &mut self,
-        pool: &mut QueryPool<'_, I, O>,
-        hypothesis: &Mealy<I, O>,
-    ) -> Result<Option<Vec<I>>, OracleError> {
-        let inputs = hypothesis.inputs();
-        for _ in 0..self.walks {
-            let length = self.rng.gen_range(1..=self.max_length);
-            let word: Vec<I> = (0..length)
-                .map(|_| inputs[self.rng.gen_range(0..inputs.len())].clone())
-                .collect();
-            let actual = pool.query_word(&word)?;
-            let predicted = hypothesis.output_word(word.iter());
-            if let Some(cex) = shortest_failing_prefix(&word, &actual, &predicted) {
-                return Ok(Some(cex));
-            }
-        }
-        Ok(None)
     }
 }
 
@@ -187,18 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn w_method_also_finds_the_counterexample() {
-        let factory = factory_for(&counter(4));
-        let hypothesis = counter(2);
-        let mut pool = QueryPool::new(&factory);
-        let mut w = WMethodOracle::new(2);
-        assert!(w
-            .find_counterexample(&mut pool, &hypothesis)
-            .unwrap()
-            .is_some());
-    }
-
-    #[test]
     fn counterexamples_are_shortest_failing_prefixes() {
         let system = counter(3);
         let factory = factory_for(&system);
@@ -216,17 +123,5 @@ mod tests {
                 hypothesis.output_word(cex[..len].iter())
             );
         }
-    }
-
-    #[test]
-    fn random_walks_eventually_find_large_differences() {
-        let factory = factory_for(&counter(3));
-        let hypothesis = counter(2);
-        let mut pool = QueryPool::new(&factory);
-        let mut rw = RandomWalkOracle::new(200, 10, 42);
-        assert!(rw
-            .find_counterexample(&mut pool, &hypothesis)
-            .unwrap()
-            .is_some());
     }
 }

@@ -18,13 +18,10 @@
 //! * [`learn_mealy`] — L* for Mealy machines with an observation table whose
 //!   rows are interned signature ids, batched row filling, and
 //!   Rivest–Schapire counterexample processing;
-//! * [`WpMethodOracle`] / [`WMethodOracle`] — `(|H| + k)`-complete conformance
-//!   test suites (§3.3, Theorem 3.3), generated lazily, used as the
-//!   equivalence oracle;
-//! * [`RandomWalkOracle`] — the cheaper randomized alternative mentioned in
-//!   §6 as a possible optimization;
+//! * [`WpMethodOracle`] — the equivalence oracle: an `(|H| + k)`-complete
+//!   Wp-method conformance test suite (§3.3, Theorem 3.3), generated lazily;
 //! * [`MealyOracle`] — a simulated teacher backed by a known machine, used in
-//!   tests and for the ablation benchmarks.
+//!   tests and for the ablation benchmark.
 //!
 //! # Example: learning a toy machine
 //!
@@ -76,7 +73,7 @@ mod table;
 mod wmethod;
 
 pub use cache::{CacheVerdict, QueryCache, TrieCursor};
-pub use equivalence::{RandomWalkOracle, WMethodOracle, WpMethodOracle};
+pub use equivalence::WpMethodOracle;
 pub use lstar::{
     learn_mealy, LearnError, LearnOptions, LearnPhase, LearnPhases, LearnProgress, LearnStats,
     PhaseStats,
@@ -84,6 +81,5 @@ pub use lstar::{
 pub use oracle::{EquivalenceOracle, MealyOracle, MembershipOracle, NonDeterminism, OracleError};
 pub use pool::{OracleFactory, QueryPool, SuiteOutcome};
 pub use wmethod::{
-    characterization_set, state_cover, transition_cover, w_method_suite, w_method_suite_iter,
-    wp_method_suite, wp_method_suite_iter, WMethodSuite, WpMethodSuite,
+    characterization_set, state_cover, wp_method_suite, wp_method_suite_iter, WpMethodSuite,
 };

@@ -561,7 +561,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::equivalence::{RandomWalkOracle, WMethodOracle, WpMethodOracle};
+    use crate::equivalence::WpMethodOracle;
     use crate::oracle::MealyOracle;
     use automata::{equivalent, MealyBuilder};
 
@@ -604,38 +604,6 @@ mod tests {
             assert_eq!(stats.states, n);
             assert!(stats.membership_queries > 0);
         }
-    }
-
-    #[test]
-    fn learns_with_the_w_method_too() {
-        let target = counter(4);
-        let teacher = target.clone();
-        let factory = move || MealyOracle::new(teacher.clone());
-        let mut eq = WMethodOracle::new(4);
-        let (learned, _) = learn_mealy(
-            target.inputs().to_vec(),
-            &factory,
-            &mut eq,
-            LearnOptions::default(),
-        )
-        .unwrap();
-        assert!(equivalent(&learned, &target));
-    }
-
-    #[test]
-    fn random_walk_oracle_learns_with_high_probability() {
-        let target = counter(5);
-        let teacher = target.clone();
-        let factory = move || MealyOracle::new(teacher.clone());
-        let mut eq = RandomWalkOracle::new(2000, 20, 7);
-        let (learned, _) = learn_mealy(
-            target.inputs().to_vec(),
-            &factory,
-            &mut eq,
-            LearnOptions::default(),
-        )
-        .unwrap();
-        assert!(equivalent(&learned, &target));
     }
 
     #[test]

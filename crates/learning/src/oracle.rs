@@ -177,7 +177,6 @@ pub trait EquivalenceOracle<I, O> {
 pub struct MealyOracle<I, O> {
     machine: Mealy<I, O>,
     queries: u64,
-    symbols: u64,
 }
 
 impl<I, O> MealyOracle<I, O>
@@ -190,13 +189,7 @@ where
         MealyOracle {
             machine,
             queries: 0,
-            symbols: 0,
         }
-    }
-
-    /// Total number of input symbols processed.
-    pub fn symbols_processed(&self) -> u64 {
-        self.symbols
     }
 }
 
@@ -207,7 +200,6 @@ where
 {
     fn query(&mut self, word: &[I]) -> Result<Vec<O>, OracleError> {
         self.queries += 1;
-        self.symbols += word.len() as u64;
         Ok(self.machine.output_word(word.iter()))
     }
 
@@ -241,7 +233,6 @@ mod tests {
         );
         assert!(oracle.last_output(&["a", "b"]).unwrap());
         assert_eq!(oracle.queries_answered(), 2);
-        assert_eq!(oracle.symbols_processed(), 5);
     }
 
     #[test]

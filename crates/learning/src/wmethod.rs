@@ -1,5 +1,5 @@
 //! Test-suite generation for conformance testing: state cover,
-//! characterization sets, and the W- and Wp-methods.
+//! characterization sets, and the Wp-method.
 //!
 //! The equivalence queries of the learning loop are approximated by
 //! conformance testing (§3.3): an `(|H| + k)`-complete test suite guarantees
@@ -7,13 +7,13 @@
 //! word, then either the two machines are equivalent or the system has more
 //! than `|H| + k` states (Theorem 3.3).
 //!
-//! Suites are *lazy*: [`w_method_suite_iter`] and [`wp_method_suite_iter`]
-//! yield test words on demand, so an equivalence query that fails on an early
-//! test never materializes the (exponentially large) tail of the suite.  They
-//! yield the product's repeats too; [`QueryPool::run_tests`] skips a repeat
-//! on the prefix trie it walks anyway.  The eager [`w_method_suite`] /
-//! [`wp_method_suite`] functions collect the distinct words, in
-//! first-occurrence order, for callers that want the whole suite.
+//! The suite is *lazy*: [`wp_method_suite_iter`] yields test words on
+//! demand, so an equivalence query that fails on an early test never
+//! materializes the (exponentially large) tail of the suite.  It yields the
+//! product's repeats too; [`QueryPool::run_tests`] skips a repeat on the
+//! prefix trie it walks anyway.  The eager [`wp_method_suite`] collects the
+//! distinct words, in first-occurrence order, for callers that want the
+//! whole suite.
 //!
 //! [`QueryPool::run_tests`]: crate::QueryPool::run_tests
 
@@ -52,25 +52,6 @@ where
         .into_iter()
         .map(|c| c.expect("every state of a learned hypothesis is reachable"))
         .collect()
-}
-
-/// Transition cover: the state cover plus every state-cover word extended by
-/// every input symbol.
-pub fn transition_cover<I, O>(machine: &Mealy<I, O>) -> Vec<Vec<I>>
-where
-    I: Clone + Eq + Hash + fmt::Debug,
-    O: Clone + Eq + fmt::Debug,
-{
-    let cover = state_cover(machine);
-    let mut result = cover.clone();
-    for word in &cover {
-        for input in machine.inputs() {
-            let mut extended = word.clone();
-            extended.push(input.clone());
-            result.push(extended);
-        }
-    }
-    result
 }
 
 /// A characterization set `W`: a set of input words such that any two distinct
@@ -249,82 +230,16 @@ impl ProductCursor {
     }
 }
 
-/// Lazy W-method suite: `P · I^{≤k} · W` with `P` the transition cover and
-/// `W` the characterization set, in product order.
-///
-/// The product repeats words (`ε · a · w` and `a · ε · w`, say): the lazy
-/// suites yield every candidate, and [`QueryPool::run_tests`] executes each
-/// distinct word once, at its first occurrence.  Constructed by
-/// [`w_method_suite_iter`].
-///
-/// [`QueryPool::run_tests`]: crate::QueryPool::run_tests
-#[derive(Debug)]
-pub struct WMethodSuite<I> {
-    prefixes: Vec<Vec<I>>,
-    middles: Vec<Vec<I>>,
-    w: Vec<Vec<I>>,
-    /// Odometer over the `prefixes × middles × w` product.
-    cursor: ProductCursor,
-}
-
-impl<I: Clone> Iterator for WMethodSuite<I> {
-    type Item = Vec<I>;
-
-    fn next(&mut self) -> Option<Vec<I>> {
-        if self.middles.is_empty() || self.w.is_empty() {
-            // Degenerate machines over an empty input alphabet have an empty
-            // characterization set and therefore an empty suite.
-            return None;
-        }
-        let ProductCursor {
-            prefix,
-            middle,
-            word,
-        } = self.cursor;
-        let prefix = self.prefixes.get(prefix)?;
-        self.cursor.advance(self.middles.len(), self.w.len());
-        Some([&prefix[..], &self.middles[middle][..], &self.w[word][..]].concat())
-    }
-}
-
-/// Lazily yields the W-method test suite for extra depth `k`: every
-/// candidate of the product, repeats included (see [`WMethodSuite`]).
-pub fn w_method_suite_iter<I, O>(machine: &Mealy<I, O>, k: usize) -> WMethodSuite<I>
-where
-    I: Clone + Eq + Hash + fmt::Debug,
-    O: Clone + Eq + Hash + fmt::Debug,
-{
-    let (w, _) = characterization_set(machine);
-    WMethodSuite {
-        prefixes: transition_cover(machine),
-        middles: words_up_to(machine.inputs(), k),
-        w,
-        cursor: ProductCursor::start(),
-    }
-}
-
-/// The first occurrence of every word of `suite`, in order.
-fn first_occurrences<I: Clone + Eq + Hash>(suite: impl Iterator<Item = Vec<I>>) -> Vec<Vec<I>> {
-    let mut seen = FxHashSet::default();
-    suite.filter(|word| seen.insert(word.clone())).collect()
-}
-
-/// The W-method test suite for extra depth `k`, collected eagerly: the
-/// distinct words of [`w_method_suite_iter`], in first-occurrence order.
-pub fn w_method_suite<I, O>(machine: &Mealy<I, O>, k: usize) -> Vec<Vec<I>>
-where
-    I: Clone + Eq + Hash + fmt::Debug,
-    O: Clone + Eq + Hash + fmt::Debug,
-{
-    first_occurrences(w_method_suite_iter(machine, k))
-}
-
 /// Lazy Wp-method suite; see [`wp_method_suite_iter`].
 ///
 /// Phase 1 checks the state cover against the full characterization set
 /// (`S · I^{≤k} · W`); phase 2 checks the remaining transitions against the
-/// identification sets of the states they reach (`R · I^{≤k} ⊗ Wp`).  Like
-/// [`WMethodSuite`] it yields repeats, which the run skips.
+/// identification sets of the states they reach (`R · I^{≤k} ⊗ Wp`).  The
+/// product repeats words (`ε · a · w` and `a · ε · w`, say): the suite
+/// yields every candidate, and [`QueryPool::run_tests`] executes each
+/// distinct word once, at its first occurrence.
+///
+/// [`QueryPool::run_tests`]: crate::QueryPool::run_tests
 #[derive(Debug)]
 pub struct WpMethodSuite<'m, I, O> {
     machine: &'m Mealy<I, O>,
@@ -453,7 +368,10 @@ where
     I: Clone + Eq + Hash + fmt::Debug,
     O: Clone + Eq + Hash + fmt::Debug,
 {
-    first_occurrences(wp_method_suite_iter(machine, k))
+    let mut seen = FxHashSet::default();
+    wp_method_suite_iter(machine, k)
+        .filter(|word| seen.insert(word.clone()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -482,13 +400,6 @@ mod tests {
         for (i, word) in cover.iter().enumerate() {
             assert_eq!(m.delta(m.initial(), word.iter()).index(), i);
         }
-    }
-
-    #[test]
-    fn transition_cover_contains_all_one_step_extensions() {
-        let m = three_state();
-        let tc = transition_cover(&m);
-        assert_eq!(tc.len(), 3 + 3 * 2);
     }
 
     #[test]
@@ -526,24 +437,15 @@ mod tests {
         let m = b.build(s).unwrap();
         let (w, _) = characterization_set(&m);
         assert_eq!(w.len(), 1);
-        assert!(!w_method_suite(&m, 1).is_empty());
-    }
-
-    #[test]
-    fn wp_suite_is_no_larger_than_w_suite() {
-        let m = three_state();
-        let w_suite = w_method_suite(&m, 1);
-        let wp_suite = wp_method_suite(&m, 1);
-        assert!(!wp_suite.is_empty());
-        assert!(wp_suite.len() <= w_suite.len());
+        assert!(!wp_method_suite(&m, 1).is_empty());
     }
 
     #[test]
     fn suites_contain_no_duplicates_or_empty_words() {
         let m = three_state();
-        for suite in [w_method_suite(&m, 1), wp_method_suite(&m, 2)] {
+        for k in [1, 2] {
             let mut seen = std::collections::HashSet::new();
-            for word in &suite {
+            for word in &wp_method_suite(&m, k) {
                 assert!(!word.is_empty());
                 assert!(seen.insert(word.clone()), "duplicate word {word:?}");
             }
@@ -552,7 +454,7 @@ mod tests {
 
     #[test]
     fn lazy_and_eager_suites_agree() {
-        // The eager suites are the lazy candidate streams with every repeat
+        // The eager suite is the lazy candidate stream with every repeat
         // dropped, in first-occurrence order.
         fn distinct(suite: impl Iterator<Item = Vec<&'static str>>) -> Vec<Vec<&'static str>> {
             let mut seen = std::collections::HashSet::new();
@@ -560,15 +462,14 @@ mod tests {
         }
         let m = three_state();
         for k in [0usize, 1, 2] {
-            assert_eq!(w_method_suite(&m, k), distinct(w_method_suite_iter(&m, k)));
             assert_eq!(
                 wp_method_suite(&m, k),
                 distinct(wp_method_suite_iter(&m, k))
             );
         }
-        // The products do repeat words, which the lazy suites leave to the
+        // The product does repeat words, which the lazy suite leaves to the
         // conformance run to skip.
-        assert!(w_method_suite_iter(&m, 1).count() > w_method_suite(&m, 1).len());
+        assert!(wp_method_suite_iter(&m, 1).count() > wp_method_suite(&m, 1).len());
     }
 
     #[test]
@@ -591,12 +492,11 @@ mod tests {
     #[test]
     fn empty_alphabet_machines_get_empty_suites() {
         // Degenerate but constructible: a machine with no inputs.  The lazy
-        // iterators must terminate with an empty suite (as the eager
-        // functions always did) instead of panicking.
+        // iterator must terminate with an empty suite (as the eager function
+        // always did) instead of panicking.
         let mut b: MealyBuilder<&str, u8> = MealyBuilder::new(vec![]);
         let s = b.add_state();
         let m = b.build(s).unwrap();
-        assert_eq!(w_method_suite(&m, 1), Vec::<Vec<&str>>::new());
         assert_eq!(wp_method_suite(&m, 1), Vec::<Vec<&str>>::new());
     }
 }

@@ -9,8 +9,7 @@ use std::rc::Rc;
 
 use automata::{explore, ExploreLimit, Mealy};
 use learning::{
-    w_method_suite, w_method_suite_iter, wp_method_suite, wp_method_suite_iter, MembershipOracle,
-    OracleError, QueryPool, SuiteOutcome,
+    wp_method_suite, wp_method_suite_iter, MembershipOracle, OracleError, QueryPool, SuiteOutcome,
 };
 use proptest::prelude::*;
 
@@ -98,35 +97,30 @@ proptest! {
             0..4,
         ),
     ) {
-        for wp in [false, true] {
-            let (distinct, candidates): (_, Box<dyn Iterator<Item = Vec<&str>>>) = if wp {
-                (wp_method_suite(&hypothesis, depth), Box::new(wp_method_suite_iter(&hypothesis, depth)))
-            } else {
-                (w_method_suite(&hypothesis, depth), Box::new(w_method_suite_iter(&hypothesis, depth)))
-            };
-            // The reference: the first occurrences up to the first word the
-            // system answers differently from the hypothesis.
-            let failing = distinct.iter().position(|word| {
-                system.output_word(word.iter()) != hypothesis.output_word(word.iter())
-            });
-            let executed = failing.map_or(distinct.len(), |i| i + 1);
-            let counterexample = failing.map(|i| {
-                let word = &distinct[i];
-                let actual = system.output_word(word.iter());
-                let predicted = hypothesis.output_word(word.iter());
-                let cut = actual.iter().zip(&predicted).position(|(a, p)| a != p).unwrap();
-                word[..=cut].to_vec()
-            });
+        let distinct = wp_method_suite(&hypothesis, depth);
+        // The reference: the first occurrences up to the first word the
+        // system answers differently from the hypothesis.
+        let failing = distinct.iter().position(|word| {
+            system.output_word(word.iter()) != hypothesis.output_word(word.iter())
+        });
+        let executed = failing.map_or(distinct.len(), |i| i + 1);
+        let counterexample = failing.map(|i| {
+            let word = &distinct[i];
+            let actual = system.output_word(word.iter());
+            let predicted = hypothesis.output_word(word.iter());
+            let cut = actual.iter().zip(&predicted).position(|(a, p)| a != p).unwrap();
+            word[..=cut].to_vec()
+        });
 
-            let deduplicated = observe(&system, &hypothesis, &warm_up, candidates);
-            prop_assert_eq!(
-                &deduplicated.0,
-                &SuiteOutcome { counterexample, tests_executed: executed as u64 }
-            );
-            // Counts and teacher traffic equal a run over the pre-filtered
-            // suite, which has no repeat to skip.
-            let filtered = observe(&system, &hypothesis, &warm_up, distinct.iter().cloned());
-            prop_assert_eq!(deduplicated, filtered);
-        }
+        let candidates = wp_method_suite_iter(&hypothesis, depth);
+        let deduplicated = observe(&system, &hypothesis, &warm_up, candidates);
+        prop_assert_eq!(
+            &deduplicated.0,
+            &SuiteOutcome { counterexample, tests_executed: executed as u64 }
+        );
+        // Counts and teacher traffic equal a run over the pre-filtered
+        // suite, which has no repeat to skip.
+        let filtered = observe(&system, &hypothesis, &warm_up, distinct.iter().cloned());
+        prop_assert_eq!(deduplicated, filtered);
     }
 }

@@ -151,18 +151,11 @@ impl SimulatedCacheOracle {
     /// Returns an error if the policy does not support the associativity.
     pub fn new(kind: PolicyKind, associativity: usize) -> Result<Self, policies::PolicyError> {
         let policy = kind.build(associativity)?;
-        let template = CacheSet::filled(policy, (0..associativity as u64).map(Block::new));
-        Ok(Self::from_set(template))
-    }
-
-    /// Creates the oracle from an arbitrary pre-filled cache set (useful for
-    /// testing custom policies).
-    pub fn from_set(template: CacheSet) -> Self {
-        SimulatedCacheOracle {
-            template,
+        Ok(SimulatedCacheOracle {
+            template: CacheSet::filled(policy, (0..associativity as u64).map(Block::new)),
             probes: Arc::new(AtomicU64::new(0)),
             accesses: Arc::new(AtomicU64::new(0)),
-        }
+        })
     }
 }
 

@@ -217,7 +217,8 @@ fn learn_group(
     let oracle = machine(config)
         .map_err(|e| e.to_string())
         .and_then(|backend| {
-            let engine = QueryEngine::with_store(backend, Arc::clone(store));
+            let mut engine = QueryEngine::with_store(backend, Arc::clone(store));
+            engine.set_recorder(config.setup.recorder.clone());
             CacheQueryOracle::new(engine, target).map_err(|e| e.to_string())
         });
     let oracle = match oracle {

@@ -141,11 +141,6 @@ impl SimReplayer {
     pub fn geometry(&self) -> CacheGeometry {
         self.geometry
     }
-
-    /// Number of distinct sets the replay has touched.
-    pub fn touched_sets(&self) -> usize {
-        self.sets.len()
-    }
 }
 
 impl Replayer for SimReplayer {
@@ -281,11 +276,6 @@ impl<'m> MachineReplayer<'m> {
     /// The geometry accesses are mapped through.
     pub fn geometry(&self) -> CacheGeometry {
         self.geometry
-    }
-
-    /// Number of distinct sets the replay has touched.
-    pub fn touched_sets(&self) -> usize {
-        self.sets.len()
     }
 }
 

@@ -1,12 +1,14 @@
 //! End-to-end observability: the span timeline of a learning run and the
 //! metrics surface of a live `cqd` daemon.
 //!
-//! Three guarantees are pinned here:
+//! Four guarantees are pinned here:
 //!
 //! * **JSONL schema** — every record a [`obs::Recorder`] emits is one JSON
 //!   object per line with exactly `{ts_ns, span_id, parent, name, dur_ns,
 //!   fields}`, and the learner's phase spans nest under the `lstar.learn`
 //!   root (the §5 learner loop, phase by phase);
+//! * **map campaigns trace their engine** — a traced `map_cache` records the
+//!   `engine.run_batch` spans of its per-group learning campaigns;
 //! * **metrics coverage** — a daemon that has answered queries and run a
 //!   learning campaign reports them through the `metrics` request: query
 //!   and store-hit counters, vote gauges (§4.3), and a request-latency
@@ -17,8 +19,10 @@
 
 use std::sync::Arc;
 
+use cachequery::QueryStore;
+use hardware::CpuModel;
 use obs::{Recorder, RingSink};
-use polca::{learn_simulated_policy, LearnSetup};
+use polca::{learn_simulated_policy, map_cache, LearnSetup, MapConfig};
 use policies::PolicyKind;
 use server::{spawn, Client, CqdConfig, Json};
 
@@ -116,6 +120,50 @@ fn a_learning_run_emits_a_nested_jsonl_timeline() {
         outcome.stats.membership_queries,
         "CampaignProfile must conserve the membership-query total"
     );
+}
+
+#[test]
+fn a_traced_map_records_the_engine_batches_of_its_group_campaigns() {
+    // The cartography bin's defaults: seed 99, sets 0–47 of the Skylake at
+    // CAT 2, a sample holding primary leaders.
+    let sink = Arc::new(RingSink::new(1 << 18));
+    let recorder = Arc::new(Recorder::new(sink.clone() as Arc<dyn obs::EventSink>));
+    let mut config = MapConfig::new(CpuModel::SkylakeI5_6500, 99, (0..48).collect());
+    config.cat_ways = Some(2);
+    config.setup.recorder = Some(Arc::clone(&recorder));
+    let map = map_cache(&config, Arc::new(QueryStore::new())).expect("the campaign runs");
+    assert!(!map.groups.is_empty(), "the sample holds a leader group");
+    recorder.flush();
+
+    // (start, end) of every span with `name`, in nanoseconds.
+    let lines = sink.drain();
+    let spans = |name: &str| -> Vec<(u64, u64)> {
+        lines
+            .iter()
+            .filter(|line| parse_record(line).2 == name)
+            .map(|line| {
+                let record = Json::parse(line).expect("parsed above");
+                let field = |key| record.get(key).and_then(Json::as_u64).expect("a u64");
+                (field("ts_ns"), field("ts_ns") + field("dur_ns"))
+            })
+            .collect()
+    };
+    let groups = spans("polca.learn_group");
+    assert_eq!(
+        groups.len(),
+        map.groups.len(),
+        "one span per group campaign"
+    );
+    // Engine spans are roots, so they are matched to a campaign by time.
+    let batches = spans("engine.run_batch");
+    for (start, end) in groups {
+        assert!(
+            batches
+                .iter()
+                .any(|(batch, _)| (start..=end).contains(batch)),
+            "no engine.run_batch starts inside the group campaign at {start}..{end} ns"
+        );
+    }
 }
 
 #[test]
