@@ -6,14 +6,15 @@
 //! worst-case Table 2 row at the default associativity cap (`SRRIP-FP/4`),
 //! and the whole `table2 --max-assoc 4` sweep.  For every learned unit the
 //! gate records the state count, the membership-query count, Polca's cache
-//! probes and block accesses, and the wall time, writes the report under the
-//! `learn` key of `BENCH_learn.json`, and compares against the committed
-//! baseline:
+//! probes and block accesses, the learner's prefix-trie nodes and their
+//! bytes, and the wall time, writes the report under the `learn` key of
+//! `BENCH_learn.json`, and compares against the committed baseline:
 //!
-//! * a **membership-query or state count drifting by even one** fails the
-//!   gate unconditionally — those numbers are byte-pinned reproduction
-//!   artifacts, and "faster but different" means the optimization changed
-//!   the algorithm;
+//! * a **membership-query, state or trie-node count drifting by even one**
+//!   fails the gate unconditionally — those numbers are byte-pinned
+//!   reproduction artifacts, and "faster but different" means the
+//!   optimization changed the algorithm (the trie bytes are reported, not
+//!   gated: they follow the node layout);
 //! * a unit whose **block accesses differ from its probes** fails the gate
 //!   unconditionally — simulated caches step their probe sessions, one
 //!   block access per probe, so any gap is a campaign replaying probes from
@@ -34,11 +35,11 @@
 //! performance or pinned-count change lands.
 //!
 //! `--store-dir DIR` routes every campaign through a durable [`QueryStore`]
-//! rooted at `DIR` instead of the memory-only simulated oracle.  The counts
-//! are gated against the same baseline — persistence must be invisible to
-//! the learner, byte for byte — and the engine path steps its probe
-//! sessions through the store like the direct path steps its simulator, so
-//! the probes-equal-block-accesses gate holds there too.  The *time* gate is
+//! rooted at `DIR` instead of the memory-only simulated oracle.  The counts,
+//! trie nodes included, are gated against the same baseline — persistence
+//! must be invisible to the learner, byte for byte — and the engine path
+//! steps its probe sessions through the store like the direct path steps
+//! its simulator, so the probes-equal-block-accesses gate holds there too.  The *time* gate is
 //! skipped: every probe also pays a store lookup, and every miss a recording
 //! and a log append, which the memory-only baseline times do not include.
 //! The persist counters are gated exactly: the gate fails unless the store
@@ -121,6 +122,9 @@ struct Unit {
     /// Block accesses those probes cost: equal to `probes` when sessions
     /// step, larger when they replay.
     block_accesses: u64,
+    /// Nodes and bytes of the learner's prefix trie at the end of the run.
+    trie_nodes: u64,
+    trie_bytes: u64,
     time_ms: f64,
 }
 
@@ -159,6 +163,8 @@ fn measure(workload: &Workload, store: Option<&Arc<QueryStore>>) -> Measured {
             queries: outcome.stats.membership_queries,
             probes: outcome.cache_probes,
             block_accesses: outcome.block_accesses,
+            trie_nodes: outcome.stats.trie_nodes,
+            trie_bytes: outcome.stats.trie_bytes,
             time_ms: unit_start.elapsed().as_secs_f64() * 1000.0,
         });
     }
@@ -192,6 +198,8 @@ fn report_json(measured: &[Measured]) -> Json {
                                             ("queries", Json::num(u.queries)),
                                             ("probes", Json::num(u.probes)),
                                             ("block_accesses", Json::num(u.block_accesses)),
+                                            ("trie_nodes", Json::num(u.trie_nodes)),
+                                            ("trie_bytes", Json::num(u.trie_bytes)),
                                             ("time_ms", Json::Num(u.time_ms)),
                                         ])
                                     })
@@ -208,8 +216,16 @@ fn report_json(measured: &[Measured]) -> Json {
 /// A baseline workload entry, as parsed back from the committed JSON.
 struct BaselineWorkload {
     time_ms: f64,
-    /// `(policy, assoc) -> (states, queries)`.
-    units: Vec<(String, u64, u64, u64)>,
+    units: Vec<BaselineUnit>,
+}
+
+/// The pinned counts of one baseline unit.
+struct BaselineUnit {
+    policy: String,
+    assoc: u64,
+    states: u64,
+    queries: u64,
+    trie_nodes: u64,
 }
 
 fn parse_baseline(text: &str) -> Result<Vec<(String, BaselineWorkload)>, String> {
@@ -232,19 +248,22 @@ fn parse_baseline(text: &str) -> Result<Vec<(String, BaselineWorkload)>, String>
             .ok_or("workload without time_ms")?;
         let mut units = Vec::new();
         for u in w.get("units").and_then(Json::as_arr).unwrap_or(&[]) {
-            units.push((
-                u.get("policy")
+            let count = |key| {
+                u.get(key)
+                    .and_then(Json::as_u64)
+                    .ok_or_else(|| format!("unit without {key}"))
+            };
+            units.push(BaselineUnit {
+                policy: u
+                    .get("policy")
                     .and_then(Json::as_str)
                     .ok_or("unit without a policy")?
                     .to_string(),
-                u.get("assoc").and_then(Json::as_u64).ok_or("unit assoc")?,
-                u.get("states")
-                    .and_then(Json::as_u64)
-                    .ok_or("unit states")?,
-                u.get("queries")
-                    .and_then(Json::as_u64)
-                    .ok_or("unit queries")?,
-            ));
+                assoc: count("assoc")?,
+                states: count("states")?,
+                queries: count("queries")?,
+                trie_nodes: count("trie_nodes")?,
+            });
         }
         out.push((name, BaselineWorkload { time_ms, units }));
     }
@@ -328,6 +347,7 @@ fn main() {
         "Queries",
         "Probes",
         "Block acc.",
+        "Trie nodes",
         "Time",
     ]);
     for w in &measured {
@@ -340,12 +360,14 @@ fn main() {
                 u.queries.to_string(),
                 u.probes.to_string(),
                 u.block_accesses.to_string(),
+                u.trie_nodes.to_string(),
                 format!("{:.1} ms", u.time_ms),
             ]);
         }
         table.add_row(&[
             w.name.to_string(),
             "(total)".to_string(),
+            String::new(),
             String::new(),
             String::new(),
             String::new(),
@@ -419,10 +441,10 @@ fn main() {
                     w.name, u.policy, u.assoc, u.block_accesses, u.probes
                 ));
             }
-            let Some((_, _, base_states, base_queries)) = base
+            let Some(pinned) = base
                 .units
                 .iter()
-                .find(|(p, a, _, _)| *p == u.policy && *a == u.assoc as u64)
+                .find(|b| b.policy == u.policy && b.assoc == u.assoc as u64)
             else {
                 violations.push(format!(
                     "{}: {}@{} is not in the baseline",
@@ -430,17 +452,17 @@ fn main() {
                 ));
                 continue;
             };
-            if u.states != *base_states {
-                violations.push(format!(
-                    "{}: {}@{} learned {} states (baseline {})",
-                    w.name, u.policy, u.assoc, u.states, base_states
-                ));
-            }
-            if u.queries != *base_queries {
-                violations.push(format!(
-                    "{}: {}@{} issued {} membership queries (baseline {})",
-                    w.name, u.policy, u.assoc, u.queries, base_queries
-                ));
+            for (what, got, want) in [
+                ("states", u.states, pinned.states),
+                ("membership queries", u.queries, pinned.queries),
+                ("trie nodes", u.trie_nodes, pinned.trie_nodes),
+            ] {
+                if got != want {
+                    violations.push(format!(
+                        "{}: {}@{} has {got} {what} (baseline {want})",
+                        w.name, u.policy, u.assoc
+                    ));
+                }
             }
         }
         if reopen.is_some() {

@@ -9,56 +9,81 @@
 //! query family in space proportional to the number of distinct symbols seen,
 //! where a per-word map would store every prefix as a separate key.
 //!
-//! [`QueryCache`] is the trie: nodes live in one contiguous arena (an
-//! index-linked `Vec`, which keeps lookups cache-friendly), lookups take a
-//! read lock, insertions a write lock, and the hit/miss counters are atomics,
-//! so one instance can be shared across threads (the query engine's store
-//! shares one across `cqd` sessions).  Behind a
-//! [`QueryPool`](crate::QueryPool) it is also the *central* query counter of
-//! a learning run — membership statistics are derived from the cache layer
-//! instead of trusting every oracle implementation to count for itself.
+//! [`QueryCache`] is the trie: nodes live in one contiguous arena, a `Vec`
+//! of fixed-size nodes linked first-child/next-sibling by `u32` index, so a
+//! node is its symbol, its output and two links (12 bytes over the policy
+//! alphabet) and nothing is allocated per node.  Lookups take a read lock,
+//! insertions a write lock, and the hit/miss counters are atomics, so one
+//! instance can be shared across threads (the query engine's store shares
+//! one across `cqd` sessions).  Behind a [`QueryPool`](crate::QueryPool) it
+//! is also the *central* query counter of a learning run — membership
+//! statistics are derived from the cache layer instead of trusting every
+//! oracle implementation to count for itself.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock};
 
 use crate::oracle::OracleError;
 
-/// One arena slot: the output of the symbol labelling the edge that leads
-/// here, plus the children as `(symbol, arena index)` pairs.
+/// The "no node" link: the end of a sibling list, or a node without
+/// children.  The arena never hands out this index.
+const NONE: u32 = u32::MAX;
+
+/// One arena slot: the symbol labelling the edge that leads here, the
+/// output of that symbol, and two links — the first of this node's children
+/// and the next of its parent's.
 ///
-/// Children are kept in a plain vector with linear scanning: learning
-/// alphabets are tiny (`associativity + 1` symbols for replacement policies),
-/// so a vector beats a hash map on both memory and lookup time.
+/// Siblings are scanned linearly: learning alphabets are tiny
+/// (`associativity + 1` symbols for replacement policies), and a child list
+/// threaded through the arena costs no allocation of its own.
 #[derive(Debug)]
 struct Node<I, O> {
+    first_child: u32,
+    next_sibling: u32,
+    symbol: I,
     output: O,
-    children: Vec<(I, u32)>,
 }
 
-/// The arena: all nodes plus the root's child list.
-#[derive(Debug, Default)]
+/// The arena: all nodes, in insertion order, plus the root's first child.
+#[derive(Debug)]
 struct Trie<I, O> {
     nodes: Vec<Node<I, O>>,
-    roots: Vec<(I, u32)>,
+    root: u32,
     /// Bumped by every [`QueryCache::clear`]: a [`TrieCursor`] taken in an
     /// older generation holds indices into an arena that no longer exists.
     generation: u64,
 }
 
+impl<I, O> Default for Trie<I, O> {
+    fn default() -> Self {
+        Trie {
+            nodes: Vec::new(),
+            root: NONE,
+            generation: 0,
+        }
+    }
+}
+
 impl<I: Eq, O> Trie<I, O> {
-    fn child(&self, children: &[(I, u32)], symbol: &I) -> Option<u32> {
-        children
-            .iter()
-            .find(|(i, _)| i == symbol)
-            .map(|&(_, index)| index)
+    /// The first child of `position` (of the root when `None`).
+    fn first_child(&self, position: Option<u32>) -> u32 {
+        position.map_or(self.root, |index| self.nodes[index as usize].first_child)
     }
 
-    /// The child list below `parent` (the root's when `None`).
-    fn children(&self, parent: Option<u32>) -> &[(I, u32)] {
-        match parent {
-            None => &self.roots,
-            Some(index) => &self.nodes[index as usize].children,
+    /// Scans the sibling list starting at `link` for `symbol`: `Ok` with
+    /// the matching node, or `Err` with the last sibling scanned (`NONE` for
+    /// an empty list), after which a new child is appended.
+    fn scan(&self, mut link: u32, symbol: &I) -> Result<u32, u32> {
+        let mut last = NONE;
+        while link != NONE {
+            let node = &self.nodes[link as usize];
+            if node.symbol == *symbol {
+                return Ok(link);
+            }
+            last = link;
+            link = node.next_sibling;
         }
+        Err(last)
     }
 
     /// Revalidates `cursor` for a word sharing its first `lcp` symbols with
@@ -80,8 +105,9 @@ impl<I: Clone + Eq, O: Clone + PartialEq> Trie<I, O> {
     /// Returns the number of fresh nodes.
     ///
     /// A contradiction is only detectable on the already-recorded part of
-    /// the walk, which precedes the first fresh insertion — so an `Err`
-    /// leaves the trie untouched.
+    /// the walk, and the first symbol without a node starts a chain of
+    /// fresh nodes for the whole rest of the word, allocated at once — so an
+    /// `Err` leaves the trie untouched.
     fn insert(
         &mut self,
         word: &[I],
@@ -90,35 +116,56 @@ impl<I: Clone + Eq, O: Clone + PartialEq> Trie<I, O> {
         parent: Option<u32>,
         mut visit: impl FnMut(u32),
     ) -> Result<usize, OracleError> {
-        // Walk with explicit "root or node index" positions: arena nodes are
-        // appended while walking, so child lists are re-borrowed per step.
         let mut position = parent;
-        let mut inserted = 0usize;
-        for (offset, (symbol, output)) in word.iter().zip(outputs).enumerate().skip(from) {
-            if let Some(existing) = self.child(self.children(position), symbol) {
-                if self.nodes[existing as usize].output != *output {
-                    return Err(inconsistent_answer(offset));
+        for offset in from..word.len() {
+            let last = match self.scan(self.first_child(position), &word[offset]) {
+                Ok(existing) => {
+                    if self.nodes[existing as usize].output != outputs[offset] {
+                        return Err(inconsistent_answer(offset));
+                    }
+                    position = Some(existing);
+                    visit(existing);
+                    continue;
                 }
-                position = Some(existing);
-                visit(existing);
-                continue;
+                Err(last) => last,
+            };
+            let fresh = word.len() - offset;
+            let base = fresh_base(self.nodes.len(), fresh)?;
+            for (step, (symbol, output)) in
+                word[offset..].iter().zip(&outputs[offset..]).enumerate()
+            {
+                let index = base + step as u32;
+                let first_child = if step + 1 < fresh { index + 1 } else { NONE };
+                self.nodes.push(Node {
+                    first_child,
+                    next_sibling: NONE,
+                    symbol: symbol.clone(),
+                    output: output.clone(),
+                });
+                visit(index);
             }
-            let fresh = self.nodes.len() as u32;
-            self.nodes.push(Node {
-                output: output.clone(),
-                children: Vec::new(),
-            });
-            match position {
-                None => self.roots.push((symbol.clone(), fresh)),
-                Some(index) => self.nodes[index as usize]
-                    .children
-                    .push((symbol.clone(), fresh)),
+            // Append at the tail of the sibling list, so children stay in
+            // insertion order.
+            match (last, position) {
+                (NONE, None) => self.root = base,
+                (NONE, Some(parent)) => self.nodes[parent as usize].first_child = base,
+                (last, _) => self.nodes[last as usize].next_sibling = base,
             }
-            position = Some(fresh);
-            visit(fresh);
-            inserted += 1;
+            return Ok(fresh);
         }
-        Ok(inserted)
+        Ok(0)
+    }
+}
+
+/// The arena index of the first of `fresh` nodes appended to an arena of
+/// `len` nodes, or an error when one of them would reach the [`NONE`] link.
+fn fresh_base(len: usize, fresh: usize) -> Result<u32, OracleError> {
+    match len.checked_add(fresh) {
+        Some(end) if end <= NONE as usize => Ok(len as u32),
+        _ => Err(OracleError::new(format!(
+            "the query cache is full: {len} trie nodes, and {fresh} more would \
+             exceed the {NONE}-node arena"
+        ))),
     }
 }
 
@@ -140,8 +187,9 @@ pub(crate) fn inconsistent_answer(position: usize) -> OracleError {
 /// [`QueryCache::check_against_resumed`], [`QueryCache::lookup_resumed`]
 /// and [`QueryCache::record_resumed`] skip re-walking the shared part.  The
 /// cursor stores the arena path of the last word's walked prefix — valid
-/// across calls because the arena is append-only (nodes are never moved or
-/// mutated once recorded) until [`QueryCache::clear`] drops it.  The cursor
+/// across calls because the arena is append-only (nodes are never moved,
+/// and a recorded node's symbol and output never change; only its links
+/// grow) until [`QueryCache::clear`] drops it.  The cursor
 /// therefore also carries the trie generation it was taken in: a stale
 /// cursor (see [`QueryCache::is_stale`]) is never dereferenced, the next
 /// resumed call re-finds its prefix from the root.
@@ -193,6 +241,10 @@ pub enum CacheVerdict {
 /// The cache exploits prefix-closedness: recording the answer to a word also
 /// records the answer to every prefix of that word, and a lookup succeeds for
 /// any word that is a prefix of (or equal to) a previously recorded word.
+/// Each distinct prefix is one node of an append-only arena, linked to its
+/// first child and next sibling by `u32` index: two links, a symbol and an
+/// output, so 12 bytes for two-byte symbols and outputs and no allocation
+/// per node.
 ///
 /// Recording an output that contradicts an already-stored one fails with an
 /// [`OracleError`] — for deterministic systems this can only happen when the
@@ -228,11 +280,7 @@ where
     /// Creates an empty cache.
     pub fn new() -> Self {
         QueryCache {
-            trie: RwLock::new(Trie {
-                nodes: Vec::new(),
-                roots: Vec::new(),
-                generation: 0,
-            }),
+            trie: RwLock::new(Trie::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -244,16 +292,16 @@ where
     /// The empty word always hits (its output word is empty).
     pub fn lookup(&self, word: &[I]) -> Option<Vec<O>> {
         let trie = self.trie.read().unwrap_or_else(PoisonError::into_inner);
-        let mut children = &trie.roots;
+        let mut link = trie.root;
         let mut outputs = Vec::with_capacity(word.len());
         for symbol in word {
-            let Some(index) = trie.child(children, symbol) else {
+            let Ok(index) = trie.scan(link, symbol) else {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 return None;
             };
             let node = &trie.nodes[index as usize];
             outputs.push(node.output.clone());
-            children = &node.children;
+            link = node.first_child;
         }
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(outputs)
@@ -289,9 +337,9 @@ where
         debug_assert!(lcp <= word.len());
         let trie = self.trie.read().unwrap_or_else(PoisonError::into_inner);
         trie.resume(cursor, lcp);
-        let mut children = trie.children(cursor.path.last().copied());
+        let mut link = trie.first_child(cursor.node());
         for position in cursor.path.len()..word.len() {
-            let Some(index) = trie.child(children, &word[position]) else {
+            let Ok(index) = trie.scan(link, &word[position]) else {
                 return CacheVerdict::Unknown;
             };
             let node = &trie.nodes[index as usize];
@@ -299,7 +347,7 @@ where
                 return CacheVerdict::Mismatch(position);
             }
             cursor.path.push(index);
-            children = &node.children;
+            link = node.first_child;
         }
         CacheVerdict::Match
     }
@@ -329,10 +377,10 @@ where
         debug_assert!(lcp <= word.len());
         let trie = self.trie.read().unwrap_or_else(PoisonError::into_inner);
         trie.resume(cursor, lcp);
-        let mut children = trie.children(cursor.path.last().copied());
+        let mut link = trie.first_child(cursor.node());
         let mut outputs = Vec::with_capacity(word.len() - lcp);
         for (position, symbol) in word.iter().enumerate().skip(cursor.path.len()) {
-            let Some(index) = trie.child(children, symbol) else {
+            let Ok(index) = trie.scan(link, symbol) else {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 return None;
             };
@@ -341,7 +389,7 @@ where
                 outputs.push(node.output.clone());
             }
             cursor.path.push(index);
-            children = &node.children;
+            link = node.first_child;
         }
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(outputs)
@@ -404,7 +452,7 @@ where
         debug_assert!(lcp <= word.len());
         let mut trie = self.trie.write().unwrap_or_else(PoisonError::into_inner);
         trie.resume(cursor, lcp);
-        let (from, parent) = (cursor.path.len(), cursor.path.last().copied());
+        let (from, parent) = (cursor.path.len(), cursor.node());
         trie.insert(word, outputs, from, parent, |index| cursor.path.push(index))
     }
 
@@ -428,7 +476,7 @@ where
         let mut trie = self.trie.write().unwrap_or_else(PoisonError::into_inner);
         let dropped = trie.nodes.len() as u64;
         trie.nodes = Vec::new();
-        trie.roots = Vec::new();
+        trie.root = NONE;
         trie.generation += 1;
         dropped
     }
@@ -477,43 +525,36 @@ where
         let trie = self.trie.read().unwrap_or_else(PoisonError::into_inner);
         let mut word = Vec::new();
         let mut outputs = Vec::new();
-        // The unvisited children of every node on the current path.
-        let mut levels = vec![trie.roots.iter()];
-        while let Some(level) = levels.last_mut() {
-            let Some((symbol, index)) = level.next() else {
-                levels.pop();
+        // The next unvisited sibling at every depth of the current path.
+        let mut links = vec![trie.root];
+        while let Some(link) = links.last_mut() {
+            if *link == NONE {
+                links.pop();
                 word.pop();
                 outputs.pop();
                 continue;
-            };
-            let node = &trie.nodes[*index as usize];
-            word.push(symbol.clone());
+            }
+            let node = &trie.nodes[*link as usize];
+            *link = node.next_sibling;
+            word.push(node.symbol.clone());
             outputs.push(node.output.clone());
-            if node.children.is_empty() {
+            if node.first_child == NONE {
                 visit(&word, &outputs);
                 word.pop();
                 outputs.pop();
             } else {
-                levels.push(node.children.iter());
+                links.push(node.first_child);
             }
         }
     }
 
-    /// Estimated heap footprint of the trie, in bytes: the node arena plus
-    /// the capacity of every child edge list.  An estimate — allocator
-    /// headers and the fixed cost of the lock and counters are not included
-    /// — but it tracks growth faithfully, which is what capacity planning
-    /// (the `cqd` per-namespace store report) needs.
+    /// Estimated heap footprint of the trie, in bytes: its nodes times the
+    /// size of one node.  An estimate — the arena's spare capacity and the
+    /// fixed cost of the lock and counters are not included — but it tracks
+    /// growth faithfully, which is what capacity planning (the `cqd`
+    /// per-namespace store report) needs, and it takes constant time.
     pub fn approx_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        let trie = self.trie.read().unwrap_or_else(PoisonError::into_inner);
-        let edge = size_of::<(I, u32)>();
-        let mut bytes = trie.nodes.capacity() * size_of::<Node<I, O>>();
-        bytes += trie.roots.capacity() * edge;
-        for node in &trie.nodes {
-            bytes += node.children.capacity() * edge;
-        }
-        bytes as u64
+        self.entries() * std::mem::size_of::<Node<I, O>>() as u64
     }
 
     /// Number of trie nodes, i.e. distinct cached prefixes.
@@ -795,6 +836,38 @@ mod tests {
             cache.record(&[1, 2, i], &[10, 20, i]).unwrap();
         }
         assert!(cache.approx_bytes() > small);
+    }
+
+    #[test]
+    fn a_node_is_two_links_a_symbol_and_an_output() {
+        // The policy alphabet's symbols and outputs are two bytes each: no
+        // per-node allocation or list header may come back.
+        assert_eq!(std::mem::size_of::<Node<[u8; 2], [u8; 2]>>(), 12);
+        let cache: QueryCache<[u8; 2], [u8; 2]> = QueryCache::new();
+        cache.record(&[[1, 0], [2, 0]], &[[0, 0], [0, 1]]).unwrap();
+        assert_eq!(cache.approx_bytes(), 2 * 12);
+    }
+
+    #[test]
+    fn children_keep_their_insertion_order() {
+        let cache: QueryCache<u8, u8> = QueryCache::new();
+        for word in [[3u8, 1], [1, 2], [3, 0], [2, 2], [1, 0]] {
+            cache.record(&word, &word).unwrap();
+        }
+        let words: Vec<Vec<u8>> = maximal_entries(&cache)
+            .into_iter()
+            .map(|(w, _)| w)
+            .collect();
+        assert_eq!(words, [[3, 1], [3, 0], [1, 2], [1, 0], [2, 2]]);
+    }
+
+    #[test]
+    fn the_arena_never_hands_out_the_no_node_link() {
+        let full = NONE as usize;
+        assert_eq!(fresh_base(full - 2, 2).unwrap(), NONE - 2);
+        assert!(fresh_base(full - 2, 3).is_err());
+        assert!(fresh_base(full, 1).is_err());
+        assert!(fresh_base(usize::MAX, 1).is_err());
     }
 
     #[test]

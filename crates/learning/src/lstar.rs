@@ -244,6 +244,12 @@ pub struct LearnStats {
     pub conformance_tests: u64,
     /// Counterexamples processed.
     pub counterexamples: u64,
+    /// Nodes of the query pool's prefix trie at the end of the run: the
+    /// distinct query prefixes answered.
+    pub trie_nodes: u64,
+    /// Bytes of those trie nodes
+    /// ([`QueryCache::approx_bytes`](crate::QueryCache::approx_bytes)).
+    pub trie_bytes: u64,
     /// Number of states of the final hypothesis.
     pub states: usize,
     /// Number of distinguishing suffixes in the final observation table.
@@ -485,6 +491,8 @@ where
     stats.cache_hits = pool.cache_hits();
     stats.cache_misses = pool.cache_misses();
     stats.conformance_tests = pool.tests_run();
+    stats.trie_nodes = pool.trie_nodes();
+    stats.trie_bytes = pool.trie_bytes();
     stats.states = result.num_states();
     stats.suffixes = table.suffixes().len();
     stats.duration = start.elapsed();

@@ -250,6 +250,16 @@ where
         self.cache.misses()
     }
 
+    /// Nodes of the prefix trie: the distinct query prefixes answered.
+    pub fn trie_nodes(&self) -> u64 {
+        self.cache.entries()
+    }
+
+    /// Bytes of the prefix trie's nodes (see [`QueryCache::approx_bytes`]).
+    pub fn trie_bytes(&self) -> u64 {
+        self.cache.approx_bytes()
+    }
+
     /// Conformance tests executed so far across all [`Self::run_tests`]
     /// calls.
     pub fn tests_run(&self) -> u64 {

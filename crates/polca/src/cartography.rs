@@ -275,6 +275,7 @@ pub fn map_cache(config: &MapConfig, store: Arc<QueryStore>) -> Result<CacheMap,
     let dueling = backend.cpu().l3_dueling();
     let mut engine = QueryEngine::new(backend);
     engine.set_memoize(false);
+    engine.set_recorder(recorder.clone());
 
     let candidates: Vec<(usize, usize)> = config.sets.iter().map(|&s| (s, config.slice)).collect();
     let detect_span = root.as_ref().map(|r| r.child("polca.detect_leaders"));

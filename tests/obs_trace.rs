@@ -154,14 +154,28 @@ fn a_traced_map_records_the_engine_batches_of_its_group_campaigns() {
         map.groups.len(),
         "one span per group campaign"
     );
-    // Engine spans are roots, so they are matched to a campaign by time.
+    // Engine spans are roots, so they are matched to a phase by time: the
+    // group campaigns, and the detection and flip probes, which run on an
+    // engine of their own.
     let batches = spans("engine.run_batch");
-    for (start, end) in groups {
+    let detection = spans("polca.detect_leaders");
+    let probes = spans("polca.flip_probes");
+    assert_eq!(
+        (detection.len(), probes.len()),
+        (1, 1),
+        "the sample holds followers"
+    );
+    for (phase, (start, end)) in groups
+        .into_iter()
+        .map(|span| ("group campaign", span))
+        .chain(detection.into_iter().map(|span| ("leader detection", span)))
+        .chain(probes.into_iter().map(|span| ("flip probes", span)))
+    {
         assert!(
             batches
                 .iter()
                 .any(|(batch, _)| (start..=end).contains(batch)),
-            "no engine.run_batch starts inside the group campaign at {start}..{end} ns"
+            "no engine.run_batch starts inside the {phase} at {start}..{end} ns"
         );
     }
 }
